@@ -52,13 +52,16 @@
 //! `spilled_bytes` fields, which is exactly what CI's spill-smoke leg gates
 //! on.  `--only gathering:12:6` (optionally `:ssync`/`:async`) restricts the
 //! grid to one cell for targeted out-of-core runs.  `--scale-bench` switches
-//! to experiment E16: one fixed spill cell (default: the largest proved
+//! to experiment E16: one fixed cell (default: the largest proved
 //! searching cell; override with `--only`) is re-explored at worker counts
-//! 1/2/4/8 (quick: 1/4) under a tight visited-map budget (default 1 MiB,
-//! override with `--mem-budget`), the run **fails unless every
-//! deterministic report field is byte-identical across the counts**, and
-//! the per-phase wall time (parallel expansion vs batch merge) is recorded
-//! per worker count.  `--selftest` checks that
+//! 1/2/4/8 (quick: 1/4) on the spill backend (override with `--store`)
+//! under a tight visited-map budget (default 1 MiB, override with
+//! `--mem-budget`), the run **fails unless every deterministic report field
+//! is byte-identical across the counts**, and the per-phase wall time
+//! (parallel expansion vs batch merge), the machine's core count and the
+//! worker threads the checker started are recorded per worker count.  A
+//! malformed `--only` or `--store` prints the usage and exits with status 2.
+//! `--selftest` checks that
 //! a deliberately broken protocol (one decision-table entry mutated) is
 //! *falsified* with a counterexample that replays on the engine — a canary
 //! for the checker itself.
@@ -91,6 +94,12 @@ enum CellTask {
 }
 
 impl CellTask {
+    const ALL: [CellTask; 3] = [
+        CellTask::Gathering,
+        CellTask::Alignment,
+        CellTask::Searching,
+    ];
+
     fn slug(self) -> &'static str {
         match self {
             CellTask::Gathering => "gathering",
@@ -98,6 +107,25 @@ impl CellTask {
             CellTask::Searching => "graph-searching",
         }
     }
+
+    fn from_slug(slug: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|task| task.slug() == slug)
+    }
+}
+
+const USAGE: &str = "\
+usage: exp_modelcheck [--quick] [--json <path>] [--seed <u64>] [--sequential]
+                      [--selftest] [--max-n <usize>] [--max-k <usize>]
+                      [--workers <usize>] [--store mem|spill]
+                      [--mem-budget <bytes|KiB|MiB|GiB>] [--only task:n:k[:mode]]
+                      [--max-states <usize>] [--scale-bench]
+  task: gathering | alignment | graph-searching;  mode: ssync | async";
+
+/// Rejects malformed command-line input: prints `message` and the usage,
+/// then exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("exp_modelcheck: {message}\n{USAGE}");
+    std::process::exit(2);
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -379,11 +407,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// One scale-bench row: explores every rigid initial class of `cell` on the
-/// **concrete** (exact-dedup) checker with the spill backend, accumulating
+/// **concrete** (exact-dedup) checker with `cfg`'s backend, accumulating
 /// the deterministic report fields into both the record and an FNV digest
 /// basis — anything worker-dependent in node ids, edge order, early stops
 /// or accounting would change the digest and trip the gate in `main`.
-fn run_scale_cell(cell: &Cell, workers: usize, mem_budget: u64, max_states: usize) -> ScaleRecord {
+fn run_scale_cell(cell: &Cell, cfg: &CheckCfg) -> ScaleRecord {
     let started = Instant::now();
     let mut record = ScaleRecord {
         experiment: "E16".to_string(),
@@ -391,9 +419,11 @@ fn run_scale_cell(cell: &Cell, workers: usize, mem_budget: u64, max_states: usiz
         n: cell.n,
         k: cell.k,
         mode: cell.mode.name().to_string(),
-        store: StoreKind::Spill.to_string(),
-        workers,
-        mem_budget,
+        store: cfg.store.to_string(),
+        workers: cfg.workers,
+        cores: std::thread::available_parallelism().map_or(1, usize::from),
+        threads_started: 0,
+        mem_budget: cfg.mem_budget,
         states: 0,
         edges: 0,
         peak_resident_bytes: 0,
@@ -413,9 +443,7 @@ fn run_scale_cell(cell: &Cell, workers: usize, mem_budget: u64, max_states: usiz
                 &GatheringProtocol::new(),
                 &GatheringInvariant::new(),
                 cell,
-                workers,
-                mem_budget,
-                max_states,
+                cfg,
                 record,
                 basis,
             ),
@@ -423,9 +451,7 @@ fn run_scale_cell(cell: &Cell, workers: usize, mem_budget: u64, max_states: usiz
                 &AlignProtocol::new(),
                 &AlignmentInvariant::new(),
                 cell,
-                workers,
-                mem_budget,
-                max_states,
+                cfg,
                 record,
                 basis,
             ),
@@ -436,9 +462,7 @@ fn run_scale_cell(cell: &Cell, workers: usize, mem_budget: u64, max_states: usiz
                     &protocol,
                     &SearchingInvariant::new(),
                     cell,
-                    workers,
-                    mem_budget,
-                    max_states,
+                    cfg,
                     record,
                     basis,
                 )
@@ -451,7 +475,7 @@ fn run_scale_cell(cell: &Cell, workers: usize, mem_budget: u64, max_states: usiz
             record.ok = true; // the cross-worker gate may still clear this
         }
         Err(e) => {
-            eprintln!("E16 workers={workers}: {e}");
+            eprintln!("E16 workers={}: {e}", cfg.workers);
             record.ok = false;
         }
     }
@@ -462,14 +486,11 @@ fn run_scale_cell(cell: &Cell, workers: usize, mem_budget: u64, max_states: usiz
     record
 }
 
-#[allow(clippy::too_many_arguments)]
 fn scale_cell_protocol<P: Protocol + Clone + Send>(
     protocol: &P,
     invariant: &dyn Invariant,
     cell: &Cell,
-    workers: usize,
-    mem_budget: u64,
-    max_states: usize,
+    cfg: &CheckCfg,
     record: &mut ScaleRecord,
     basis: &mut String,
 ) -> Result<(), String> {
@@ -482,10 +503,10 @@ fn scale_cell_protocol<P: Protocol + Clone + Send>(
         ));
     }
     let options = ExploreOptions::new(cell.mode)
-        .with_workers(workers)
-        .with_store(StoreKind::Spill)
-        .with_mem_budget(mem_budget)
-        .with_max_states(max_states);
+        .with_workers(cfg.workers)
+        .with_store(cfg.store)
+        .with_mem_budget(cfg.mem_budget)
+        .with_max_states(cfg.max_states);
     for initial in &initials {
         let (report, stats) = check_protocol_with_stats(protocol, initial, invariant, &options)
             .map_err(|e| format!("engine rejected {initial}: {e}"))?;
@@ -496,6 +517,7 @@ fn scale_cell_protocol<P: Protocol + Clone + Send>(
         record.visited_spilled_bytes += stats.visited_spilled_bytes;
         record.expand_nanos += stats.expand_nanos;
         record.merge_nanos += stats.merge_nanos;
+        record.threads_started += stats.threads_started;
         // Every deterministic report field joins the digest basis — the
         // outcome's Debug form includes the full counterexample when one
         // exists, so falsified runs are compared schedule for schedule.
@@ -518,25 +540,23 @@ fn scale_cell_protocol<P: Protocol + Clone + Send>(
     Ok(())
 }
 
-/// The E16 worker-scaling bench: one fixed spill cell re-explored per
-/// worker count, gated on every deterministic report field (via the FNV
-/// digest) being identical across the counts.
+/// The E16 worker-scaling bench: one fixed cell re-explored per worker
+/// count, gated on every deterministic report field (via the FNV digest)
+/// being identical across the counts.  `store` and `mem_budget` are the
+/// explicit `--store` / `--mem-budget`, if any.
 fn run_scale_bench(
     args: &ExpArgs,
     only: Option<&OnlyFilter>,
+    store: Option<StoreKind>,
     mem_budget: Option<u64>,
     max_states: usize,
 ) {
     let cell = match only {
         Some(f) => Cell {
-            task: task_from_slug(&f.task),
+            task: f.task,
             n: f.n,
             k: f.k,
-            mode: match f.mode.as_deref() {
-                Some("ssync") => InterleavingMode::SsyncSubsets,
-                Some("async") | None => InterleavingMode::AsyncPhases,
-                Some(other) => panic!("--only mode must be ssync or async, got {other:?}"),
-            },
+            mode: f.mode.unwrap_or(InterleavingMode::AsyncPhases),
         },
         // Defaults: the biggest proved searching cells — exact dedup (the
         // contamination aux state forces it), millions of states in the
@@ -554,14 +574,23 @@ fn run_scale_bench(
             mode: InterleavingMode::AsyncPhases,
         },
     };
-    // Tight by default so the visited map genuinely seals runs: the bench
-    // is about the spill path, not the in-RAM fast path.
+    // Spill with a tight budget by default, so the visited map genuinely
+    // seals runs: the bench is about the spill path, not the in-RAM one.
+    let store = store.unwrap_or(StoreKind::Spill);
     let mem_budget = mem_budget.unwrap_or(1 << 20);
     let worker_counts: &[usize] = if args.quick { &[1, 4] } else { &[1, 2, 4, 8] };
 
     let mut records: Vec<ScaleRecord> = worker_counts
         .iter()
-        .map(|&w| run_scale_cell(&cell, w, mem_budget, max_states))
+        .map(|&workers| {
+            let cfg = CheckCfg {
+                workers,
+                store,
+                mem_budget,
+                max_states,
+            };
+            run_scale_cell(&cell, &cfg)
+        })
         .collect();
     let reference = records[0].report_digest;
     for record in &mut records {
@@ -569,18 +598,22 @@ fn run_scale_bench(
     }
 
     println!(
-        "# E16 — worker scaling on the spill path: {}:{}:{} {} budget={}B",
+        "# E16 — worker scaling: {}:{}:{} {} store={store} budget={}B cores={}",
         cell.task.slug(),
         cell.n,
         cell.k,
         cell.mode.name(),
-        mem_budget
+        mem_budget,
+        records[0].cores
     );
-    println!("# workers    states     edges  visited-spill   expand-ms  merge-ms   st/sec  digest");
+    println!(
+        "# workers  threads    states     edges  visited-spill   expand-ms  merge-ms   st/sec  digest"
+    );
     for r in &records {
         println!(
-            "  {:>7} {:>9} {:>9} {:>14} {:>11} {:>9} {:>8}  {:016x}{}",
+            "  {:>7} {:>8} {:>9} {:>9} {:>14} {:>11} {:>9} {:>8}  {:016x}{}",
             r.workers,
+            r.threads_started,
             r.states,
             r.edges,
             r.visited_spilled_bytes,
@@ -597,46 +630,49 @@ fn run_scale_bench(
     exit_if_failed("E16", failures, records.len());
 }
 
-fn task_from_slug(slug: &str) -> CellTask {
-    match slug {
-        "gathering" => CellTask::Gathering,
-        "alignment" => CellTask::Alignment,
-        "graph-searching" => CellTask::Searching,
-        other => panic!("unknown task slug {other:?}"),
-    }
-}
-
 /// A `--only task:n:k[:mode]` cell filter for targeted out-of-core runs.
 struct OnlyFilter {
-    task: String,
+    task: CellTask,
     n: usize,
     k: usize,
-    mode: Option<String>,
+    mode: Option<InterleavingMode>,
 }
 
 impl OnlyFilter {
-    fn parse(spec: &str) -> Self {
+    fn parse(spec: &str) -> Result<Self, String> {
         let parts: Vec<&str> = spec.split(':').collect();
-        assert!(
-            parts.len() == 3 || parts.len() == 4,
-            "--only takes task:n:k[:mode], got {spec:?}"
-        );
-        OnlyFilter {
-            task: parts[0].to_string(),
-            n: parts[1].parse().expect("--only: n must be a usize"),
-            k: parts[2].parse().expect("--only: k must be a usize"),
-            mode: parts.get(3).map(|m| (*m).to_string()),
+        if !(3..=4).contains(&parts.len()) {
+            return Err(format!("--only takes task:n:k[:mode], got {spec:?}"));
         }
+        let task = CellTask::from_slug(parts[0])
+            .ok_or_else(|| format!("--only: unknown task {:?}", parts[0]))?;
+        let size = |part: &str, name: &str| {
+            part.parse::<usize>()
+                .map_err(|_| format!("--only: {name} must be a usize, got {part:?}"))
+        };
+        let mode = match parts.get(3) {
+            None => None,
+            Some(&"ssync") => Some(InterleavingMode::SsyncSubsets),
+            Some(&"async") => Some(InterleavingMode::AsyncPhases),
+            Some(other) => {
+                return Err(format!(
+                    "--only: mode must be ssync or async, got {other:?}"
+                ))
+            }
+        };
+        Ok(OnlyFilter {
+            task,
+            n: size(parts[1], "n")?,
+            k: size(parts[2], "k")?,
+            mode,
+        })
     }
 
     fn matches(&self, cell: &Cell) -> bool {
-        cell.task.slug() == self.task
+        cell.task == self.task
             && cell.n == self.n
             && cell.k == self.k
-            && self
-                .mode
-                .as_ref()
-                .is_none_or(|m| cell.mode.name() == m.as_str())
+            && self.mode.is_none_or(|mode| cell.mode == mode)
     }
 }
 
@@ -655,11 +691,11 @@ fn main() {
     let workers: usize = args
         .value("--workers")
         .map_or(0, |v| v.parse().expect("--workers takes a usize"));
-    let store = match args.value("--store") {
-        None | Some("mem") => StoreKind::Mem,
-        Some("spill") => StoreKind::Spill,
-        Some(other) => panic!("--store takes mem or spill, got {other:?}"),
-    };
+    let store_arg = args.value("--store").map(|v| match v {
+        "mem" => StoreKind::Mem,
+        "spill" => StoreKind::Spill,
+        other => usage_error(&format!("--store takes mem or spill, got {other:?}")),
+    });
     let mem_budget_arg = args.value("--mem-budget").map(|v| {
         parse_byte_size(v).unwrap_or_else(|| panic!("--mem-budget: malformed size {v:?}"))
     });
@@ -667,18 +703,21 @@ fn main() {
     let max_states: usize = args.value("--max-states").map_or(DEFAULT_MAX_STATES, |v| {
         v.parse().expect("--max-states takes a usize")
     });
+    let only = args
+        .value("--only")
+        .map(|spec| OnlyFilter::parse(spec).unwrap_or_else(|e| usage_error(&e)));
+
+    if args.flag("--scale-bench") {
+        run_scale_bench(&args, only.as_ref(), store_arg, mem_budget_arg, max_states);
+        return;
+    }
+    let store = store_arg.unwrap_or(StoreKind::Mem);
     let cfg = CheckCfg {
         workers,
         store,
         mem_budget,
         max_states,
     };
-    let only = args.value("--only").map(OnlyFilter::parse);
-
-    if args.flag("--scale-bench") {
-        run_scale_bench(&args, only.as_ref(), mem_budget_arg, max_states);
-        return;
-    }
 
     if args.flag("--selftest") {
         if let Err(e) = selftest() {
@@ -692,11 +731,7 @@ fn main() {
         InterleavingMode::AsyncPhases,
     ];
     let mut cells = Vec::new();
-    for task in [
-        CellTask::Gathering,
-        CellTask::Alignment,
-        CellTask::Searching,
-    ] {
+    for task in CellTask::ALL {
         for n in 4..=max_n {
             for k in 2..=max_k.min(n) {
                 for mode in both_modes {
@@ -738,7 +773,9 @@ fn main() {
     }
     if let Some(filter) = &only {
         cells.retain(|cell| filter.matches(cell));
-        assert!(!cells.is_empty(), "--only matched no cell of the grid");
+        if cells.is_empty() {
+            usage_error("--only matched no cell of the grid");
+        }
     }
 
     let records = grid_map(cells, args.mode(), |cell| run_cell(cell, "E10", &cfg));

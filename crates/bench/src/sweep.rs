@@ -425,10 +425,18 @@ pub struct ScaleRecord {
     pub k: usize,
     /// Interleaving mode ("ssync" or "async").
     pub mode: String,
-    /// Storage backend ("spill" for the scaling cell).
+    /// Storage backend ("spill" unless `--store` chose another).
     pub store: String,
     /// Worker threads this row ran with.
     pub workers: usize,
+    /// Cores the machine offered (`available_parallelism`).  Machine
+    /// dependent: a row with more workers than cores measures
+    /// oversubscription, not speed-up.
+    pub cores: usize,
+    /// Worker threads the checker started over the row's calls (summed
+    /// [`rr_checker::StoreStats::threads_started`]): `0` at one worker, and
+    /// deterministic for a fixed worker count.
+    pub threads_started: u64,
     /// Resident byte budget shared by the packed-state cache and the
     /// visited-map memtables.
     pub mem_budget: u64,

@@ -251,6 +251,8 @@ fn sample_scale_records() -> Vec<ScaleRecord> {
             mode: "async".into(),
             store: "spill".into(),
             workers: 1,
+            cores: 2,
+            threads_started: 0,
             mem_budget: 1 << 20,
             states: 250_000,
             edges: 1_000_000,
@@ -272,6 +274,8 @@ fn sample_scale_records() -> Vec<ScaleRecord> {
             mode: "async".into(),
             store: "spill".into(),
             workers: 4,
+            cores: 2,
+            threads_started: 1_536,
             mem_budget: 1 << 20,
             states: 250_000,
             edges: 1_000_000,

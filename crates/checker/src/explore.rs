@@ -32,7 +32,8 @@
 //! Expansion runs **batch-parallel**: the BFS order of node ids is a sequence
 //! of contiguous index windows; each window is expanded by a pool of workers
 //! (one reusable [`Engine`] per worker, driven through
-//! [`Engine::restore_packed`] / `save_state`/`restore_state`), and the
+//! [`Engine::restore_packed`] / `save_state`/`restore_state`) — split across
+//! threads only when every share is worth a thread start — and the
 //! results are merged *sequentially in window order*.  Node ids, edge order,
 //! every [`ExploreReport`] field and every extracted counterexample are
 //! therefore **byte-identical for any worker count** — the same discipline
@@ -155,9 +156,10 @@ pub struct ExploreOptions {
     pub max_states: usize,
     /// Whether to run the liveness (SCC) analysis after the safety sweep.
     pub check_liveness: bool,
-    /// Expansion worker threads; `0` means one per available core.  The
-    /// verdict, the report and any counterexample are identical for every
-    /// value.
+    /// Worker threads a parallel phase may use; `0` means one per available
+    /// core.  A batch is split across them only when every thread's share
+    /// is large enough to pay for starting it.  The verdict, the report and
+    /// any counterexample are identical for every value.
     pub workers: usize,
     /// The fault adversary's powers (default: none — fault-free checking).
     pub faults: FaultBudget,
@@ -1112,50 +1114,98 @@ fn expand_node<P: Protocol>(
     Expansion { succs, violation }
 }
 
-/// Expands `batch` over the worker pool: contiguous chunks, one worker and
-/// one engine per chunk, results reassembled in batch order.  With a single
-/// worker (or a single node) the expansion runs inline.
+/// Fewest nodes one expansion thread is handed.  Starting and joining a
+/// scoped thread costs ≈40 µs (2-vCPU x86-64 VM) and a node expands in
+/// 2.0–3.4 µs, so a 256-node share is 0.5–0.9 ms of work, more than ten
+/// thread starts.  Narrow BFS frontiers, whose batches hold a few dozen
+/// nodes, thus expand inline, while wide ones still split.
+const EXPAND_PER_THREAD: usize = 256;
+
+/// Fewest fresh candidates one resolve or commit thread is handed.  A
+/// candidate resolves in 0.05–0.19 µs and commits in 0.17–0.25 µs (seal
+/// check included), so a share must hold thousands of them to outweigh
+/// its ≈40 µs thread start.
+const MERGE_PER_THREAD: usize = 4096;
+
+/// The fan-out rule of every parallel phase: how many threads share `items`
+/// units of work when each must receive at least `per_thread_min` of them,
+/// never more than `pool`.  A result of 1 means the phase runs inline on the
+/// calling thread.  No unit's result depends on the thread that computes
+/// it, so the rule is free to be a pure cost decision.
+fn fan_out(items: usize, per_thread_min: usize, pool: usize) -> usize {
+    pool.min(items / per_thread_min).max(1)
+}
+
+/// The fan-out of the shard-parallel merge phases: [`fan_out`] over the
+/// batch's candidates, with work dealt out in whole shards, so never more
+/// than [`VISITED_SHARDS`] threads.
+fn merge_fan_out(candidates: usize, workers: usize) -> usize {
+    fan_out(candidates, MERGE_PER_THREAD, workers.min(VISITED_SHARDS))
+}
+
+/// Runs `work` on every part: the first on the calling thread, each other
+/// on a scoped thread of its own.  Returns the number of threads started.
+fn run_parts<T: Send>(mut parts: impl ExactSizeIterator<Item = T>, work: impl Fn(T) + Sync) -> u64 {
+    let Some(first) = parts.next() else {
+        return 0;
+    };
+    let started = parts.len() as u64;
+    if started == 0 {
+        work(first);
+        return 0;
+    }
+    rayon::scope(|scope| {
+        for part in parts {
+            let work = &work;
+            scope.spawn(move |_| work(part));
+        }
+        work(first);
+    });
+    started
+}
+
+/// Expands `batch` over the worker pool: contiguous chunks of at least
+/// [`EXPAND_PER_THREAD`] nodes, one worker and one engine per chunk, results
+/// reassembled in batch order.  A batch too small to split runs inline on
+/// `pool[0]`.  Returns the expansions and the number of threads started.
 fn expand_batch<P: Protocol + Clone + Send>(
     pool: &mut [Worker<P>],
     window: &[PackedState],
     batch: &[NodeMeta],
     visited: &Visited,
     ctx: &ExploreCtx<'_>,
-) -> Vec<Expansion> {
+) -> (Vec<Expansion>, u64) {
     debug_assert_eq!(window.len(), batch.len());
-    let workers = pool.len().min(batch.len()).max(1);
-    if workers <= 1 {
+    let threads = fan_out(batch.len(), EXPAND_PER_THREAD, pool.len());
+    if threads <= 1 {
         let worker = &mut pool[0];
-        return window
+        let expansions = window
             .iter()
             .zip(batch)
             .map(|(packed, node)| expand_node(worker, packed, node, visited, ctx))
             .collect();
+        return (expansions, 0);
     }
-    let chunk_len = batch.len().div_ceil(workers);
-    let mut outputs: Vec<Vec<Expansion>> = (0..workers).map(|_| Vec::new()).collect();
-    rayon::scope(|scope| {
-        for (((chunk, states), worker), out) in batch
-            .chunks(chunk_len)
-            .zip(window.chunks(chunk_len))
-            .zip(pool.iter_mut())
-            .zip(outputs.iter_mut())
-        {
-            scope.spawn(move |_| {
-                *out = states
-                    .iter()
-                    .zip(chunk)
-                    .map(|(packed, node)| expand_node(worker, packed, node, visited, ctx))
-                    .collect();
-            });
-        }
+    let chunk_len = batch.len().div_ceil(threads);
+    let mut outputs: Vec<Vec<Expansion>> = (0..threads).map(|_| Vec::new()).collect();
+    let parts = batch
+        .chunks(chunk_len)
+        .zip(window.chunks(chunk_len))
+        .zip(pool.iter_mut())
+        .zip(outputs.iter_mut());
+    let started = run_parts(parts, |(((chunk, states), worker), out)| {
+        *out = states
+            .iter()
+            .zip(chunk)
+            .map(|(packed, node)| expand_node(worker, packed, node, visited, ctx))
+            .collect();
     });
-    outputs.into_iter().flatten().collect()
+    (outputs.into_iter().flatten().collect(), started)
 }
 
 /// Resolution of one fresh-looking successor, computed by the parallel
 /// per-shard dedup pass of the merge.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MergeRes {
     /// The key was mapped before this batch: a certain duplicate with a
     /// final node id.  (In practice expansion's lock-free pre-probe already
@@ -1204,6 +1254,21 @@ impl ShardScratch {
     }
 }
 
+/// Merge phase 1 (sequential, cheap): partition the batch's fresh candidates
+/// by shard, preserving window order within each shard.
+fn partition_batch(scratch: &mut [ShardScratch], expansions: &[Expansion]) {
+    for sc in scratch.iter_mut() {
+        sc.reset();
+    }
+    for (e, expansion) in expansions.iter().enumerate() {
+        for (s, succ) in expansion.succs.iter().enumerate() {
+            if let SuccState::Fresh { key, .. } = &succ.state {
+                scratch[shard_of(key)].cands.push((e as u32, s as u32));
+            }
+        }
+    }
+}
+
 /// Merge phase A, per shard: resolve each candidate against the visited map
 /// (frozen for the whole batch) and the shard's own pending set.  Runs in
 /// parallel across shards — all state touched is shard-local.
@@ -1241,68 +1306,48 @@ fn resolve_shard(
     }
 }
 
-/// Merge phase A driver: shards are dealt to the workers in contiguous
-/// groups.  Small batches run inline — the result is identical either way
-/// (each shard's work is self-contained), so the cutover is free to be a
-/// pure performance choice.
+/// Merge phase A over all shards: the shards are dealt to
+/// [`merge_fan_out`] threads in contiguous groups; a batch with too few
+/// candidates to split resolves inline.  Returns the number of threads
+/// started.
 fn resolve_batch(
     scratch: &mut [ShardScratch],
     expansions: &[Expansion],
     visited: &Visited,
     track_canon: bool,
     workers: usize,
-) {
+) -> u64 {
     let candidates: usize = scratch.iter().map(|sc| sc.cands.len()).sum();
-    let workers = workers.clamp(1, VISITED_SHARDS);
-    if workers <= 1 || candidates <= 256 {
-        for sc in scratch.iter_mut() {
+    let chunk = VISITED_SHARDS.div_ceil(merge_fan_out(candidates, workers));
+    run_parts(scratch.chunks_mut(chunk), |group| {
+        for sc in group {
             resolve_shard(sc, expansions, visited, track_canon);
         }
-        return;
-    }
-    let chunk = VISITED_SHARDS.div_ceil(workers);
-    rayon::scope(|scope| {
-        for group in scratch.chunks_mut(chunk) {
-            scope.spawn(move |_| {
-                for sc in group {
-                    resolve_shard(sc, expansions, visited, track_canon);
-                }
-            });
-        }
-    });
+    })
 }
 
 /// Merge phase C driver: commit every shard's freshly assigned entries into
 /// its memtable (shard-parallel like phase A), then let the `--mem-budget`
 /// accountant seal/compact.  Skipped entirely when the BFS is stopping —
 /// the map is dropped before anything could observe the difference.
-fn commit_batch(visited: &mut Visited, scratch: &[ShardScratch], workers: usize) {
-    let commit = |map: &mut Memtable, sc: &ShardScratch| {
-        debug_assert_eq!(sc.assigned.len(), sc.fresh_keys.len(), "unassigned ordinal");
-        for (ordinal, &id) in sc.assigned.iter().enumerate() {
-            map.insert(sc.fresh_keys[ordinal], id);
-        }
-    };
+/// Returns the number of threads started.
+fn commit_batch(visited: &mut Visited, scratch: &[ShardScratch], workers: usize) -> u64 {
     let fresh: usize = scratch.iter().map(|sc| sc.assigned.len()).sum();
-    let workers = workers.clamp(1, VISITED_SHARDS);
+    let chunk = VISITED_SHARDS.div_ceil(merge_fan_out(fresh, workers));
     let maps = visited.shard_maps_mut();
-    if workers <= 1 || fresh <= 256 {
-        for (map, sc) in maps.iter_mut().zip(scratch.iter()) {
-            commit(map, sc);
-        }
-    } else {
-        let chunk = VISITED_SHARDS.div_ceil(workers);
-        rayon::scope(|scope| {
-            for (map_group, sc_group) in maps.chunks_mut(chunk).zip(scratch.chunks(chunk)) {
-                scope.spawn(move |_| {
-                    for (map, sc) in map_group.iter_mut().zip(sc_group) {
-                        commit(map, sc);
-                    }
-                });
+    let started = run_parts(
+        maps.chunks_mut(chunk).zip(scratch.chunks(chunk)),
+        |(map_group, sc_group): (&mut [Memtable], &[ShardScratch])| {
+            for (map, sc) in map_group.iter_mut().zip(sc_group) {
+                debug_assert_eq!(sc.assigned.len(), sc.fresh_keys.len(), "unassigned ordinal");
+                for (ordinal, &id) in sc.assigned.iter().enumerate() {
+                    map.insert(sc.fresh_keys[ordinal], id);
+                }
             }
-        });
-    }
+        },
+    );
     visited.maybe_seal();
+    started
 }
 
 /// Resolves [`ExploreOptions::workers`]: `0` means one per available core,
@@ -1436,6 +1481,7 @@ fn explore<P: Protocol + Clone + Send>(
     // worker count and backend.
     let mut expand_nanos: u64 = 0;
     let mut merge_nanos: u64 = 0;
+    let mut threads_started: u64 = 0;
     let mut scratch: Vec<ShardScratch> = (0..VISITED_SHARDS)
         .map(|_| ShardScratch::default())
         .collect();
@@ -1443,10 +1489,11 @@ fn explore<P: Protocol + Clone + Send>(
     'bfs: while next < meta.len() {
         let batch_end = meta.len().min(next + BATCH);
         let expand_start = Instant::now();
-        let expansions = {
+        let (expansions, started) = {
             let window = store.window(next, batch_end);
             expand_batch(&mut pool, &window, &meta[next..batch_end], &visited, &ctx)
         };
+        threads_started += started;
         expand_nanos += expand_start.elapsed().as_nanos() as u64;
         let merge_start = Instant::now();
         // Residency sampling point: immediately before each expansion's
@@ -1465,20 +1512,9 @@ fn explore<P: Protocol + Clone + Send>(
             buffered[i] = fresh;
         }
 
-        // Merge phase 1 (sequential, cheap): partition the fresh candidates
-        // by shard, preserving window order within each shard.
-        for sc in scratch.iter_mut() {
-            sc.reset();
-        }
-        for (e, expansion) in expansions.iter().enumerate() {
-            for (s, succ) in expansion.succs.iter().enumerate() {
-                if let SuccState::Fresh { key, .. } = &succ.state {
-                    scratch[shard_of(key)].cands.push((e as u32, s as u32));
-                }
-            }
-        }
+        partition_batch(&mut scratch, &expansions);
         // Merge phase 2 (parallel): per-shard dedup + canonical signatures.
-        resolve_batch(&mut scratch, &expansions, &visited, track_canon, workers);
+        threads_started += resolve_batch(&mut scratch, &expansions, &visited, track_canon, workers);
 
         // Merge phase 3 (sequential): the ordering pass.  Walks expansions
         // in window order, consuming each shard's resolutions back in the
@@ -1581,7 +1617,7 @@ fn explore<P: Protocol + Clone + Send>(
         }
         // Merge phase 4 (parallel): commit the batch's assignments into the
         // shard memtables, then give the budget accountant a seal point.
-        commit_batch(&mut visited, &scratch, workers);
+        threads_started += commit_batch(&mut visited, &scratch, workers);
         merge_nanos += merge_start.elapsed().as_nanos() as u64;
         next = batch_end;
     }
@@ -1645,6 +1681,7 @@ fn explore<P: Protocol + Clone + Send>(
         visited_spilled_bytes,
         expand_nanos,
         merge_nanos,
+        threads_started,
     };
     let report = ExploreReport {
         invariant: invariant.name(),
@@ -2763,6 +2800,118 @@ mod tests {
         let reference = run(1);
         for degenerate in [0, BATCH + 7, usize::MAX] {
             assert_eq!(run(degenerate), reference, "workers={degenerate}");
+        }
+    }
+
+    #[test]
+    fn fan_out_starts_threads_only_for_shares_above_the_minimum() {
+        let min = EXPAND_PER_THREAD;
+        // (items, pool, threads)
+        let table = [
+            (0, 8, 1),
+            (min - 1, 8, 1),
+            (min, 8, 1),
+            (2 * min - 1, 8, 1),
+            (2 * min, 8, 2),
+            (5 * min + 3, 8, 5),
+            (BATCH, 8, 8),
+            (BATCH, 4096, BATCH / min),
+            (BATCH, 1, 1),
+        ];
+        for (items, pool, threads) in table {
+            assert_eq!(
+                fan_out(items, min, pool),
+                threads,
+                "{items} items, pool {pool}"
+            );
+        }
+        let min = MERGE_PER_THREAD;
+        let table = [
+            (0, 8, 1),
+            (min, 8, 1),
+            (2 * min, 8, 2),
+            (3 * min, 2, 2),
+            (1000 * min, 4096, VISITED_SHARDS),
+            (1000 * min, VISITED_SHARDS + 1, VISITED_SHARDS),
+        ];
+        for (items, workers, threads) in table {
+            assert_eq!(
+                merge_fan_out(items, workers),
+                threads,
+                "{items} candidates, {workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn merge_phases_split_wide_batches_without_changing_the_result() {
+        // No test-sized cell yields enough fresh candidates per batch for
+        // the merge to fan out, so drive resolve and commit directly with a
+        // synthetic batch of 8 minimum shares: every key twice (in-batch
+        // duplicates), and one key in five already visited.
+        let initial = enumerate_rigid_configurations(7, 3).remove(0);
+        let packed = Engine::with_default_options(GatheringProtocol::new(), initial)
+            .unwrap()
+            .pack_behavior();
+        let key = |i: usize| make_key(&packed, i as u64 / 2, Dedup::Exact, 0);
+        let candidates = 8 * MERGE_PER_THREAD;
+        let expansions: Vec<Expansion> = (0..candidates / 4)
+            .map(|node| Expansion {
+                succs: (4 * node..4 * node + 4)
+                    .map(|i| Succ {
+                        code: 0,
+                        progress: false,
+                        state: SuccState::Fresh {
+                            packed: packed.clone(),
+                            key: key(i),
+                            aug_bits: i as u64 / 2,
+                            fault: 0,
+                            target: false,
+                        },
+                    })
+                    .collect(),
+                violation: None,
+            })
+            .collect();
+        let run = |workers: usize| {
+            let mut visited = Visited::new(StoreKind::Mem, DEFAULT_MEM_BUDGET);
+            for i in (0..candidates).step_by(10) {
+                visited.insert(key(i), i as u32);
+            }
+            let mut scratch: Vec<ShardScratch> = (0..VISITED_SHARDS)
+                .map(|_| ShardScratch::default())
+                .collect();
+            partition_batch(&mut scratch, &expansions);
+            let resolve_started = resolve_batch(&mut scratch, &expansions, &visited, true, workers);
+            let mut id = candidates as u32;
+            for sc in &mut scratch {
+                for _ in 0..sc.fresh_keys.len() {
+                    sc.assigned.push(id);
+                    id += 1;
+                }
+            }
+            let commit_started = commit_batch(&mut visited, &scratch, workers);
+            let resolved: Vec<(Vec<MergeRes>, Vec<StateSig>)> = scratch
+                .iter()
+                .map(|sc| (sc.res.clone(), sc.fresh_sigs.clone()))
+                .collect();
+            let ids: Vec<Option<u32>> = (0..candidates).map(|i| visited.get(&key(i))).collect();
+            (resolved, ids, [resolve_started, commit_started])
+        };
+        let (resolved, ids, started) = run(1);
+        assert_eq!(started, [0, 0], "one worker runs inline");
+        assert!(ids.iter().all(Option::is_some), "every key committed");
+        for workers in [2, 4, 8] {
+            let (w_resolved, w_ids, w_started) = run(workers);
+            assert!(
+                w_resolved == resolved,
+                "workers={workers}: resolutions differ"
+            );
+            assert_eq!(w_ids, ids, "workers={workers}");
+            assert!(
+                w_started.iter().all(|&s| s > 0),
+                "workers={workers}: a merge phase never fanned out ({w_started:?})"
+            );
         }
     }
 

@@ -86,6 +86,12 @@ pub struct StoreStats {
     /// visited-map sealing).  **Not deterministic** — same status as
     /// [`expand_nanos`](StoreStats::expand_nanos).
     pub merge_nanos: u64,
+    /// Worker threads the call started.  A parallel phase splits a batch
+    /// only when every thread's share is large enough to pay for starting
+    /// it, and the calling thread takes one share itself, so this counts
+    /// the extra threads only.  Deterministic for a fixed worker count —
+    /// batch sizes do not depend on timing — and `0` with one worker.
+    pub threads_started: u64,
 }
 
 /// States per spill cluster: the first state is the cluster base (raw

@@ -4,11 +4,16 @@
 //! figure — and identical counterexample traces (schedules, step for step),
 //! for verified protocols, mutated (falsified) protocols, budget-limited
 //! runs, and the symmetry-quotient explorer alike.
+//!
+//! A batch is split across threads only when every share is worth starting
+//! a thread for; most cells here expand small batches and therefore run
+//! inline at every worker count.  `wide_batches_fan_out_and_stay_worker_invariant`
+//! is the case whose multi-worker runs genuinely start threads.
 
 use proptest::prelude::*;
 use rr_checker::explore::{
-    check_protocol, check_protocol_quotient, check_safety_quotient, replay_counterexample,
-    ExploreOptions, FaultBudget, MutatedProtocol,
+    check_protocol_quotient, check_protocol_with_stats, check_safety_quotient,
+    replay_counterexample, ExploreOptions, FaultBudget, MutatedProtocol,
 };
 use rr_checker::StoreKind;
 use rr_corda::{Decision, InterleavingMode, Protocol, ViewIndex};
@@ -34,18 +39,25 @@ const MODES: [InterleavingMode; 2] = [
 /// is pinned byte-identical.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
+/// Asserts the worker and store invariance of one check, and returns the
+/// fewest threads any multi-worker concrete run started.
 fn assert_worker_invariant<P: Protocol + Clone + Send>(
     protocol: &P,
     initial: &Configuration,
     invariant: &dyn Invariant,
     base: &ExploreOptions,
     label: &str,
-) {
-    let reference = check_protocol(protocol, initial, invariant, &base.with_workers(1)).unwrap();
+) -> u64 {
+    let (reference, stats) =
+        check_protocol_with_stats(protocol, initial, invariant, &base.with_workers(1)).unwrap();
+    assert_eq!(stats.threads_started, 0, "{label}: one worker runs inline");
+    let mut fewest_started = u64::MAX;
     for workers in &WORKER_COUNTS[1..] {
-        let report =
-            check_protocol(protocol, initial, invariant, &base.with_workers(*workers)).unwrap();
+        let (report, stats) =
+            check_protocol_with_stats(protocol, initial, invariant, &base.with_workers(*workers))
+                .unwrap();
         assert_eq!(report, reference, "{label}: workers={workers}");
+        fewest_started = fewest_started.min(stats.threads_started);
     }
     // The spill backend is observationally invisible: for every worker
     // count, a run that keeps its packed states in delta-compressed clusters
@@ -53,7 +65,7 @@ fn assert_worker_invariant<P: Protocol + Clone + Send>(
     // identical report — counterexample included, since it is a field of the
     // report compared here.
     for workers in WORKER_COUNTS {
-        let spilled = check_protocol(
+        let (spilled, stats) = check_protocol_with_stats(
             protocol,
             initial,
             invariant,
@@ -64,6 +76,9 @@ fn assert_worker_invariant<P: Protocol + Clone + Send>(
         )
         .unwrap();
         assert_eq!(spilled, reference, "{label}: spill workers={workers}");
+        if workers > 1 {
+            fewest_started = fewest_started.min(stats.threads_started);
+        }
     }
     // The quotient explorer obeys the same discipline.
     let quotient_reference =
@@ -82,6 +97,7 @@ fn assert_worker_invariant<P: Protocol + Clone + Send>(
         let replay = replay_counterexample(protocol, initial, invariant, ce).unwrap();
         assert!(replay.reproduced, "{label}: {}", replay.detail);
     }
+    fewest_started
 }
 
 #[test]
@@ -122,6 +138,22 @@ fn searching_with_aug_state_is_worker_invariant() {
         &ExploreOptions::new(InterleavingMode::SsyncSubsets),
         "searching (11,5) ssync",
     );
+}
+
+#[test]
+fn wide_batches_fan_out_and_stay_worker_invariant() {
+    // A gathering (13, 7) ASYNC class reaches BFS batches of several
+    // hundred nodes, wide enough to split: every multi-worker run of it
+    // must start threads, and still match the inline run byte for byte.
+    let initial = enumerate_rigid_configurations(13, 7).remove(0);
+    let fewest_started = assert_worker_invariant(
+        &GatheringProtocol::new(),
+        &initial,
+        &GatheringInvariant::new(),
+        &ExploreOptions::new(InterleavingMode::AsyncPhases),
+        "gathering (13,7) async",
+    );
+    assert!(fewest_started > 0, "a multi-worker run never fanned out");
 }
 
 #[test]
