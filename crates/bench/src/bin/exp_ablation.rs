@@ -65,9 +65,11 @@ fn naive_aligner_outcome(n: usize, k: usize) -> String {
     "no outcome within budget".to_string()
 }
 
+const USAGE: &str = "usage: exp_ablation [--quick] [--json <path>] [--seed <u64>] [--sequential]";
+
 fn main() {
     // Default seed 23 matches the E9b numbers recorded in EXPERIMENTS.md.
-    let args = ExpArgs::parse(23);
+    let args = ExpArgs::parse(23, USAGE);
     let cases: Vec<(usize, usize)> = if args.quick {
         vec![(9, 4), (12, 5)]
     } else {

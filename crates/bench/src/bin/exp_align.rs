@@ -10,8 +10,12 @@ use rr_bench::grid::preset;
 use rr_bench::mean;
 use rr_bench::sweep::ExpArgs;
 
+const USAGE: &str = "\
+usage: exp_align [--quick] [--json <path>] [--seed <u64>] [--sequential]
+                 [--ledger <path>] [--cache <dir>]";
+
 fn main() {
-    let args = ExpArgs::parse(0xE3);
+    let args = ExpArgs::parse(0xE3, USAGE);
     let spec = preset("align", args.quick, Some(args.root_seed)).expect("builtin preset");
     let run = args.run_grid(&spec);
 

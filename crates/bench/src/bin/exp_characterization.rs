@@ -10,8 +10,12 @@
 use rr_bench::sweep::ExpArgs;
 use rr_checker::characterization::{build_characterization, render_table, CellStatus};
 
+const USAGE: &str = "\
+usage: exp_characterization [--quick] [--json <path>] [--seed <u64>] [--max-n <usize>]
+                            [--no-validate]";
+
 fn main() {
-    let args = ExpArgs::parse(17);
+    let args = ExpArgs::parse(17, USAGE);
     let validate = !args.flag("--no-validate");
     let max_n: usize = args
         .value("--max-n")

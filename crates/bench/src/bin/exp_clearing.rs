@@ -9,8 +9,12 @@
 use rr_bench::grid::preset;
 use rr_bench::sweep::ExpArgs;
 
+const USAGE: &str = "\
+usage: exp_clearing [--quick] [--json <path>] [--seed <u64>] [--sequential]
+                    [--ledger <path>] [--cache <dir>]";
+
 fn main() {
-    let args = ExpArgs::parse(0xE4);
+    let args = ExpArgs::parse(0xE4, USAGE);
     let spec = preset("clearing", args.quick, Some(args.root_seed)).expect("builtin preset");
     let run = args.run_grid(&spec);
 

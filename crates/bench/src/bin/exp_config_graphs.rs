@@ -23,8 +23,10 @@ struct GraphRecord {
     ok: bool,
 }
 
+const USAGE: &str = "usage: exp_config_graphs [--quick] [--json <path>] [--sequential]";
+
 fn main() {
-    let args = ExpArgs::parse(0xE2);
+    let args = ExpArgs::parse(0xE2, USAGE);
     let figures = ["Fig. 4", "Fig. 5", "Fig. 6", "Fig. 7", "Fig. 8", "Fig. 9"];
     let cases: Vec<((usize, usize), &str)> = THEOREM5_CASES
         .iter()

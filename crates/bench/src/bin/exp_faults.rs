@@ -390,8 +390,12 @@ fn selftest() -> Result<(), String> {
     Ok(())
 }
 
+const USAGE: &str = "\
+usage: exp_faults [--quick] [--json <path>] [--seed <u64>] [--sequential]
+                  [--selftest] [--max-n <usize>] [--max-k <usize>] [--workers <usize>]";
+
 fn main() {
-    let args = ExpArgs::parse(0xE14);
+    let args = ExpArgs::parse(0xE14, USAGE);
     let max_n: usize = args
         .value("--max-n")
         .map_or(if args.quick { 6 } else { 8 }, |v| {

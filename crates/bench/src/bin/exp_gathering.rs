@@ -9,8 +9,12 @@ use rr_bench::grid::preset;
 use rr_bench::sweep::ExpArgs;
 use rr_corda::SchedulerKind;
 
+const USAGE: &str = "\
+usage: exp_gathering [--quick] [--json <path>] [--seed <u64>] [--sequential]
+                     [--ledger <path>] [--cache <dir>]";
+
 fn main() {
-    let args = ExpArgs::parse(0xE6);
+    let args = ExpArgs::parse(0xE6, USAGE);
     let spec = preset("gathering", args.quick, Some(args.root_seed)).expect("builtin preset");
     let run = args.run_grid(&spec);
 

@@ -30,8 +30,11 @@ struct ImpossibilityRecord {
     ok: bool,
 }
 
+const USAGE: &str = "\
+usage: exp_impossibility [--quick] [--json <path>] [--sequential] [--with-4-7]";
+
 fn main() {
-    let args = ExpArgs::parse(0xE7);
+    let args = ExpArgs::parse(0xE7, USAGE);
     let with_4_7 = args.flag("--with-4-7");
 
     println!("# E7a — structural impossibility reasons (n <= 12)");

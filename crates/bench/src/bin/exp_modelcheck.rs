@@ -677,7 +677,7 @@ impl OnlyFilter {
 }
 
 fn main() {
-    let args = ExpArgs::parse(0);
+    let args = ExpArgs::parse(0, USAGE);
     let max_n: usize = args
         .value("--max-n")
         .map_or(if args.quick { 6 } else { 12 }, |v| {

@@ -8,8 +8,12 @@
 use rr_bench::grid::preset;
 use rr_bench::sweep::ExpArgs;
 
+const USAGE: &str = "\
+usage: exp_nminus_three [--quick] [--json <path>] [--seed <u64>] [--sequential]
+                        [--ledger <path>] [--cache <dir>]";
+
 fn main() {
-    let args = ExpArgs::parse(0xE5);
+    let args = ExpArgs::parse(0xE5, USAGE);
     let spec = preset("nminus3", args.quick, Some(args.root_seed)).expect("builtin preset");
     let run = args.run_grid(&spec);
 

@@ -371,8 +371,12 @@ fn run_leap_experiment(quick: bool, root_seed: u64) -> Vec<ThroughputRecord> {
     records
 }
 
+const USAGE: &str = "\
+usage: exp_throughput [--quick] [--json <path>] [--leap-json <path>] [--seed <u64>]
+                      [--sequential] [--steps <u64>]";
+
 fn main() {
-    let args = ExpArgs::parse(0xE12);
+    let args = ExpArgs::parse(0xE12, USAGE);
     let budget: u64 = args
         .value("--steps")
         .map_or(if args.quick { 20_000 } else { 100_000 }, |s| {

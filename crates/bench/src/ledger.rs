@@ -20,7 +20,9 @@
 //! * **Append-only** — records are written in cell declaration order and
 //!   never rewritten; a [`Ledger`] buffers out-of-order completions from
 //!   sharded execution and flushes the contiguous prefix, so the bytes on
-//!   disk are independent of the execution mode.
+//!   disk are independent of the execution mode.  (Sharded workers claim
+//!   the costliest cells first, which tend to be declared last, so a
+//!   sharded run's durable prefix mostly fills near its end.)
 //! * **Durable per record batch** — every flush of a contiguous batch ends
 //!   in `fsync`; after a crash, everything up to the last fsync'd record is
 //!   intact and anything beyond it is at most one torn line.

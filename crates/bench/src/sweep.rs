@@ -3,14 +3,14 @@
 //!
 //! A [`Sweep`] declares an instance grid — `(n, k)` pairs × scheduler
 //! families × seeds — and expands it into [`BatchJob`]s for the `rr-core`
-//! batch driver.  Execution either walks the jobs sequentially or shards them
-//! over a rayon worker pool ([`ExecMode`]); each shard recycles **one**
-//! engine allocation through a [`BatchRunner`].  Every job's randomness is
-//! derived from the sweep's root seed and the job's grid coordinates alone
-//! (never from shard layout or thread identity), so **a sharded sweep and a
-//! sequential sweep with the same root seed produce byte-identical JSON
-//! records** — the property CI's bench-regression gate and the
-//! `sweep_determinism` test suite rest on.
+//! batch driver.  Execution either walks the jobs sequentially or lets a
+//! rayon worker pool claim them one at a time, costliest first
+//! ([`ExecMode`]); each worker recycles **one** engine allocation through a
+//! [`BatchRunner`].  Every job's randomness is derived from the sweep's root
+//! seed and the job's grid coordinates alone (never from claim order or
+//! thread identity), so **a sharded sweep and a sequential sweep with the
+//! same root seed produce byte-identical JSON records** — the property CI's
+//! bench-regression gate and the `sweep_determinism` test suite rest on.
 //!
 //! The `exp_*` binaries are thin grid declarations over this module:
 //! they parse the shared [`ExpArgs`] CLI (`--quick`, `--json <path>`,
@@ -18,6 +18,7 @@
 //! write the JSON report, and exit non-zero when any instance fails
 //! verification (see [`exit_if_failed`]).
 
+use std::cmp::Reverse;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -43,7 +44,8 @@ pub fn task_slug(task: Task) -> &'static str {
 pub enum ExecMode {
     /// One worker, one engine, jobs in declaration order.
     Sequential,
-    /// Jobs sharded over the rayon pool (one recycled engine per shard);
+    /// Jobs claimed one at a time by the rayon pool's workers, costliest
+    /// (largest step budget) first, each worker recycling one engine;
     /// results are reassembled in declaration order.
     Sharded,
 }
@@ -51,9 +53,10 @@ pub enum ExecMode {
 /// A per-record progress callback: `(cell_index, record)`.
 ///
 /// Under [`ExecMode::Sharded`] the sink is invoked from worker threads and
-/// cell indices arrive out of order (within one shard they are ascending);
-/// sinks that need declaration order reorder on the index — which is exactly
-/// what [`Ledger::append`](crate::ledger::Ledger::append) does.
+/// cell indices arrive out of order (roughly costliest first, so the cheap
+/// low-index cells tend to arrive last); sinks that need declaration order
+/// reorder on the index — which is exactly what
+/// [`Ledger::append`](crate::ledger::Ledger::append) does.
 pub type ProgressSink<'a> = &'a (dyn Fn(usize, &RunRecord) + Sync);
 
 /// Options for one [`Sweep::run_with`] call — the single run entry point
@@ -574,58 +577,39 @@ impl Sweep {
     /// cells (per-cell seeds derive from the root seed and grid coordinates,
     /// never from execution history).  A [`RunOptions::progress`] sink
     /// observes every record as it completes, tagged with its cell index.
+    ///
+    /// Under [`ExecMode::Sharded`] each worker keeps one [`BatchRunner`] and
+    /// claims the next cell until none is left, largest step budget first
+    /// (ties in declaration order), so the costliest cells start first and
+    /// the cheap ones fill in around them.
     #[must_use]
     pub fn run_with(&self, options: &RunOptions<'_>) -> Vec<RunRecord> {
         let make_runner = || match options.step_path {
             Some(path) => BatchRunner::with_step_path(path),
             None => BatchRunner::new(),
         };
-        let report = |index: usize, record: &RunRecord| {
+        let jobs = self.jobs();
+        let run_cell = |runner: &mut BatchRunner, cell: usize| {
+            let record = self.run_job(runner, &jobs[cell]);
             if let Some(sink) = options.progress {
-                sink(index, record);
+                sink(cell, &record);
             }
+            record
         };
-        let skip = options.skip_cells;
-        let all_jobs = self.jobs();
-        let jobs = &all_jobs[skip.min(all_jobs.len())..];
         match options.exec_mode() {
             ExecMode::Sequential => {
                 let mut runner = make_runner();
-                jobs.iter()
-                    .enumerate()
-                    .map(|(i, job)| {
-                        let record = self.run_job(&mut runner, job);
-                        report(skip + i, &record);
-                        record
-                    })
+                (options.skip_cells.min(jobs.len())..jobs.len())
+                    .map(|cell| run_cell(&mut runner, cell))
                     .collect()
             }
             ExecMode::Sharded => {
-                let workers = std::thread::available_parallelism()
-                    .map_or(4, usize::from)
-                    .min(jobs.len().max(1));
-                let shard_len = jobs.len().div_ceil(workers).max(1);
-                let shards: Vec<(usize, Vec<BatchJob>)> = jobs
-                    .chunks(shard_len)
-                    .enumerate()
-                    .map(|(s, shard)| (skip + s * shard_len, shard.to_vec()))
-                    .collect();
-                let nested: Vec<Vec<RunRecord>> = shards
+                let mut records: Vec<(usize, RunRecord)> = claim_order(&jobs, options.skip_cells)
                     .into_par_iter()
-                    .map(|(base, shard)| {
-                        let mut runner = make_runner();
-                        shard
-                            .iter()
-                            .enumerate()
-                            .map(|(i, job)| {
-                                let record = self.run_job(&mut runner, job);
-                                report(base + i, &record);
-                                record
-                            })
-                            .collect()
-                    })
+                    .map_init(make_runner, |runner, cell| (cell, run_cell(runner, cell)))
                     .collect();
-                nested.into_iter().flatten().collect()
+                records.sort_unstable_by_key(|&(cell, _)| cell);
+                records.into_iter().map(|(_, record)| record).collect()
             }
         }
     }
@@ -635,6 +619,21 @@ impl Sweep {
     pub fn num_cells(&self) -> usize {
         self.instances.len() * self.schedulers.len() * self.seeds_per_cell as usize
     }
+}
+
+/// The order [`ExecMode::Sharded`] workers claim cells in: cells `skip..`
+/// by descending step budget, ties in declaration order.
+///
+/// The budget (`budget_per_n · n + budget_flat`, times the ASYNC factor) is
+/// the cost proxy every job already declares.  Grids list their instances
+/// smallest first, so the few largest cells — about 70% of a full E4 or E6
+/// run (DESIGN.md §5) — sit at the end of the declaration order; claiming
+/// them first lets the cheap cells fill in beside them instead of queueing
+/// them behind one worker.
+fn claim_order(jobs: &[BatchJob], skip: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (skip.min(jobs.len())..jobs.len()).collect();
+    order.sort_by_key(|&cell| Reverse(jobs[cell].max_scheduler_steps));
+    order
 }
 
 /// An order-preserving parallel (or sequential) map, for experiment grids
@@ -809,6 +808,7 @@ pub fn write_json_records<T: Serialize>(
 /// ```text
 /// exp_foo [--quick] [--json <path>] [--seed <u64>] [--sequential]
 ///         [--ledger <path>] [--cache <dir>] [binary-specific flags]
+/// exp_foo --help | -h
 /// ```
 ///
 /// `--ledger` streams records into a durable, resumable `rr-sweep/v1`
@@ -837,9 +837,16 @@ pub struct ExpArgs {
 impl ExpArgs {
     /// Parses the process arguments; unrecognized flags are kept for
     /// binary-specific lookup via [`ExpArgs::flag`] / [`ExpArgs::value`].
+    /// `--help` or `-h` prints the binary's `usage` and exits with status 0
+    /// before anything runs.
     #[must_use]
-    pub fn parse(default_seed: u64) -> Self {
-        Self::from_args(std::env::args().skip(1), default_seed)
+    pub fn parse(default_seed: u64, usage: &str) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        Self::from_args(args.into_iter(), default_seed)
     }
 
     /// [`ExpArgs::parse`] over an explicit argument list (testable).
@@ -1045,6 +1052,46 @@ mod tests {
         reversed.instances.reverse();
         let rjobs = reversed.jobs();
         assert_eq!(jobs[0].seed, rjobs[4].seed);
+    }
+
+    #[test]
+    fn cells_are_claimed_by_descending_budget_ties_in_declaration_order() {
+        // Cells run (round-robin, ssync, async) per instance; the budget is
+        // 1000·n, doubled for async when the factor is 2.
+        let order = |instances: &[(usize, usize)], async_budget_factor, skip| {
+            let sweep = Sweep {
+                experiment: "T".into(),
+                task: Task::Gathering,
+                instances: instances.to_vec(),
+                schedulers: SchedulerKind::ALL.to_vec(),
+                seeds_per_cell: 1,
+                root_seed: 7,
+                targets: TaskTargets::open_ended(),
+                budget_per_n: 1_000,
+                budget_flat: 0,
+                async_budget_factor,
+            };
+            claim_order(&sweep.jobs(), skip)
+        };
+        // Smallest first, as the presets declare them: the largest
+        // instance's async cell leads.
+        assert_eq!(order(&[(8, 4), (10, 3)], 2, 0), [5, 2, 3, 4, 0, 1]);
+        // (10,3) async ties (20,4) rr and ssync at 20,000 and, declared
+        // first, is claimed first.
+        assert_eq!(order(&[(10, 3), (20, 4)], 2, 0), [5, 2, 3, 4, 0, 1]);
+        assert_eq!(order(&[(20, 4), (10, 3)], 2, 0), [2, 0, 1, 5, 3, 4]);
+        // Factor 1: every cell of an instance ties, so instances run
+        // largest first and their cells in declaration order.
+        assert_eq!(
+            order(&[(8, 4), (12, 5), (10, 3)], 1, 0),
+            [3, 4, 5, 6, 7, 8, 0, 1, 2]
+        );
+        // Resume drops the first `skip` cells before sorting, the costliest
+        // one included.
+        assert_eq!(order(&[(20, 4), (10, 3)], 2, 1), [2, 1, 5, 3, 4]);
+        assert_eq!(order(&[(20, 4), (10, 3)], 2, 3), [5, 3, 4]);
+        assert!(order(&[(8, 4), (10, 3)], 2, 6).is_empty());
+        assert!(order(&[(8, 4), (10, 3)], 2, 99).is_empty());
     }
 
     #[test]

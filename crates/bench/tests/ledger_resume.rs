@@ -1,12 +1,9 @@
-//! The sweep service's durability contract, proven at the byte level:
-//!
-//! 1. Kill a grid execution at **any** point — any byte prefix of its
-//!    ledger, torn lines included — and resuming produces a ledger
-//!    byte-identical to an uninterrupted run.
-//! 2. Re-running an identical grid against the result cache performs
-//!    **zero** engine work (no `Engine::step_into` / `Engine::leap` calls,
-//!    counted by the engine's debug step probe) and serves byte-identical
-//!    ledger bytes.
+//! The sweep service's durability contract, proven at the byte level: kill
+//! a grid execution at **any** point — any byte prefix of its ledger, torn
+//! lines included — and resuming produces a ledger byte-identical to an
+//! uninterrupted run.  (That a cache hit performs zero engine work is
+//! pinned in `cache_hit_zero_engine_steps.rs`, a test binary of its own:
+//! the engine's step probe counts every engine in the process.)
 
 use std::path::PathBuf;
 
@@ -87,23 +84,48 @@ fn resume_at_every_record_boundary_is_byte_identical() {
     }
 }
 
+/// Sharded workers claim cells costliest first, so on this grid — whose
+/// costliest cell, (10,3) async, is the last one declared — the ledger's
+/// durable prefix fills out of claim order.  Resuming a sharded run from
+/// every record boundary must still reproduce the sequential bytes.
 #[test]
 fn sharded_resume_is_byte_identical_to_sequential() {
     let dir = tmp_dir("sharded");
     let spec = small_spec(7);
+    let budgets: Vec<u64> = spec
+        .to_sweep()
+        .jobs()
+        .iter()
+        .map(|job| job.max_scheduler_steps)
+        .collect();
+    let (last, earlier) = budgets.split_last().unwrap();
+    assert!(
+        earlier.iter().all(|budget| budget < last),
+        "the costliest cell must be declared last: {budgets:?}"
+    );
     let full = run_to_ledger(&spec, &dir.join("sequential.jsonl"), ExecMode::Sequential);
+    assert_eq!(
+        run_to_ledger(&spec, &dir.join("sharded.jsonl"), ExecMode::Sharded),
+        full,
+        "an uninterrupted sharded run writes the sequential bytes"
+    );
 
-    let cut = full
+    let newline_offsets: Vec<usize> = full
         .iter()
         .enumerate()
         .filter(|(_, &b)| b == b'\n')
         .map(|(i, _)| i + 1)
-        .nth(2)
-        .unwrap(); // header + 2 records
-    let path = dir.join("resume-sharded.jsonl");
-    std::fs::write(&path, &full[..cut]).unwrap();
-    let resumed = run_to_ledger(&spec, &path, ExecMode::Sharded);
-    assert_eq!(resumed, full);
+        .collect();
+    assert_eq!(newline_offsets.len(), 1 + spec.cells() + 1);
+    for (i, &cut) in newline_offsets.iter().enumerate() {
+        let path = dir.join(format!("resume-sharded-{i}.jsonl"));
+        std::fs::write(&path, &full[..cut]).unwrap();
+        let resumed = run_to_ledger(&spec, &path, ExecMode::Sharded);
+        assert_eq!(
+            resumed, full,
+            "sharded resume from record boundary {i} must be byte-identical"
+        );
+    }
 }
 
 proptest! {
@@ -128,60 +150,6 @@ proptest! {
         let resumed = run_to_ledger(&spec, &path, ExecMode::Sequential);
         prop_assert_eq!(resumed, full, "cut at byte {}", cut);
     }
-}
-
-#[test]
-fn cache_hit_runs_zero_engine_steps() {
-    let dir = tmp_dir("cache-hit");
-    let spec = small_spec(99);
-    let cache = ResultCache::open(&dir.join("cache")).unwrap();
-
-    // First run executes and publishes.
-    let first_path = dir.join("first.jsonl");
-    let options = ExecOptions {
-        mode: Some(ExecMode::Sequential),
-        ledger: Some(first_path.clone()),
-        cache: Some(&cache),
-    };
-    let first = execute_grid(&spec, &options).unwrap();
-    assert!(!first.stats.from_cache);
-    assert_eq!(first.stats.cells_executed, spec.cells());
-    assert!(
-        cache.lookup(spec.cache_key(), &spec.header()).is_some(),
-        "published"
-    );
-
-    // Second run of the identical grid into a fresh ledger path: served
-    // entirely from the cache, with zero engine work.
-    let probe_before = rr_corda::debug_step_probe();
-    let second_path = dir.join("second.jsonl");
-    let options = ExecOptions {
-        mode: Some(ExecMode::Sequential),
-        ledger: Some(second_path.clone()),
-        cache: Some(&cache),
-    };
-    let second = execute_grid(&spec, &options).unwrap();
-    let probe_after = rr_corda::debug_step_probe();
-
-    assert!(second.stats.from_cache, "identical grid must hit the cache");
-    assert_eq!(second.stats.cells_executed, 0);
-    assert_eq!(second.stats.cells_reused, spec.cells());
-    if cfg!(debug_assertions) {
-        assert_eq!(
-            probe_after - probe_before,
-            0,
-            "a cache hit must not call Engine::step_into or Engine::leap"
-        );
-    }
-    assert_eq!(
-        std::fs::read(&first_path).unwrap(),
-        std::fs::read(&second_path).unwrap(),
-        "served bytes must equal executed bytes"
-    );
-
-    // A different root seed is a different content address: cache miss.
-    let other = small_spec(100);
-    assert!(cache.lookup(other.cache_key(), &other.header()).is_none());
 }
 
 /// The conflation regression: two grids of the same experiment and root

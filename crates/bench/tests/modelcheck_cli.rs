@@ -1,8 +1,10 @@
 //! `exp_modelcheck`'s cell and store flags: malformed values print the usage
 //! and exit with status 2 instead of panicking, and `--scale-bench` runs the
-//! backend `--store` names instead of silently keeping its default.
+//! backend `--store` names instead of silently keeping its default.  Every
+//! `exp_*` binary answers `--help` with its usage alone.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn exp_modelcheck(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_exp_modelcheck"))
@@ -50,4 +52,60 @@ fn scale_bench_runs_the_store_it_is_given() {
         assert_eq!(rows, 2, "{store_args:?}: {report}");
     }
     std::fs::remove_file(&json).expect("remove scale report");
+}
+
+/// `--help` and `-h` print the binary's usage and exit 0 before anything
+/// runs — on every `exp_*` binary, so `exp_modelcheck --help` no longer
+/// starts the full 256-cell grid.  A binary still running after the
+/// deadline started work and fails the test instead of hanging it.
+#[test]
+fn help_prints_usage_and_exits_0_before_anything_runs() {
+    let binaries = [
+        ("exp_ablation", env!("CARGO_BIN_EXE_exp_ablation")),
+        ("exp_align", env!("CARGO_BIN_EXE_exp_align")),
+        (
+            "exp_characterization",
+            env!("CARGO_BIN_EXE_exp_characterization"),
+        ),
+        ("exp_clearing", env!("CARGO_BIN_EXE_exp_clearing")),
+        ("exp_config_graphs", env!("CARGO_BIN_EXE_exp_config_graphs")),
+        ("exp_faults", env!("CARGO_BIN_EXE_exp_faults")),
+        ("exp_gathering", env!("CARGO_BIN_EXE_exp_gathering")),
+        ("exp_impossibility", env!("CARGO_BIN_EXE_exp_impossibility")),
+        ("exp_modelcheck", env!("CARGO_BIN_EXE_exp_modelcheck")),
+        ("exp_nminus_three", env!("CARGO_BIN_EXE_exp_nminus_three")),
+        ("exp_throughput", env!("CARGO_BIN_EXE_exp_throughput")),
+    ];
+    let cases: [&[&str]; 3] = [&["--help"], &["-h"], &["--quick", "--help"]];
+    for (name, path) in binaries {
+        for args in cases {
+            let mut child = Command::new(path)
+                .args(args)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn exp binary");
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while child.try_wait().expect("poll exp binary").is_none() {
+                if Instant::now() > deadline {
+                    child.kill().expect("kill exp binary");
+                    panic!("{name} {args:?} still running after 30 s");
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            let out = child.wait_with_output().expect("collect exp binary output");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(out.status.code(), Some(0), "{name} {args:?}: {stdout}");
+            assert!(
+                stdout.starts_with(&format!("usage: {name} ")),
+                "{name} {args:?}: {stdout}"
+            );
+            // Only the usage: its first line and indented continuations.
+            assert!(
+                stdout.lines().skip(1).all(|line| line.starts_with(' ')),
+                "{name} {args:?} printed more than its usage: {stdout}"
+            );
+            assert!(out.stderr.is_empty(), "{name} {args:?}");
+        }
+    }
 }

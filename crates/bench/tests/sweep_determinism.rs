@@ -92,12 +92,18 @@ fn resume_at_reproduces_the_suffix() {
 }
 
 /// The progress sink sees every record exactly once, tagged with its cell
-/// index, under both execution modes.
+/// index, under both execution modes and from a resume point (where sharded
+/// workers claim the remaining cells costliest first).
 #[test]
 fn progress_sink_observes_every_cell() {
     use std::sync::Mutex;
     let sweep = gathering_sweep(5);
-    for options in [RunOptions::new(), RunOptions::new().sharded()] {
+    for (options, skip) in [
+        (RunOptions::new(), 0),
+        (RunOptions::new().sharded(), 0),
+        (RunOptions::new().resume_at(5), 5),
+        (RunOptions::new().sharded().resume_at(5), 5),
+    ] {
         let seen: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::new());
         let sink = |i: usize, r: &RunRecord| seen.lock().unwrap().push((i, r.seed));
         let records = sweep.run_with(&options.progress(&sink));
@@ -106,9 +112,10 @@ fn progress_sink_observes_every_cell() {
         let expected: Vec<(usize, u64)> = records
             .iter()
             .enumerate()
-            .map(|(i, r)| (i, r.seed))
+            .map(|(i, r)| (skip + i, r.seed))
             .collect();
-        assert_eq!(seen, expected);
+        assert_eq!(seen, expected, "resume at {skip}");
+        assert_eq!(skip + records.len(), sweep.num_cells());
     }
 }
 

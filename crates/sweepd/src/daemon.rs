@@ -1,8 +1,9 @@
 //! The daemon loop: claim, execute, publish — and survive `kill -9`.
 //!
 //! The daemon is deliberately boring: a single-threaded claim loop around
-//! [`execute_grid`] (cell-level parallelism lives inside the sweep's rayon
-//! shards, not here).  Durability does all the heavy lifting:
+//! [`execute_grid`] (cell-level parallelism lives inside the sweep, whose
+//! rayon workers claim a grid's cells costliest first, not here).
+//! Durability does all the heavy lifting:
 //!
 //! * a job is **claimed** by one atomic rename, so a crash never loses the
 //!   grid file — it just leaves it in `jobs/`;
@@ -29,7 +30,8 @@ use crate::spool::Spool;
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct DaemonOptions {
-    /// Run each grid's cells sequentially instead of sharded over rayon.
+    /// Run each grid's cells sequentially instead of claimed by rayon
+    /// workers (costliest first).
     pub sequential: bool,
     /// Queue poll interval in milliseconds when idle.
     pub poll_ms: u64,
