@@ -436,9 +436,9 @@ pub struct ScaleRecord {
     /// dependent: a row with more workers than cores measures
     /// oversubscription, not speed-up.
     pub cores: usize,
-    /// Worker threads the checker started over the row's calls (summed
-    /// [`rr_checker::StoreStats::threads_started`]): `0` at one worker, and
-    /// deterministic for a fixed worker count.
+    /// Worker threads the checker's expansion started over the row's calls
+    /// (summed [`rr_checker::StoreStats::threads_started`]): `0` at one
+    /// worker, and deterministic for a fixed worker count.
     pub threads_started: u64,
     /// Resident byte budget shared by the packed-state cache and the
     /// visited-map memtables.
@@ -447,18 +447,18 @@ pub struct ScaleRecord {
     pub states: u64,
     /// Edges of the explored state graph (identical across rows).
     pub edges: u64,
-    /// Peak resident bytes — payload + buffered batch + visited entries
-    /// (identical across rows).
+    /// Peak resident bytes — stored payload, the batch's successors that
+    /// were new at its start, and visited entries (identical across rows).
     pub peak_resident_bytes: u64,
     /// Bytes spilled by the state store + edge sink (identical across rows).
     pub spilled_bytes: u64,
     /// Bytes the visited map sealed to disk runs (identical across rows).
     pub visited_spilled_bytes: u64,
-    /// Wall nanoseconds spent in parallel batch expansion.  Machine
-    /// dependent.
+    /// Wall nanoseconds spent expanding batches: inline batches with their
+    /// admission, split batches' parallel expansion.  Machine dependent.
     pub expand_nanos: u64,
-    /// Wall nanoseconds spent in the batch merge (partition, parallel
-    /// per-shard dedup, ordering pass, commit + seal).  Machine dependent.
+    /// Wall nanoseconds spent after expansion: split batches' replay through
+    /// admission, plus the visited-map seal.  Machine dependent.
     pub merge_nanos: u64,
     /// Exploration throughput over the row's wall time.  Machine dependent.
     pub states_per_sec: u64,

@@ -27,18 +27,25 @@
 //! instead of a materialized [`SchedulerStep`], in a CSR layout; and the
 //! visited map keys on fixed-size inline signatures
 //! ([`PackedState::behavior_sig`] / [`PackedState::canonical_sig`]) sharded
-//! by hash.  Nothing in the hot loop allocates proportionally to `n`.
+//! by hash.  Nothing in the hot loop allocates per discovered state.
 //!
-//! Expansion runs **batch-parallel**: the BFS order of node ids is a sequence
-//! of contiguous index windows; each window is expanded by a pool of workers
-//! (one reusable [`Engine`] per worker, driven through
-//! [`Engine::restore_packed`] / `save_state`/`restore_state`) — split across
-//! threads only when every share is worth a thread start — and the
-//! results are merged *sequentially in window order*.  Node ids, edge order,
-//! every [`ExploreReport`] field and every extracted counterexample are
-//! therefore **byte-identical for any worker count** — the same discipline
-//! the rr-sweep records already pin.  Set the worker count with
-//! [`ExploreOptions::with_workers`] (default: one per available core).
+//! The BFS order of node ids is a sequence of contiguous index windows
+//! (batches), expanded by a pool of workers (one reusable [`Engine`] per
+//! worker, driven through [`Engine::restore_packed`] /
+//! `save_state`/`restore_state`).  Every successor enters the graph through
+//! one **admission** step: one probe of the visited map; on a miss the state
+//! is packed, stored, and given the next node id; on a hit the id is reused.
+//! A batch too narrow to be worth a thread start (every batch at one worker)
+//! is expanded inline and admits each successor the moment it is generated,
+//! so an in-batch duplicate is never packed or buffered.  A wide batch is
+//! split across threads whose workers pre-probe the frozen visited map and
+//! buffer what they generate; the buffered successors are then replayed
+//! through the same admission step *sequentially in window order*.  Node
+//! ids, edge order, every [`ExploreReport`] field and every extracted
+//! counterexample are therefore **byte-identical for any worker count** —
+//! the same discipline the rr-sweep records already pin.  Set the worker
+//! count with [`ExploreOptions::with_workers`] (default: one per available
+//! core).
 //!
 //! Two deduplication regimes are offered.  [`check_protocol`] keys states by
 //! their exact behavioural identity ([`PackedState::behavior_sig`], the
@@ -61,6 +68,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
 
+use rr_corda::packed::SigHashBuilder;
 use rr_corda::{
     CorruptionKind, Decision, Engine, EngineOptions, EngineState, FaultModel, InterleavingMode,
     NondeterministicScheduler, PackedState, Protocol, RobotId, RobotState, SchedulerStep, SimError,
@@ -73,13 +81,13 @@ use rr_ring::{Configuration, View};
 use crate::store::{
     Edge, EdgeSink, MemEdges, MemStore, SpillEdges, SpillStore, StateStore, StoreKind, StoreStats,
 };
-use crate::visited::{shard_of, Key, Memtable, Visited, VISITED_ENTRY_BYTES, VISITED_SHARDS};
+use crate::visited::{Key, Visited, VISITED_ENTRY_BYTES};
 
 /// Default state budget: generous for every cell of the acceptance grid, a
 /// guard rail against accidentally pointing the checker at a huge instance.
 pub const DEFAULT_MAX_STATES: usize = 4_000_000;
 
-/// Nodes expanded per merge window.  A constant (never derived from the
+/// Nodes expanded per batch.  A constant (never derived from the
 /// worker count) so that the reported peak memory statistic — and the point
 /// at which a state budget trips — are identical for every worker count.
 const BATCH: usize = 4096;
@@ -224,7 +232,7 @@ impl ExploreOptions {
     ///
     /// Every value is well-defined and produces the identical report:
     /// `0` resolves to one worker per available core, and any resolved
-    /// count is clamped to `1..=BATCH` (4096, the merge-window size) — a
+    /// count is clamped to `1..=BATCH` (4096, the batch size) — a
     /// worker beyond the window size could never receive work, and an
     /// unclamped `usize::MAX` would try to allocate that many engines.
     #[must_use]
@@ -402,17 +410,19 @@ pub struct ExploreReport {
     /// Edges on which liveness progress happened
     /// ([`LivenessMode::ReachRepeatedly`]).
     pub progress_edges: u64,
-    /// Peak resident node count: stored states plus still-buffered successor
-    /// records, sampled at one consistent point — immediately before each
-    /// expansion's sequential merge — and maximized over the run.
-    /// Deterministic: independent of the worker count *and* of the storage
-    /// backend.
+    /// Peak resident node count, maximized over one sample per expansion:
+    /// the stored states when the expansion begins, plus every successor of
+    /// that expansion and of the later ones in its batch that was absent
+    /// from the visited map when the batch began.  Expansions that begin
+    /// after the search stopped take no sample.  Deterministic: independent
+    /// of the worker count *and* of the storage backend.
     pub peak_resident_nodes: usize,
     /// The byte-valued analog of [`peak_resident_nodes`]: packed payload
-    /// bytes of stored states plus buffered successors at the same sample
-    /// points.  Counts state payloads, not backend overhead, so the value is
-    /// identical across backends (the spill backend's *actual* residency is
-    /// bounded by [`ExploreOptions::mem_budget`] instead).
+    /// bytes of the same states at the same sample points, plus the visited
+    /// map's logical bytes for the stored states.  Counts state payloads,
+    /// not backend overhead, so the value is identical across backends (the
+    /// spill backend's *actual* residency is bounded by
+    /// [`ExploreOptions::mem_budget`] instead).
     ///
     /// [`peak_resident_nodes`]: ExploreReport::peak_resident_nodes
     pub peak_resident_bytes: u64,
@@ -739,7 +749,7 @@ fn realize_codes(
 
 // The key type and the visited map itself (memtable shards + the disk-backed
 // sorted-run backend) live in `crate::visited`; this module computes keys and
-// drives the map at its sequential merge points.
+// drives the map from its admission step.
 
 /// Computes the dedup key straight from the live engine (no codec round
 /// trip); equals `make_key(&engine.pack_state(), aug_bits, dedup, fault)`.
@@ -784,6 +794,7 @@ const NO_PARENT: u32 = u32::MAX;
 /// the run's [`StateStore`], addressed by the same node id — splitting the
 /// two is what lets the spill backend move the (much larger) state payloads
 /// out of RAM while the graph analyses keep O(1) access to the metadata.
+#[derive(Clone, Copy)]
 struct NodeMeta {
     aug_bits: u64,
     fault: u32,
@@ -951,8 +962,8 @@ struct ExploreCtx<'a> {
 }
 
 /// One expansion worker: a reusable engine plus scratch buffers.  Workers
-/// never share mutable state; all cross-worker agreement happens in the
-/// sequential merge.
+/// never share mutable state; every successor is admitted on the calling
+/// thread, in window order.
 struct Worker<P> {
     engine: Engine<P>,
     before: EngineState,
@@ -961,48 +972,115 @@ struct Worker<P> {
     report: rr_corda::StepReport,
 }
 
-/// What expansion learned about a successor state from its lock-free
-/// pre-probe of the visited map.
-enum SuccState {
-    /// The key was already mapped before this batch: a certain duplicate —
-    /// no state was packed, only the node id travels to the merge.
-    Known(u32),
-    /// Not yet mapped at expansion time (it may still turn out to be a
-    /// duplicate of a state discovered earlier in the same batch; the merge
-    /// re-probes).
-    Fresh {
-        packed: PackedState,
-        key: Key,
-        aug_bits: u64,
-        fault: u32,
-        target: bool,
-    },
+/// Where a generated successor's state can be read.
+enum Source<'a, P> {
+    /// The worker's engine, stepped to the successor.
+    Engine(&'a Engine<P>),
+    /// The expanded node's own state: a crash edge steps nothing.
+    Node(&'a PackedState),
 }
 
-/// One successor produced by expanding a node: the step code, the edge
-/// flags, and the packed after-state when it looked new.
-struct Succ {
+/// One successor as expansion generates it: the edge, the dedup key, and
+/// the state behind it, read only if admission finds the key new.
+struct Successor<'a, P> {
     code: u32,
     progress: bool,
-    state: SuccState,
+    key: Key,
+    source: Source<'a, P>,
+    /// The successor's view and auxiliary state, for the liveness target.
+    view: StateView<'a>,
+    aug: &'a AugState,
+    ctx: &'a ExploreCtx<'a>,
 }
 
-/// The full expansion of one node: its successors in frontier order and, if
-/// one of the frontier steps violated safety, the offending step + message
-/// (successors after it are not produced, matching the sequential
-/// short-circuit).
+/// A successor's state as admission reads it: only after the visited map
+/// missed, so a duplicate is never packed.
+trait NewState {
+    /// The behaviour-projected state to store.
+    fn pack(&self) -> PackedState;
+    /// Its canonical class signature (the exact-dedup statistic).
+    fn class(&self) -> StateSig;
+    /// Whether it satisfies the liveness target.
+    fn target(&self) -> bool;
+}
+
+impl<P: Protocol> NewState for Successor<'_, P> {
+    fn pack(&self) -> PackedState {
+        match &self.source {
+            Source::Engine(engine) => engine.pack_behavior(),
+            Source::Node(packed) => (*packed).clone(),
+        }
+    }
+
+    fn class(&self) -> StateSig {
+        match &self.source {
+            Source::Engine(engine) => engine.canonical_sig(),
+            Source::Node(packed) => packed.canonical_sig(),
+        }
+    }
+
+    fn target(&self) -> bool {
+        self.ctx.reach_mode && self.ctx.invariant.is_target(&self.view, self.aug)
+    }
+}
+
+/// A state packed ahead of admission: the root, or a successor a split
+/// batch's worker found absent from the visited map.
+struct Packed {
+    packed: PackedState,
+    target: bool,
+}
+
+impl NewState for Packed {
+    fn pack(&self) -> PackedState {
+        self.packed.clone()
+    }
+
+    fn class(&self) -> StateSig {
+        self.packed.canonical_sig()
+    }
+
+    fn target(&self) -> bool {
+        self.target
+    }
+}
+
+/// What a split batch's worker learned about a successor from its lock-free
+/// probe of the visited map, which stays frozen while the batch expands.
+enum PreProbe {
+    /// Mapped before the batch: only the node id travels to the replay.
+    Known(u32),
+    /// Absent at the batch start.  It may still duplicate a state that the
+    /// replay admits earlier in the same batch.
+    Fresh(Key, Packed),
+}
+
+/// One successor of a split batch, buffered for the replay.
+struct Buffered {
+    code: u32,
+    progress: bool,
+    state: PreProbe,
+}
+
+/// The buffered expansion of one node of a split batch: its successors in
+/// frontier order and, if a frontier step violated safety, that step and
+/// its message.
 struct Expansion {
-    succs: Vec<Succ>,
+    succs: Vec<Buffered>,
     violation: Option<(u32, String)>,
 }
 
+/// Expands one node: restores its state, steps every frontier code from it
+/// and hands each successor to `visit`, in frontier order.  Returns the
+/// step that violated safety, with its message; the successors after it
+/// are not generated, matching the sequential short-circuit.
 fn expand_node<P: Protocol>(
     worker: &mut Worker<P>,
     packed: &PackedState,
-    node: &NodeMeta,
-    visited: &Visited,
+    node: NodeMeta,
     ctx: &ExploreCtx<'_>,
-) -> Expansion {
+    mut visit: impl FnMut(&Successor<'_, P>),
+) -> Option<(u32, String)> {
     let Worker {
         engine,
         before,
@@ -1019,8 +1097,6 @@ fn expand_node<P: Protocol>(
     frontier_codes(ctx.mode, before.robots(), crashed, frontier);
     fault_codes(ctx.mode, before.robots(), node.fault, &ctx.faults, frontier);
 
-    let mut succs = Vec::with_capacity(frontier.len());
-    let mut violation = None;
     let mut engine_dirty = false;
     for &code in frontier.iter() {
         // Crash edges are pure adversary bookkeeping: the engine state and
@@ -1031,24 +1107,14 @@ fn expand_node<P: Protocol>(
         if let Some(victim) = crash_code_robot(code) {
             let new_crashed = crashed | 1 << victim;
             let new_fault = fault_word(new_crashed, corrupts);
-            let key = make_key(packed, node.aug_bits, ctx.dedup, new_fault);
-            let state = match visited.get(&key) {
-                Some(id) => SuccState::Known(id),
-                None => SuccState::Fresh {
-                    packed: packed.clone(),
-                    key,
-                    aug_bits: node.aug_bits,
-                    fault: new_fault,
-                    target: ctx.reach_mode
-                        && ctx
-                            .invariant
-                            .is_target(&before_view.with_crashed(new_crashed), &before_aug),
-                },
-            };
-            succs.push(Succ {
+            visit(&Successor {
                 code,
                 progress: false,
-                state,
+                key: make_key(packed, node.aug_bits, ctx.dedup, new_fault),
+                source: Source::Node(packed),
+                view: before_view.with_crashed(new_crashed),
+                aug: &before_aug,
+                ctx,
             });
             continue;
         }
@@ -1080,8 +1146,7 @@ fn expand_node<P: Protocol>(
             engine.arm_fault(FaultModel::None);
         }
         if let Err(e) = result {
-            violation = Some((code, e.to_string()));
-            break;
+            return Some((code, e.to_string()));
         }
         let mut aug = before_aug.clone();
         let progress = ctx
@@ -1090,28 +1155,19 @@ fn expand_node<P: Protocol>(
         let after_view =
             StateView::new(engine.configuration(), engine.robots()).with_crashed(crashed);
         if let Err(message) = ctx.invariant.check_edge(&before_view, &after_view, &aug) {
-            violation = Some((code, message));
-            break;
+            return Some((code, message));
         }
-        let aug_bits = aug.key_bits();
-        let key = make_key_from_engine(engine, aug_bits, ctx.dedup, new_fault);
-        let state = match visited.get(&key) {
-            Some(id) => SuccState::Known(id),
-            None => SuccState::Fresh {
-                packed: engine.pack_behavior(),
-                key,
-                aug_bits,
-                fault: new_fault,
-                target: ctx.reach_mode && ctx.invariant.is_target(&after_view, &aug),
-            },
-        };
-        succs.push(Succ {
+        visit(&Successor {
             code,
             progress,
-            state,
+            key: make_key_from_engine(engine, aug.key_bits(), ctx.dedup, new_fault),
+            source: Source::Engine(engine),
+            view: after_view,
+            aug: &aug,
+            ctx,
         });
     }
-    Expansion { succs, violation }
+    None
 }
 
 /// Fewest nodes one expansion thread is handed.  Starting and joining a
@@ -1121,26 +1177,13 @@ fn expand_node<P: Protocol>(
 /// nodes, thus expand inline, while wide ones still split.
 const EXPAND_PER_THREAD: usize = 256;
 
-/// Fewest fresh candidates one resolve or commit thread is handed.  A
-/// candidate resolves in 0.05–0.19 µs and commits in 0.17–0.25 µs (seal
-/// check included), so a share must hold thousands of them to outweigh
-/// its ≈40 µs thread start.
-const MERGE_PER_THREAD: usize = 4096;
-
-/// The fan-out rule of every parallel phase: how many threads share `items`
-/// units of work when each must receive at least `per_thread_min` of them,
-/// never more than `pool`.  A result of 1 means the phase runs inline on the
-/// calling thread.  No unit's result depends on the thread that computes
-/// it, so the rule is free to be a pure cost decision.
-fn fan_out(items: usize, per_thread_min: usize, pool: usize) -> usize {
-    pool.min(items / per_thread_min).max(1)
-}
-
-/// The fan-out of the shard-parallel merge phases: [`fan_out`] over the
-/// batch's candidates, with work dealt out in whole shards, so never more
-/// than [`VISITED_SHARDS`] threads.
-fn merge_fan_out(candidates: usize, workers: usize) -> usize {
-    fan_out(candidates, MERGE_PER_THREAD, workers.min(VISITED_SHARDS))
+/// The fan-out rule of expansion: how many threads share a batch of
+/// `nodes` when each must receive at least [`EXPAND_PER_THREAD`] of them,
+/// never more than `pool`.  A result of 1 means the batch runs inline on
+/// the calling thread.  No node's successors depend on the thread that
+/// generates them, so the rule is free to be a pure cost decision.
+fn fan_out(nodes: usize, pool: usize) -> usize {
+    pool.min(nodes / EXPAND_PER_THREAD).max(1)
 }
 
 /// Runs `work` on every part: the first on the calling thread, each other
@@ -1164,10 +1207,11 @@ fn run_parts<T: Send>(mut parts: impl ExactSizeIterator<Item = T>, work: impl Fn
     started
 }
 
-/// Expands `batch` over the worker pool: contiguous chunks of at least
-/// [`EXPAND_PER_THREAD`] nodes, one worker and one engine per chunk, results
-/// reassembled in batch order.  A batch too small to split runs inline on
-/// `pool[0]`.  Returns the expansions and the number of threads started.
+/// Expands a split batch over the whole of `pool`: one contiguous chunk,
+/// worker and engine per thread, results reassembled in batch order.  Each
+/// successor is probed against the visited map as it stood at the batch
+/// start and packed only if absent there.  Returns the expansions and the
+/// number of threads started.
 fn expand_batch<P: Protocol + Clone + Send>(
     pool: &mut [Worker<P>],
     window: &[PackedState],
@@ -1176,18 +1220,8 @@ fn expand_batch<P: Protocol + Clone + Send>(
     ctx: &ExploreCtx<'_>,
 ) -> (Vec<Expansion>, u64) {
     debug_assert_eq!(window.len(), batch.len());
-    let threads = fan_out(batch.len(), EXPAND_PER_THREAD, pool.len());
-    if threads <= 1 {
-        let worker = &mut pool[0];
-        let expansions = window
-            .iter()
-            .zip(batch)
-            .map(|(packed, node)| expand_node(worker, packed, node, visited, ctx))
-            .collect();
-        return (expansions, 0);
-    }
-    let chunk_len = batch.len().div_ceil(threads);
-    let mut outputs: Vec<Vec<Expansion>> = (0..threads).map(|_| Vec::new()).collect();
+    let chunk_len = batch.len().div_ceil(pool.len());
+    let mut outputs: Vec<Vec<Expansion>> = (0..pool.len()).map(|_| Vec::new()).collect();
     let parts = batch
         .chunks(chunk_len)
         .zip(window.chunks(chunk_len))
@@ -1197,157 +1231,210 @@ fn expand_batch<P: Protocol + Clone + Send>(
         *out = states
             .iter()
             .zip(chunk)
-            .map(|(packed, node)| expand_node(worker, packed, node, visited, ctx))
+            .map(|(packed, node)| {
+                let mut succs = Vec::new();
+                let violation = expand_node(worker, packed, *node, ctx, |succ| {
+                    let state = match visited.get(&succ.key) {
+                        Some(id) => PreProbe::Known(id),
+                        None => PreProbe::Fresh(
+                            succ.key,
+                            Packed {
+                                packed: succ.pack(),
+                                target: succ.target(),
+                            },
+                        ),
+                    };
+                    succs.push(Buffered {
+                        code: succ.code,
+                        progress: succ.progress,
+                        state,
+                    });
+                });
+                Expansion { succs, violation }
+            })
             .collect();
     });
     (outputs.into_iter().flatten().collect(), started)
 }
 
-/// Resolution of one fresh-looking successor, computed by the parallel
-/// per-shard dedup pass of the merge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MergeRes {
-    /// The key was mapped before this batch: a certain duplicate with a
-    /// final node id.  (In practice expansion's lock-free pre-probe already
-    /// catches these; the re-probe keeps the merge sound on its own.)
-    Known(u32),
-    /// First seen in this batch: the ordinal into the shard's fresh list.
-    /// Every in-batch duplicate of the same key resolves to the same
-    /// ordinal; the sequential ordering pass assigns the global node id at
-    /// the ordinal's first occurrence in window order.
-    Fresh(u32),
+/// The residency sample of one expansion.
+struct Sample {
+    /// Stored states when the expansion began; `None` when the search had
+    /// already stopped, so the expansion only counts.
+    stored: Option<usize>,
+    /// Successors of the expansion that were absent from the visited map
+    /// when the batch began.
+    fresh: usize,
 }
 
-/// Per-shard scratch state of one batch merge.  The merge is sharded the
-/// same way the visited map is ([`shard_of`]), so the parallel phases touch
-/// disjoint state by construction.
-#[derive(Default)]
-struct ShardScratch {
-    /// This batch's fresh candidates owned by the shard, as (expansion,
-    /// successor) indices **in window order** — the order the sequential
-    /// ordering pass consumes them back in.
-    cands: Vec<(u32, u32)>,
-    /// Resolution per candidate, aligned with `cands`.
-    res: Vec<MergeRes>,
-    /// In-batch dedup map: fresh key → ordinal.
-    pending: Memtable,
-    /// Key per fresh ordinal (what the commit pass inserts).
-    fresh_keys: Vec<Key>,
-    /// Canonical signature per fresh ordinal (the exact-dedup statistic,
-    /// computed in the parallel pass so the expensive part scales).
-    fresh_sigs: Vec<StateSig>,
-    /// Global node id per ordinal, filled by the ordering pass.
-    assigned: Vec<u32>,
-    /// Ordering-pass read cursor into `res`.
-    cursor: usize,
+/// The graph discovered so far, and everything admission writes: the
+/// visited map, the stored states with their metadata, the edges, the
+/// canonical-class statistic, the residency samples and, once the search
+/// stops early, its outcome.
+struct Discovered {
+    visited: Visited,
+    store: Box<dyn StateStore>,
+    meta: Vec<NodeMeta>,
+    offsets: Vec<u32>,
+    sink: Box<dyn EdgeSink>,
+    /// Canonical classes among the stored states, kept under exact dedup
+    /// only (the `quotient_states` statistic).
+    classes: Option<HashSet<StateSig, SigHashBuilder>>,
+    progress_edges: u64,
+    max_states: usize,
+    starve_mask: u32,
+    /// Stored states when the current batch began.  Every id below it was
+    /// in the visited map at the batch start; every id at or above it was
+    /// created during the batch.
+    batch_base: usize,
+    samples: Vec<Sample>,
+    /// Packed bytes of one stored state.  The checker stores behaviour
+    /// projections, whose counters are zero, so every state of one call
+    /// packs to the same word count — a duplicate's bytes are known
+    /// without packing it.
+    state_bytes: u64,
+    peak_nodes: usize,
+    peak_bytes: u64,
+    /// Set when a budget trip or a safety violation stops the search.
+    stop: Option<CheckOutcome>,
 }
 
-impl ShardScratch {
-    fn reset(&mut self) {
-        self.cands.clear();
-        self.res.clear();
-        self.pending.clear();
-        self.fresh_keys.clear();
-        self.fresh_sigs.clear();
-        self.assigned.clear();
-        self.cursor = 0;
-    }
-}
-
-/// Merge phase 1 (sequential, cheap): partition the batch's fresh candidates
-/// by shard, preserving window order within each shard.
-fn partition_batch(scratch: &mut [ShardScratch], expansions: &[Expansion]) {
-    for sc in scratch.iter_mut() {
-        sc.reset();
-    }
-    for (e, expansion) in expansions.iter().enumerate() {
-        for (s, succ) in expansion.succs.iter().enumerate() {
-            if let SuccState::Fresh { key, .. } = &succ.state {
-                scratch[shard_of(key)].cands.push((e as u32, s as u32));
-            }
+impl Discovered {
+    /// Stores a state admission found new under the next node id and maps
+    /// its key to that id.
+    fn store_new(
+        &mut self,
+        key: &Key,
+        parent: u32,
+        parent_code: u32,
+        state: &impl NewState,
+    ) -> u32 {
+        let id = self.meta.len() as u32;
+        if let Some(classes) = &mut self.classes {
+            classes.insert(state.class());
         }
+        let packed = state.pack();
+        debug_assert_eq!(8 * packed.words().len() as u64, self.state_bytes);
+        self.store.push(packed);
+        self.meta.push(NodeMeta {
+            aug_bits: key.aug,
+            fault: key.fault,
+            parent,
+            parent_code,
+            target: state.target(),
+        });
+        self.visited.insert(*key, id);
+        id
     }
-}
 
-/// Merge phase A, per shard: resolve each candidate against the visited map
-/// (frozen for the whole batch) and the shard's own pending set.  Runs in
-/// parallel across shards — all state touched is shard-local.
-fn resolve_shard(
-    sc: &mut ShardScratch,
-    expansions: &[Expansion],
-    visited: &Visited,
-    track_canon: bool,
-) {
-    for &(e, s) in &sc.cands {
-        let SuccState::Fresh { packed, key, .. } = &expansions[e as usize].succs[s as usize].state
-        else {
-            unreachable!("candidates are fresh successors");
+    /// Opens a batch: the visited map holds exactly the stored states.
+    fn begin_batch(&mut self) {
+        self.batch_base = self.meta.len();
+        self.samples.clear();
+    }
+
+    /// Opens an expansion's residency sample.
+    fn begin_node(&mut self) {
+        self.samples.push(Sample {
+            stored: self.stop.is_none().then_some(self.meta.len()),
+            fresh: 0,
+        });
+    }
+
+    /// The single admission step for one successor of node `parent`: one
+    /// probe of the visited map.  On a hit the successor reuses the mapped
+    /// id; on a miss its state is packed and stored under the next node id,
+    /// unless that would exceed the state budget, which stops the search.
+    /// Once the search has stopped, admission only probes, to count the
+    /// successor for the batch's residency samples.
+    fn admit(
+        &mut self,
+        parent: usize,
+        code: u32,
+        progress: bool,
+        key: &Key,
+        state: &impl NewState,
+    ) {
+        let seen = self.visited.get(key);
+        if seen.is_none_or(|id| id as usize >= self.batch_base) {
+            self.samples
+                .last_mut()
+                .expect("admission inside an expansion")
+                .fresh += 1;
+        }
+        if self.stop.is_some() {
+            return;
+        }
+        let to = match seen {
+            Some(id) => id,
+            None if self.meta.len() >= self.max_states => {
+                self.stop = Some(CheckOutcome::BudgetExceeded {
+                    discovered: self.meta.len(),
+                    completed_expansions: self.offsets.len() - 1,
+                });
+                return;
+            }
+            None => self.store_new(key, parent as u32, code, state),
         };
-        // Expansion's lock-free pre-probe already consulted the (frozen)
-        // visited map, so in practice a candidate is either fresh or an
-        // in-batch duplicate; the re-probe keeps the merge sound on its own.
-        if let Some(id) = visited.get(key) {
-            sc.res.push(MergeRes::Known(id));
-            continue;
-        }
-        let res = match sc.pending.entry(*key) {
-            std::collections::hash_map::Entry::Occupied(entry) => MergeRes::Fresh(*entry.get()),
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                let ordinal = sc.fresh_keys.len() as u32;
-                entry.insert(ordinal);
-                sc.fresh_keys.push(*key);
-                if track_canon {
-                    sc.fresh_sigs.push(packed.canonical_sig());
-                }
-                MergeRes::Fresh(ordinal)
-            }
-        };
-        sc.res.push(res);
+        self.edge(to, code, progress);
     }
-}
 
-/// Merge phase A over all shards: the shards are dealt to
-/// [`merge_fan_out`] threads in contiguous groups; a batch with too few
-/// candidates to split resolves inline.  Returns the number of threads
-/// started.
-fn resolve_batch(
-    scratch: &mut [ShardScratch],
-    expansions: &[Expansion],
-    visited: &Visited,
-    track_canon: bool,
-    workers: usize,
-) -> u64 {
-    let candidates: usize = scratch.iter().map(|sc| sc.cands.len()).sum();
-    let chunk = VISITED_SHARDS.div_ceil(merge_fan_out(candidates, workers));
-    run_parts(scratch.chunks_mut(chunk), |group| {
-        for sc in group {
-            resolve_shard(sc, expansions, visited, track_canon);
+    /// Records an edge of the node being expanded.
+    fn edge(&mut self, to: u32, code: u32, progress: bool) {
+        self.progress_edges += u64::from(progress);
+        self.sink.push(Edge { to, code, progress });
+    }
+
+    /// Closes node `i`'s expansion: a safety violation stops the search
+    /// with its counterexample, and a completed expansion ends the node's
+    /// edge list.  A node expanded after the search stopped leaves no
+    /// trace.
+    fn finish_node(&mut self, i: usize, violation: Option<(u32, String)>) {
+        if self.stop.is_some() {
+            return;
         }
-    })
-}
+        if let Some((code, message)) = violation {
+            let mut codes = codes_from_root(&self.meta, i);
+            codes.push(code);
+            let mut prefix = Vec::new();
+            let mut faults = Vec::new();
+            realize_codes(&codes, 0, &mut prefix, &mut faults);
+            self.stop = Some(CheckOutcome::Falsified(Box::new(Counterexample {
+                kind: ViolationKind::Safety,
+                message,
+                prefix,
+                cycle: Vec::new(),
+                faults,
+                starved: self.starve_mask,
+            })));
+            return;
+        }
+        assert!(
+            self.sink.len() <= u64::from(u32::MAX),
+            "edge offsets are u32"
+        );
+        self.offsets.push(self.sink.len() as u32);
+    }
 
-/// Merge phase C driver: commit every shard's freshly assigned entries into
-/// its memtable (shard-parallel like phase A), then let the `--mem-budget`
-/// accountant seal/compact.  Skipped entirely when the BFS is stopping —
-/// the map is dropped before anything could observe the difference.
-/// Returns the number of threads started.
-fn commit_batch(visited: &mut Visited, scratch: &[ShardScratch], workers: usize) -> u64 {
-    let fresh: usize = scratch.iter().map(|sc| sc.assigned.len()).sum();
-    let chunk = VISITED_SHARDS.div_ceil(merge_fan_out(fresh, workers));
-    let maps = visited.shard_maps_mut();
-    let started = run_parts(
-        maps.chunks_mut(chunk).zip(scratch.chunks(chunk)),
-        |(map_group, sc_group): (&mut [Memtable], &[ShardScratch])| {
-            for (map, sc) in map_group.iter_mut().zip(sc_group) {
-                debug_assert_eq!(sc.assigned.len(), sc.fresh_keys.len(), "unassigned ordinal");
-                for (ordinal, &id) in sc.assigned.iter().enumerate() {
-                    map.insert(sc.fresh_keys[ordinal], id);
-                }
+    /// Closes a batch by taking its residency samples.  Before each
+    /// expansion that began while the search was still running, the
+    /// resident count is the stored states plus every successor, of that
+    /// expansion and of the later ones in the batch, that was absent from
+    /// the visited map at the batch start; suffix sums make each sample
+    /// O(1).
+    fn end_batch(&mut self) {
+        let mut fresh = 0usize;
+        for sample in self.samples.iter().rev() {
+            fresh += sample.fresh;
+            if let Some(stored) = sample.stored {
+                let nodes = stored + fresh;
+                self.peak_nodes = self.peak_nodes.max(nodes);
+                self.peak_bytes = self
+                    .peak_bytes
+                    .max(nodes as u64 * self.state_bytes + stored as u64 * VISITED_ENTRY_BYTES);
             }
-        },
-    );
-    visited.maybe_seal();
-    started
+        }
+    }
 }
 
 /// Resolves [`ExploreOptions::workers`]: `0` means one per available core,
@@ -1415,43 +1502,36 @@ fn explore<P: Protocol + Clone + Send>(
     let root_packed = root_engine.pack_behavior();
     let root_bits = aug_template.key_bits();
     let root_target = reach_mode && invariant.is_target(&state_view(&root_state, 0), &aug_template);
-
-    let mut visited = Visited::new(options.store, options.mem_budget);
     let root_key = make_key(&root_packed, root_bits, effective_dedup, 0);
-    visited.insert(root_key, 0);
-    // Canonical classes among the stored states (exact-dedup statistic):
-    // each signature is computed once, straight from the worker engine, when
-    // its state is first discovered.
-    let track_canon = dedup == Dedup::Exact;
-    let mut canonical_classes: HashSet<StateSig, rr_corda::packed::SigHashBuilder> =
-        HashSet::default();
-    if track_canon {
-        canonical_classes.insert(root_packed.canonical_sig());
-    }
-    let mut store: Box<dyn StateStore> = match options.store {
-        StoreKind::Mem => Box::new(MemStore::new()),
-        StoreKind::Spill => Box::new(SpillStore::new(options.mem_budget)),
+    let state_bytes = 8 * root_packed.words().len() as u64;
+    let mut graph = Discovered {
+        visited: Visited::new(options.store, options.mem_budget),
+        store: match options.store {
+            StoreKind::Mem => Box::new(MemStore::new()),
+            StoreKind::Spill => Box::new(SpillStore::new(options.mem_budget)),
+        },
+        meta: Vec::new(),
+        offsets: vec![0],
+        sink: match options.store {
+            StoreKind::Mem => Box::new(MemEdges::new()),
+            StoreKind::Spill => Box::new(SpillEdges::new()),
+        },
+        classes: (dedup == Dedup::Exact).then(HashSet::default),
+        progress_edges: 0,
+        max_states: options.max_states,
+        starve_mask: options.faults.starve_mask,
+        batch_base: 0,
+        samples: Vec::new(),
+        state_bytes,
+        peak_nodes: 1,
+        peak_bytes: state_bytes,
+        stop: None,
     };
-    let mut sink: Box<dyn EdgeSink> = match options.store {
-        StoreKind::Mem => Box::new(MemEdges::new()),
-        StoreKind::Spill => Box::new(SpillEdges::new()),
-    };
-    let mut meta = vec![NodeMeta {
-        aug_bits: root_bits,
-        fault: 0,
-        parent: NO_PARENT,
-        parent_code: 0,
+    let root = Packed {
+        packed: root_packed,
         target: root_target,
-    }];
-    let root_bytes = 8 * root_packed.words().len() as u64;
-    store.push(root_packed);
-    let mut offsets: Vec<u32> = vec![0];
-
-    let mut progress_edges: u64 = 0;
-    let mut peak_resident = 1usize;
-    let mut peak_resident_bytes = root_bytes;
-    let mut budget: Option<(usize, usize)> = None;
-    let mut safety_ce: Option<Counterexample> = None;
+    };
+    graph.store_new(&root_key, NO_PARENT, 0, &root);
 
     let mut pool: Vec<Worker<P>> = (0..workers)
         .map(|_| Worker {
@@ -1471,163 +1551,96 @@ fn explore<P: Protocol + Clone + Send>(
         faults: options.faults,
     };
 
-    // Batch-synchronous BFS: expand the next window of nodes in parallel,
-    // then merge the batch.  The merge is itself mostly parallel — partition
-    // the fresh candidates by visited-map shard, dedup per shard in parallel
-    // (the visited map is frozen for the whole batch, so probes are
-    // lock-free), then a sequential ordering pass walks the expansions in
-    // window order assigning node ids — so node ids, edge order and early
-    // stops are exactly those of a sequential breadth-first sweep, for every
-    // worker count and backend.
+    // Batch-synchronous BFS over windows of up to BATCH node ids.  A batch
+    // too narrow to split admits each successor the moment it is generated.
+    // A wide one expands in parallel, every worker pre-probing the frozen
+    // visited map, and then replays the buffered successors through the
+    // same admission step in window order.  Either way node ids, edge order
+    // and early stops are exactly those of a sequential breadth-first
+    // sweep, for every worker count and backend.  After a stop, the rest of
+    // the batch is still expanded, admitting nothing, so that the residency
+    // samples see every successor of the batch.
     let mut expand_nanos: u64 = 0;
     let mut merge_nanos: u64 = 0;
     let mut threads_started: u64 = 0;
-    let mut scratch: Vec<ShardScratch> = (0..VISITED_SHARDS)
-        .map(|_| ShardScratch::default())
-        .collect();
+    let mut window: Vec<PackedState> = Vec::new();
     let mut next = 0usize;
-    'bfs: while next < meta.len() {
-        let batch_end = meta.len().min(next + BATCH);
-        let expand_start = Instant::now();
-        let (expansions, started) = {
-            let window = store.window(next, batch_end);
-            expand_batch(&mut pool, &window, &meta[next..batch_end], &visited, &ctx)
-        };
-        threads_started += started;
-        expand_nanos += expand_start.elapsed().as_nanos() as u64;
-        let merge_start = Instant::now();
-        // Residency sampling point: immediately before each expansion's
-        // ordering pass — stored states plus every successor still
-        // buffered (this expansion's and later ones').  Suffix sums make the
-        // per-expansion sample O(1).
-        let mut buffered: Vec<(usize, u64)> = vec![(0, 0); expansions.len() + 1];
-        for (i, expansion) in expansions.iter().enumerate().rev() {
-            let mut fresh = buffered[i + 1];
-            for succ in &expansion.succs {
-                if let SuccState::Fresh { packed, .. } = &succ.state {
-                    fresh.0 += 1;
-                    fresh.1 += 8 * packed.words().len() as u64;
-                }
+    while next < graph.meta.len() {
+        let batch_end = graph.meta.len().min(next + BATCH);
+        let start = Instant::now();
+        graph.store.window(next, batch_end, &mut window);
+        graph.begin_batch();
+        let threads = fan_out(batch_end - next, pool.len());
+        let expanded = if threads <= 1 {
+            let worker = &mut pool[0];
+            for (i, packed) in (next..).zip(&window) {
+                let node = graph.meta[i];
+                graph.begin_node();
+                let violation = expand_node(worker, packed, node, &ctx, |succ| {
+                    graph.admit(i, succ.code, succ.progress, &succ.key, succ);
+                });
+                graph.finish_node(i, violation);
             }
-            buffered[i] = fresh;
-        }
-
-        partition_batch(&mut scratch, &expansions);
-        // Merge phase 2 (parallel): per-shard dedup + canonical signatures.
-        threads_started += resolve_batch(&mut scratch, &expansions, &visited, track_canon, workers);
-
-        // Merge phase 3 (sequential): the ordering pass.  Walks expansions
-        // in window order, consuming each shard's resolutions back in the
-        // order phase 1 produced them, and assigns global node ids at first
-        // occurrences — reproducing the sequential sweep exactly, including
-        // where it trips the state budget or stops on a violation.
-        let mut stopping = false;
-        'order: for (offset, expansion) in expansions.into_iter().enumerate() {
-            let i = next + offset;
-            peak_resident = peak_resident.max(meta.len() + buffered[offset].0);
-            peak_resident_bytes = peak_resident_bytes.max(
-                store.payload_bytes()
-                    + buffered[offset].1
-                    + meta.len() as u64 * VISITED_ENTRY_BYTES,
+            Instant::now()
+        } else {
+            let (expansions, started) = expand_batch(
+                &mut pool[..threads],
+                &window,
+                &graph.meta[next..batch_end],
+                &graph.visited,
+                &ctx,
             );
-            for succ in expansion.succs {
-                let to = match succ.state {
-                    SuccState::Known(id) => id,
-                    SuccState::Fresh {
-                        packed,
-                        key,
-                        aug_bits,
-                        fault,
-                        target,
-                    } => {
-                        let sc = &mut scratch[shard_of(&key)];
-                        let res = sc.res[sc.cursor];
-                        sc.cursor += 1;
-                        match res {
-                            MergeRes::Known(id) => id,
-                            MergeRes::Fresh(ordinal) => {
-                                let ordinal = ordinal as usize;
-                                if ordinal < sc.assigned.len() {
-                                    // In-batch duplicate of an earlier fresh
-                                    // successor; its id is already fixed.
-                                    sc.assigned[ordinal]
-                                } else {
-                                    debug_assert_eq!(
-                                        ordinal,
-                                        sc.assigned.len(),
-                                        "ordinals are assigned in shard order"
-                                    );
-                                    if meta.len() >= options.max_states {
-                                        budget = Some((meta.len(), offsets.len() - 1));
-                                        stopping = true;
-                                        break 'order;
-                                    }
-                                    if track_canon {
-                                        // One decode-based signature per
-                                        // *stored* state, computed in the
-                                        // parallel phase.
-                                        canonical_classes.insert(sc.fresh_sigs[ordinal]);
-                                    }
-                                    let id = meta.len() as u32;
-                                    sc.assigned.push(id);
-                                    store.push(packed);
-                                    meta.push(NodeMeta {
-                                        aug_bits,
-                                        fault,
-                                        parent: i as u32,
-                                        parent_code: succ.code,
-                                        target,
-                                    });
-                                    id
-                                }
+            threads_started += started;
+            let expanded = Instant::now();
+            for (i, expansion) in (next..).zip(expansions) {
+                graph.begin_node();
+                for succ in expansion.succs {
+                    match succ.state {
+                        PreProbe::Known(to) => {
+                            if graph.stop.is_none() {
+                                graph.edge(to, succ.code, succ.progress);
                             }
                         }
+                        PreProbe::Fresh(key, state) => {
+                            graph.admit(i, succ.code, succ.progress, &key, &state);
+                        }
                     }
-                };
-                progress_edges += u64::from(succ.progress);
-                sink.push(Edge {
-                    to,
-                    code: succ.code,
-                    progress: succ.progress,
-                });
+                }
+                graph.finish_node(i, expansion.violation);
             }
-            if let Some((code, message)) = expansion.violation {
-                let mut codes = codes_from_root(&meta, i);
-                codes.push(code);
-                let mut prefix = Vec::new();
-                let mut faults = Vec::new();
-                realize_codes(&codes, 0, &mut prefix, &mut faults);
-                safety_ce = Some(Counterexample {
-                    kind: ViolationKind::Safety,
-                    message,
-                    prefix,
-                    cycle: Vec::new(),
-                    faults,
-                    starved: options.faults.starve_mask,
-                });
-                stopping = true;
-                break 'order;
-            }
-            assert!(sink.len() <= u64::from(u32::MAX), "edge offsets are u32");
-            offsets.push(sink.len() as u32);
+            expanded
+        };
+        graph.end_batch();
+        let stopped = graph.stop.is_some();
+        // The `--mem-budget` accountant's seal point; after a stop the map
+        // is dropped before anything could observe a seal.
+        if !stopped {
+            graph.visited.maybe_seal();
         }
-        if stopping {
-            merge_nanos += merge_start.elapsed().as_nanos() as u64;
-            break 'bfs;
+        expand_nanos += (expanded - start).as_nanos() as u64;
+        merge_nanos += expanded.elapsed().as_nanos() as u64;
+        if stopped {
+            break;
         }
-        // Merge phase 4 (parallel): commit the batch's assignments into the
-        // shard memtables, then give the budget accountant a seal point.
-        threads_started += commit_batch(&mut visited, &scratch, workers);
-        merge_nanos += merge_start.elapsed().as_nanos() as u64;
         next = batch_end;
     }
 
+    let Discovered {
+        visited,
+        mut store,
+        meta,
+        offsets,
+        mut sink,
+        classes,
+        progress_edges,
+        peak_nodes,
+        peak_bytes,
+        stop,
+        ..
+    } = graph;
     debug_assert_eq!(store.len(), meta.len(), "store and metadata desynced");
     let target_states = meta.iter().filter(|n| n.target).count();
-    let quotient_states = match dedup {
-        Dedup::Exact => canonical_classes.len(),
-        Dedup::Canonical => meta.len(),
-    };
+    let quotient_states = classes.map_or(meta.len(), |classes| classes.len());
     let edge_count = sink.len();
     // The visited map has served its purpose; free it before the liveness
     // pass loads the edges back, so the load replaces rather than adds to
@@ -1636,13 +1649,8 @@ fn explore<P: Protocol + Clone + Send>(
     let visited_spilled_bytes = visited.spilled_bytes();
     drop(visited);
     let mut quotient_overflow = false;
-    let outcome = if let Some(ce) = safety_ce {
-        CheckOutcome::Falsified(Box::new(ce))
-    } else if let Some((discovered, completed_expansions)) = budget {
-        CheckOutcome::BudgetExceeded {
-            discovered,
-            completed_expansions,
-        }
+    let outcome = if let Some(outcome) = stop {
+        outcome
     } else if options.check_liveness {
         let edges = sink.finish();
         let graph = Graph {
@@ -1691,8 +1699,8 @@ fn explore<P: Protocol + Clone + Send>(
         edges: edge_count,
         target_states,
         progress_edges,
-        peak_resident_nodes: peak_resident,
-        peak_resident_bytes,
+        peak_resident_nodes: peak_nodes,
+        peak_resident_bytes: peak_bytes,
         state_bytes: store.payload_bytes(),
         outcome,
     };
@@ -2806,7 +2814,7 @@ mod tests {
     #[test]
     fn fan_out_starts_threads_only_for_shares_above_the_minimum() {
         let min = EXPAND_PER_THREAD;
-        // (items, pool, threads)
+        // (nodes, pool, threads)
         let table = [
             (0, 8, 1),
             (min - 1, 8, 1),
@@ -2818,100 +2826,8 @@ mod tests {
             (BATCH, 4096, BATCH / min),
             (BATCH, 1, 1),
         ];
-        for (items, pool, threads) in table {
-            assert_eq!(
-                fan_out(items, min, pool),
-                threads,
-                "{items} items, pool {pool}"
-            );
-        }
-        let min = MERGE_PER_THREAD;
-        let table = [
-            (0, 8, 1),
-            (min, 8, 1),
-            (2 * min, 8, 2),
-            (3 * min, 2, 2),
-            (1000 * min, 4096, VISITED_SHARDS),
-            (1000 * min, VISITED_SHARDS + 1, VISITED_SHARDS),
-        ];
-        for (items, workers, threads) in table {
-            assert_eq!(
-                merge_fan_out(items, workers),
-                threads,
-                "{items} candidates, {workers} workers"
-            );
-        }
-    }
-
-    #[test]
-    fn merge_phases_split_wide_batches_without_changing_the_result() {
-        // No test-sized cell yields enough fresh candidates per batch for
-        // the merge to fan out, so drive resolve and commit directly with a
-        // synthetic batch of 8 minimum shares: every key twice (in-batch
-        // duplicates), and one key in five already visited.
-        let initial = enumerate_rigid_configurations(7, 3).remove(0);
-        let packed = Engine::with_default_options(GatheringProtocol::new(), initial)
-            .unwrap()
-            .pack_behavior();
-        let key = |i: usize| make_key(&packed, i as u64 / 2, Dedup::Exact, 0);
-        let candidates = 8 * MERGE_PER_THREAD;
-        let expansions: Vec<Expansion> = (0..candidates / 4)
-            .map(|node| Expansion {
-                succs: (4 * node..4 * node + 4)
-                    .map(|i| Succ {
-                        code: 0,
-                        progress: false,
-                        state: SuccState::Fresh {
-                            packed: packed.clone(),
-                            key: key(i),
-                            aug_bits: i as u64 / 2,
-                            fault: 0,
-                            target: false,
-                        },
-                    })
-                    .collect(),
-                violation: None,
-            })
-            .collect();
-        let run = |workers: usize| {
-            let mut visited = Visited::new(StoreKind::Mem, DEFAULT_MEM_BUDGET);
-            for i in (0..candidates).step_by(10) {
-                visited.insert(key(i), i as u32);
-            }
-            let mut scratch: Vec<ShardScratch> = (0..VISITED_SHARDS)
-                .map(|_| ShardScratch::default())
-                .collect();
-            partition_batch(&mut scratch, &expansions);
-            let resolve_started = resolve_batch(&mut scratch, &expansions, &visited, true, workers);
-            let mut id = candidates as u32;
-            for sc in &mut scratch {
-                for _ in 0..sc.fresh_keys.len() {
-                    sc.assigned.push(id);
-                    id += 1;
-                }
-            }
-            let commit_started = commit_batch(&mut visited, &scratch, workers);
-            let resolved: Vec<(Vec<MergeRes>, Vec<StateSig>)> = scratch
-                .iter()
-                .map(|sc| (sc.res.clone(), sc.fresh_sigs.clone()))
-                .collect();
-            let ids: Vec<Option<u32>> = (0..candidates).map(|i| visited.get(&key(i))).collect();
-            (resolved, ids, [resolve_started, commit_started])
-        };
-        let (resolved, ids, started) = run(1);
-        assert_eq!(started, [0, 0], "one worker runs inline");
-        assert!(ids.iter().all(Option::is_some), "every key committed");
-        for workers in [2, 4, 8] {
-            let (w_resolved, w_ids, w_started) = run(workers);
-            assert!(
-                w_resolved == resolved,
-                "workers={workers}: resolutions differ"
-            );
-            assert_eq!(w_ids, ids, "workers={workers}");
-            assert!(
-                w_started.iter().all(|&s| s > 0),
-                "workers={workers}: a merge phase never fanned out ({w_started:?})"
-            );
+        for (nodes, pool, threads) in table {
+            assert_eq!(fan_out(nodes, pool), threads, "{nodes} nodes, pool {pool}");
         }
     }
 

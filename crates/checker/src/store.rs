@@ -72,51 +72,34 @@ pub struct StoreStats {
     /// Bytes appended to the visited map's run file (sealed sorted runs plus
     /// compaction rewrites); `0` for the mem backend.  Deterministic for a
     /// fixed (backend, budget) pair — sealing is driven by entry counts at
-    /// sequential merge points, never by worker timing — but, unlike
+    /// batch ends, never by worker timing — but, unlike
     /// [`spilled_bytes`](StoreStats::spilled_bytes), it *does* depend on the
     /// memory budget: a tighter budget seals smaller memtables more often
     /// and compacts more.
     pub visited_spilled_bytes: u64,
-    /// Wall nanoseconds spent in the parallel expansion phase (workers
-    /// stepping engines).  **Not deterministic** — a diagnostic for the E16
+    /// Wall nanoseconds spent expanding batches: reading each batch's
+    /// window, then either the whole of an inline batch, whose successors
+    /// are admitted as they are generated, or the parallel expansion of a
+    /// split batch.  **Not deterministic** — a diagnostic for the E16
     /// scaling records, excluded from every cross-run comparison.
     pub expand_nanos: u64,
-    /// Wall nanoseconds spent in the batch merge (shard partition, parallel
-    /// per-shard dedup, the sequential ordering pass, memtable commit and
-    /// visited-map sealing).  **Not deterministic** — same status as
+    /// Wall nanoseconds spent after expansion: a split batch's sequential
+    /// replay of its buffered successors through admission, and the
+    /// visited-map seal at every batch end.  Near zero when no batch
+    /// splits.  **Not deterministic** — same status as
     /// [`expand_nanos`](StoreStats::expand_nanos).
     pub merge_nanos: u64,
-    /// Worker threads the call started.  A parallel phase splits a batch
-    /// only when every thread's share is large enough to pay for starting
-    /// it, and the calling thread takes one share itself, so this counts
-    /// the extra threads only.  Deterministic for a fixed worker count —
-    /// batch sizes do not depend on timing — and `0` with one worker.
+    /// Worker threads the call started.  Expansion splits a batch only when
+    /// every thread's share is large enough to pay for starting it, and the
+    /// calling thread takes one share itself, so this counts the extra
+    /// threads only.  Deterministic for a fixed worker count — batch sizes
+    /// do not depend on timing — and `0` with one worker.
     pub threads_started: u64,
 }
 
 /// States per spill cluster: the first state is the cluster base (raw
 /// words), the rest are sparse XOR deltas against it.
 pub(crate) const CLUSTER: usize = 64;
-
-/// A window of packed states handed to the expansion workers: borrowed
-/// straight from a resident store, or materialized from spilled clusters.
-pub(crate) enum FrontierWindow<'a> {
-    /// The window is a live slice of resident states.
-    Resident(&'a [PackedState]),
-    /// The window was decoded from spilled clusters.
-    Loaded(Vec<PackedState>),
-}
-
-impl std::ops::Deref for FrontierWindow<'_> {
-    type Target = [PackedState];
-
-    fn deref(&self) -> &[PackedState] {
-        match self {
-            FrontierWindow::Resident(slice) => slice,
-            FrontierWindow::Loaded(vec) => vec,
-        }
-    }
-}
 
 /// Append-only storage of discovered states, addressed by node id in
 /// discovery order.  The explorer reads states back in two patterns only:
@@ -142,8 +125,9 @@ pub(crate) trait StateStore {
     /// The state with id `id`.
     fn get(&mut self, id: usize) -> PackedState;
 
-    /// The states `start..end`, in id order.
-    fn window(&mut self, start: usize, end: usize) -> FrontierWindow<'_>;
+    /// Replaces the contents of `out` with the states `start..end`, in id
+    /// order.
+    fn window(&mut self, start: usize, end: usize, out: &mut Vec<PackedState>);
 }
 
 /// The in-RAM backend: a plain vector of packed states.
@@ -183,8 +167,9 @@ impl StateStore for MemStore {
         self.states[id].clone()
     }
 
-    fn window(&mut self, start: usize, end: usize) -> FrontierWindow<'_> {
-        FrontierWindow::Resident(&self.states[start..end])
+    fn window(&mut self, start: usize, end: usize, out: &mut Vec<PackedState>) {
+        out.clear();
+        out.extend_from_slice(&self.states[start..end]);
     }
 }
 
@@ -420,7 +405,8 @@ impl StateStore for SpillStore {
         self.cluster_states(id / CLUSTER)[id % CLUSTER].clone()
     }
 
-    fn window(&mut self, start: usize, end: usize) -> FrontierWindow<'_> {
+    fn window(&mut self, start: usize, end: usize, out: &mut Vec<PackedState>) {
+        out.clear();
         let tail_base = self.spans.len() * CLUSTER;
         // The BFS has consumed everything below `start`: those clusters
         // cannot be windowed again, so stop caching them.
@@ -436,10 +422,6 @@ impl StateStore for SpillStore {
             }
         }
         self.cache_bytes -= freed;
-        if start >= tail_base {
-            return FrontierWindow::Resident(&self.tail[start - tail_base..end - tail_base]);
-        }
-        let mut out = Vec::with_capacity(end - start);
         let mut id = start;
         while id < end {
             if id >= tail_base {
@@ -453,7 +435,6 @@ impl StateStore for SpillStore {
             out.extend_from_slice(&states[id % CLUSTER..hi - index * CLUSTER]);
             id = hi;
         }
-        FrontierWindow::Loaded(out)
     }
 }
 
@@ -660,7 +641,8 @@ mod tests {
             if start >= end {
                 continue;
             }
-            let window = store.window(start, end);
+            let mut window = Vec::new();
+            store.window(start, end, &mut window);
             assert_eq!(&window[..], &states[start..end], "window {start}..{end}");
         }
     }
@@ -688,9 +670,12 @@ mod tests {
         assert_eq!(roomy.spilled_bytes(), tight.spilled_bytes());
         // Sequential-window consumption (the BFS pattern) sees identical
         // states under both budgets.
+        let (mut from_roomy, mut from_tight) = (Vec::new(), Vec::new());
         for start in (0..states.len()).step_by(7) {
             let end = (start + 7).min(states.len());
-            assert_eq!(&roomy.window(start, end)[..], &tight.window(start, end)[..]);
+            roomy.window(start, end, &mut from_roomy);
+            tight.window(start, end, &mut from_tight);
+            assert_eq!(from_roomy, from_tight);
         }
     }
 
@@ -748,9 +733,10 @@ mod tests {
                 // (the BFS pattern) but free to re-read sealed clusters.
                 let start = (pick % len as u64) as usize;
                 let end = (start + 1 + (pick >> 32) as usize % 96).min(len);
-                let want = oracle.window(start, end);
-                let got = spill.window(start, end);
-                proptest::prop_assert_eq!(&want[..], &got[..], "window {}..{}", start, end);
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                oracle.window(start, end, &mut want);
+                spill.window(start, end, &mut got);
+                proptest::prop_assert_eq!(want, got, "window {}..{}", start, end);
             }
         }
     }

@@ -1,8 +1,11 @@
 //! The visited map: dedup keys → node ids, in RAM or out of core.
 //!
-//! The explorer's visited map is probed **lock-free from every expansion
-//! worker** (read-only during expansion) and mutated only at sequential
-//! merge points.  PR 9 moved state payloads and edges out of core, but the
+//! The explorer's visited map is probed once per generated successor by
+//! admission, which inserts the key of every state it stores, always on
+//! the calling thread.  While a wide batch expands in parallel it is also
+//! probed **lock-free from every expansion worker** (read-only until the
+//! batch's replay begins).  The storage layer (`crate::store`) moved state
+//! payloads and edges out of core, but the
 //! visited map stayed fully resident — the largest structure of a big run,
 //! and the true RAM ceiling past ~10⁸ states.  This module gives it the
 //! same treatment, behind one type:
@@ -26,8 +29,8 @@
 //! Correctness does not depend on *when* shards seal: a lookup consults the
 //! memtable and every run, and a key lives in exactly one of them (an entry
 //! is inserted once and never updated).  The seal schedule itself is
-//! deterministic — it is driven by shard entry counts at sequential merge
-//! points, which are a pure function of the explored graph — so
+//! deterministic — it is driven by shard entry counts at batch ends, which
+//! are a pure function of the explored graph — so
 //! `visited_spilled_bytes` is reproducible for a fixed (backend, budget)
 //! pair, independent of worker count.
 
@@ -86,7 +89,7 @@ fn cmp_keys(a: &Key, b: &Key) -> Ordering {
         .then(a.fault.cmp(&b.fault))
 }
 
-/// Shards of the visited map (and of the parallel merge).
+/// Shards of the visited map.
 pub(crate) const VISITED_SHARDS: usize = 64;
 
 /// The shard a key lives in: the top 6 bits of its mixed hash.
@@ -278,13 +281,13 @@ struct Disk {
 }
 
 /// One memtable shard.
-pub(crate) type Memtable = HashMap<Key, u32, SigHashBuilder>;
+type Memtable = HashMap<Key, u32, SigHashBuilder>;
 
 /// The visited map, sharded by the top bits of the key hash.  Shards stay
-/// individually small (cheaper growth, better locality), and the expansion
-/// phase probes the whole structure **read-only and lock-free** from every
-/// worker — memtable lookups and run probes both take `&self`; only the
-/// sequential merge points mutate (commit, seal, compact).
+/// individually small (cheaper growth, better locality), and a split
+/// batch's workers probe the whole structure **read-only and lock-free** —
+/// memtable lookups and run probes both take `&self`; only admission
+/// (insert) and the batch ends (seal, compact) mutate it.
 pub(crate) struct Visited {
     shards: Vec<Memtable>,
     disk: Option<Disk>,
@@ -318,16 +321,10 @@ impl Visited {
             .find_map(|run| run.probe(&disk.file, key, mix))
     }
 
-    /// Inserts one entry directly (the root); the batch merge commits
-    /// through [`shard_maps_mut`](Visited::shard_maps_mut) instead.
+    /// Maps a key the map does not hold yet to `id`.  Admission calls this
+    /// once per stored state, right after its probe missed.
     pub(crate) fn insert(&mut self, key: Key, id: u32) {
         self.shards[shard_of(&key)].insert(key, id);
-    }
-
-    /// The memtable shards, for the merge's parallel per-shard commit:
-    /// shard `s` of this slice corresponds to [`shard_of`]` == s`.
-    pub(crate) fn shard_maps_mut(&mut self) -> &mut [Memtable] {
-        &mut self.shards
     }
 
     /// Entries currently resident in the memtables.
@@ -360,7 +357,7 @@ impl Visited {
             .map_or(0, |d| d.runs.iter().map(Vec::len).sum())
     }
 
-    /// The `--mem-budget` accountant, called at sequential merge points:
+    /// The `--mem-budget` accountant, called at batch ends:
     /// while the memtables hold more logical entry bytes than the budget,
     /// seal the largest shard (ties: lowest index) to a sorted run.  The
     /// schedule depends only on deterministic entry counts — never on worker

@@ -7,13 +7,19 @@
 //!
 //! A batch is split across threads only when every share is worth starting
 //! a thread for; most cells here expand small batches and therefore run
-//! inline at every worker count.  `wide_batches_fan_out_and_stay_worker_invariant`
-//! is the case whose multi-worker runs genuinely start threads.
+//! inline at every worker count, admitting each successor as it is
+//! generated.  `wide_batches_fan_out_and_stay_worker_invariant` holds the
+//! runs whose batches split at two or more workers, so their multi-worker
+//! runs take the other path, a parallel expansion replayed through the
+//! same admission step: a whole wide cell, and a budget trip and a safety
+//! violation inside a split batch, where the one-worker run finishes the
+//! batch count-only.
 
 use proptest::prelude::*;
 use rr_checker::explore::{
-    check_protocol_quotient, check_protocol_with_stats, check_safety_quotient,
-    replay_counterexample, ExploreOptions, FaultBudget, MutatedProtocol,
+    check_protocol, check_protocol_quotient, check_protocol_with_stats, check_safety_quotient,
+    replay_counterexample, CheckOutcome, ExploreOptions, FaultBudget, MutatedProtocol,
+    ViolationKind,
 };
 use rr_checker::StoreKind;
 use rr_corda::{Decision, InterleavingMode, Protocol, ViewIndex};
@@ -142,18 +148,81 @@ fn searching_with_aug_state_is_worker_invariant() {
 
 #[test]
 fn wide_batches_fan_out_and_stay_worker_invariant() {
-    // A gathering (13, 7) ASYNC class reaches BFS batches of several
-    // hundred nodes, wide enough to split: every multi-worker run of it
-    // must start threads, and still match the inline run byte for byte.
-    let initial = enumerate_rigid_configurations(13, 7).remove(0);
-    let fewest_started = assert_worker_invariant(
-        &GatheringProtocol::new(),
-        &initial,
-        &GatheringInvariant::new(),
-        &ExploreOptions::new(InterleavingMode::AsyncPhases),
-        "gathering (13,7) async",
+    // Three runs with batches of 512 nodes or more, wide enough to split:
+    // every multi-worker run expands them in parallel and replays them
+    // through admission, while the one-worker run admits inline.  Each
+    // multi-worker run must start threads and still match the one-worker
+    // report byte for byte, peak samples included.
+    //
+    // 1. A whole gathering (13, 7) ASYNC class.
+    // 2. The same class with room for 5,600 states: the budget trips while
+    //    the batch of nodes 4,417..5,285 (868 wide) admits its successors,
+    //    so the split path stops inside its replay and the one-worker run
+    //    finishes the batch count-only.
+    // 3. Align on (13, 10) ASYNC from a class three moves from C*, under
+    //    the move mutant at C*: the first step onto a neighbour lies in the
+    //    batch of nodes 1,431..2,104 (673 wide).
+    let gathering = enumerate_rigid_configurations(13, 7).remove(0);
+    let async_phases = ExploreOptions::new(InterleavingMode::AsyncPhases);
+    let budget = async_phases.with_max_states(5_600);
+    let align_start = enumerate_rigid_configurations(13, 10).remove(3);
+    let c_star = Configuration::from_gaps_at_origin(&[0, 0, 0, 0, 0, 0, 0, 0, 1, 2]);
+    let move_mutant = MutatedProtocol::new(
+        AlignProtocol::new(),
+        MutatedProtocol::<AlignProtocol>::trigger_for(&c_star),
+        Decision::Move(ViewIndex::First),
     );
-    assert!(fewest_started > 0, "a multi-worker run never fanned out");
+    let started = [
+        assert_worker_invariant(
+            &GatheringProtocol::new(),
+            &gathering,
+            &GatheringInvariant::new(),
+            &async_phases,
+            "gathering (13,7) async",
+        ),
+        assert_worker_invariant(
+            &GatheringProtocol::new(),
+            &gathering,
+            &GatheringInvariant::new(),
+            &budget,
+            "gathering (13,7) async, 5,600 states",
+        ),
+        assert_worker_invariant(
+            &move_mutant,
+            &align_start,
+            &AlignmentInvariant::new(),
+            &async_phases,
+            "move mutant (13,10) async",
+        ),
+    ];
+    assert!(
+        started.iter().all(|&s| s > 0),
+        "a multi-worker run never fanned out: {started:?}"
+    );
+    // The two stops are the ones described above.
+    let tripped = check_protocol(
+        &GatheringProtocol::new(),
+        &gathering,
+        &GatheringInvariant::new(),
+        &budget,
+    )
+    .unwrap();
+    assert_eq!(
+        tripped.outcome,
+        CheckOutcome::BudgetExceeded {
+            discovered: 5_600,
+            completed_expansions: 4_756,
+        }
+    );
+    let falsified = check_protocol(
+        &move_mutant,
+        &align_start,
+        &AlignmentInvariant::new(),
+        &async_phases,
+    )
+    .unwrap();
+    let ce = falsified.counterexample().expect("the mutant collides");
+    assert_eq!((ce.kind, ce.prefix.len()), (ViolationKind::Safety, 8));
 }
 
 #[test]

@@ -51,14 +51,29 @@ pub type StateSig = [u64; SIG_WORDS];
 pub struct SigHasher(u64);
 
 impl std::hash::Hasher for SigHasher {
+    /// One round per 8 bytes, a short tail zero-padded into one last word:
+    /// a `[u64]` slice, which is how a [`StateSig`] hashes its words, costs
+    /// one round per word.
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_ne_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_ne_bytes(last));
         }
     }
 
     fn write_u32(&mut self, value: u32) {
         self.write_u64(u64::from(value));
+    }
+
+    /// One round: slice hashes use it for their length prefix.
+    fn write_usize(&mut self, value: usize) {
+        self.write_u64(value as u64);
     }
 
     fn write_u64(&mut self, value: u64) {
@@ -170,43 +185,31 @@ fn bits_for(max: u64) -> u32 {
     64 - max.leading_zeros()
 }
 
-/// Appends `bits` low bits of `value` to the stream.
-struct BitWriter {
-    words: Vec<u64>,
-    /// Bits already used in the last word.
-    filled: u32,
+/// Writes fields LSB-first into a zeroed word slice sized for them.
+struct BitWriter<'a> {
+    words: &'a mut [u64],
+    /// Bits written so far.
+    pos: usize,
 }
 
-impl BitWriter {
-    fn with_capacity(bits: usize) -> Self {
-        BitWriter {
-            words: Vec::with_capacity(bits.div_ceil(64)),
-            filled: 64,
-        }
+impl<'a> BitWriter<'a> {
+    fn new(words: &'a mut [u64]) -> Self {
+        BitWriter { words, pos: 0 }
     }
 
+    /// Appends the `bits` low bits of `value`.
     fn push(&mut self, value: u64, bits: u32) {
         debug_assert!(bits == 64 || value < 1u64 << bits);
         if bits == 0 {
             return;
         }
-        if self.filled == 64 {
-            self.words.push(0);
-            self.filled = 0;
+        let (word, shift) = (self.pos / 64, (self.pos % 64) as u32);
+        self.words[word] |= value << shift;
+        let room = 64 - shift;
+        if bits > room {
+            self.words[word + 1] |= value >> room;
         }
-        let last = self.words.last_mut().expect("word pushed above");
-        *last |= value << self.filled;
-        let room = 64 - self.filled;
-        if bits <= room {
-            self.filled += bits;
-        } else {
-            self.words.push(value >> room);
-            self.filled = bits - room;
-        }
-    }
-
-    fn finish(self) -> PackedState {
-        PackedState::from_words(self.words)
+        self.pos += bits as usize;
     }
 }
 
@@ -278,20 +281,37 @@ pub(crate) fn encode(
         .fold(step.max(moves).max(looks), u64::max);
     let w = bits_for(max_counter);
     let total_bits = (N_BITS + K_BITS + W_BITS + 3 * w) as usize + k * (bn + 2 + 2 * w) as usize;
-    let mut out = BitWriter::with_capacity(total_bits);
-    out.push(n as u64, N_BITS);
-    out.push(k as u64, K_BITS);
-    out.push(u64::from(w), W_BITS);
-    out.push(step, w);
-    out.push(moves, w);
-    out.push(looks, w);
-    for r in robots {
-        out.push(r.node as u64, bn);
-        out.push(r.phase, 2);
-        out.push(r.cycles, w);
-        out.push(r.moves, w);
-    }
-    out.finish()
+    let write = |words: &mut [u64]| {
+        let mut out = BitWriter::new(words);
+        out.push(n as u64, N_BITS);
+        out.push(k as u64, K_BITS);
+        out.push(u64::from(w), W_BITS);
+        out.push(step, w);
+        out.push(moves, w);
+        out.push(looks, w);
+        for r in robots {
+            out.push(r.node as u64, bn);
+            out.push(r.phase, 2);
+            out.push(r.cycles, w);
+            out.push(r.moves, w);
+        }
+    };
+    // Short streams go straight into the inline words: packing a state
+    // allocates nothing.
+    let len = total_bits.div_ceil(64);
+    let words = if len <= INLINE_WORDS {
+        let mut words = [0u64; INLINE_WORDS];
+        write(&mut words[..len]);
+        WordStore::Inline {
+            len: len as u8,
+            words,
+        }
+    } else {
+        let mut words = vec![0u64; len];
+        write(&mut words);
+        WordStore::Heap(words.into_boxed_slice())
+    };
+    PackedState { words }
 }
 
 /// Decoded header + per-robot stream of a packed state.
@@ -763,7 +783,8 @@ mod tests {
 
     #[test]
     fn bit_stream_round_trips_mixed_widths() {
-        let mut w = BitWriter::with_capacity(300);
+        let mut words = [0u64; 3];
+        let mut w = BitWriter::new(&mut words);
         let fields: [(u64, u32); 8] = [
             (0x5A5A, 16),
             (0, 0),
@@ -777,7 +798,7 @@ mod tests {
         for &(v, bits) in &fields {
             w.push(v, bits);
         }
-        let packed = w.finish();
+        let packed = PackedState::from_words(words.to_vec());
         let mut r = BitReader::new(&packed);
         for &(v, bits) in &fields {
             assert_eq!(r.pull(bits), v, "width {bits}");
@@ -877,6 +898,20 @@ mod tests {
             }
             assert_eq!(rebuilt, sig, "n={n} cells {cells:?}");
         }
+    }
+
+    #[test]
+    fn state_sig_hashes_its_length_then_one_round_per_word() {
+        use std::hash::{Hash, Hasher};
+        let sig: StateSig = [1, u64::MAX, 0x0123_4567_89AB_CDEF, 0, 1 << 63, 42];
+        let mut hashed = SigHasher::default();
+        sig.hash(&mut hashed);
+        let mut by_words = SigHasher::default();
+        by_words.write_u64(SIG_WORDS as u64);
+        for word in sig {
+            by_words.write_u64(word);
+        }
+        assert_eq!(hashed.finish(), by_words.finish());
     }
 
     #[test]
