@@ -18,8 +18,7 @@ fn main() {
     let args = ExpArgs::parse(17, USAGE);
     let validate = !args.flag("--no-validate");
     let max_n: usize = args
-        .value("--max-n")
-        .and_then(|v| v.parse().ok())
+        .parsed("--max-n")
         .unwrap_or(if args.quick { 12 } else { 20 });
 
     println!("# E1 — characterization of exclusive perpetual graph searching (3 <= n <= {max_n})");

@@ -397,16 +397,10 @@ usage: exp_faults [--quick] [--json <path>] [--seed <u64>] [--sequential]
 fn main() {
     let args = ExpArgs::parse(0xE14, USAGE);
     let max_n: usize = args
-        .value("--max-n")
-        .map_or(if args.quick { 6 } else { 8 }, |v| {
-            v.parse().expect("--max-n takes a usize")
-        });
-    let max_k: usize = args
-        .value("--max-k")
-        .map_or(4, |v| v.parse().expect("--max-k takes a usize"));
-    let workers: usize = args
-        .value("--workers")
-        .map_or(0, |v| v.parse().expect("--workers takes a usize"));
+        .parsed("--max-n")
+        .unwrap_or(if args.quick { 6 } else { 8 });
+    let max_k: usize = args.parsed("--max-k").unwrap_or(4);
+    let workers: usize = args.parsed("--workers").unwrap_or(0);
 
     if args.flag("--selftest") {
         if let Err(e) = selftest() {

@@ -121,13 +121,6 @@ usage: exp_modelcheck [--quick] [--json <path>] [--seed <u64>] [--sequential]
                       [--max-states <usize>] [--scale-bench]
   task: gathering | alignment | graph-searching;  mode: ssync | async";
 
-/// Rejects malformed command-line input: prints `message` and the usage,
-/// then exits with status 2.
-fn usage_error(message: &str) -> ! {
-    eprintln!("exp_modelcheck: {message}\n{USAGE}");
-    std::process::exit(2);
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Cell {
     task: CellTask,
@@ -679,33 +672,26 @@ impl OnlyFilter {
 fn main() {
     let args = ExpArgs::parse(0, USAGE);
     let max_n: usize = args
-        .value("--max-n")
-        .map_or(if args.quick { 6 } else { 12 }, |v| {
-            v.parse().expect("--max-n takes a usize")
-        });
+        .parsed("--max-n")
+        .unwrap_or(if args.quick { 6 } else { 12 });
     let max_k: usize = args
-        .value("--max-k")
-        .map_or(if args.quick { 5 } else { 6 }, |v| {
-            v.parse().expect("--max-k takes a usize")
-        });
-    let workers: usize = args
-        .value("--workers")
-        .map_or(0, |v| v.parse().expect("--workers takes a usize"));
+        .parsed("--max-k")
+        .unwrap_or(if args.quick { 5 } else { 6 });
+    let workers: usize = args.parsed("--workers").unwrap_or(0);
     let store_arg = args.value("--store").map(|v| match v {
         "mem" => StoreKind::Mem,
         "spill" => StoreKind::Spill,
-        other => usage_error(&format!("--store takes mem or spill, got {other:?}")),
+        other => args.usage_error(&format!("--store takes mem or spill, got {other:?}")),
     });
     let mem_budget_arg = args.value("--mem-budget").map(|v| {
-        parse_byte_size(v).unwrap_or_else(|| panic!("--mem-budget: malformed size {v:?}"))
+        parse_byte_size(v)
+            .unwrap_or_else(|| args.usage_error(&format!("--mem-budget: malformed size {v:?}")))
     });
     let mem_budget = mem_budget_arg.unwrap_or(DEFAULT_MEM_BUDGET);
-    let max_states: usize = args.value("--max-states").map_or(DEFAULT_MAX_STATES, |v| {
-        v.parse().expect("--max-states takes a usize")
-    });
+    let max_states: usize = args.parsed("--max-states").unwrap_or(DEFAULT_MAX_STATES);
     let only = args
         .value("--only")
-        .map(|spec| OnlyFilter::parse(spec).unwrap_or_else(|e| usage_error(&e)));
+        .map(|spec| OnlyFilter::parse(spec).unwrap_or_else(|e| args.usage_error(&e)));
 
     if args.flag("--scale-bench") {
         run_scale_bench(&args, only.as_ref(), store_arg, mem_budget_arg, max_states);
@@ -774,7 +760,7 @@ fn main() {
     if let Some(filter) = &only {
         cells.retain(|cell| filter.matches(cell));
         if cells.is_empty() {
-            usage_error("--only matched no cell of the grid");
+            args.usage_error("--only matched no cell of the grid");
         }
     }
 

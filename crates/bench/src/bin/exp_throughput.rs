@@ -378,10 +378,8 @@ usage: exp_throughput [--quick] [--json <path>] [--leap-json <path>] [--seed <u6
 fn main() {
     let args = ExpArgs::parse(0xE12, USAGE);
     let budget: u64 = args
-        .value("--steps")
-        .map_or(if args.quick { 20_000 } else { 100_000 }, |s| {
-            s.parse().expect("--steps takes a u64")
-        });
+        .parsed("--steps")
+        .unwrap_or(if args.quick { 20_000 } else { 100_000 });
 
     let mut records = Vec::new();
     for (n, k) in grid(args.quick) {

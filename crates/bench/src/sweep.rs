@@ -811,6 +811,12 @@ pub fn write_json_records<T: Serialize>(
 /// exp_foo --help | -h
 /// ```
 ///
+/// Each binary's usage text is the one list of the flags it reads: a flag
+/// is accepted iff the usage declares it as `[--name]` (a switch) or
+/// `[--name <value>]` (any value placeholder).  An undeclared flag, a
+/// missing value or a malformed value prints the usage on stderr and exits
+/// with status 2 — nothing runs with a silently defaulted setting.
+///
 /// `--ledger` streams records into a durable, resumable `rr-sweep/v1`
 /// ledger and `--cache` consults/feeds a content-addressed result cache —
 /// both via [`execute_grid`](crate::grid::execute_grid), the same path the
@@ -831,27 +837,57 @@ pub struct ExpArgs {
     /// Consult and feed the content-addressed result cache in this
     /// directory.
     pub cache: Option<PathBuf>,
+    /// Binary-specific flags, each followed by its value if it takes one.
     rest: Vec<String>,
+    usage: &'static str,
+}
+
+/// The flags `usage` declares, in order, each with whether it takes a
+/// value: `[--name]` is a switch, `[--name <placeholder>]` takes a value.
+fn declared_flags(usage: &str) -> impl Iterator<Item = (&str, bool)> {
+    usage.match_indices("[--").map(move |(at, _)| {
+        let flag = &usage[at + 1..];
+        let end = flag.find([' ', ']']).unwrap_or(flag.len());
+        (&flag[..end], flag[end..].starts_with(' '))
+    })
+}
+
+/// Prints `message` and `usage` on stderr, naming the binary the usage
+/// names, and exits with status 2.
+fn exit_with_usage(usage: &str, message: &str) -> ! {
+    let program = usage.split_whitespace().nth(1).unwrap_or("exp");
+    eprintln!("{program}: {message}\n{usage}");
+    std::process::exit(2);
 }
 
 impl ExpArgs {
-    /// Parses the process arguments; unrecognized flags are kept for
-    /// binary-specific lookup via [`ExpArgs::flag`] / [`ExpArgs::value`].
-    /// `--help` or `-h` prints the binary's `usage` and exits with status 0
-    /// before anything runs.
+    /// Parses the process arguments against `usage`, the binary's usage
+    /// text and the one list of the flags it accepts.  `--help` or `-h`
+    /// prints the usage and exits with status 0 before anything runs; an
+    /// undeclared flag, a missing value or a malformed shared value prints
+    /// it on stderr and exits with status 2.
     #[must_use]
-    pub fn parse(default_seed: u64, usage: &str) -> Self {
+    pub fn parse(default_seed: u64, usage: &'static str) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         if args.iter().any(|arg| arg == "--help" || arg == "-h") {
             println!("{usage}");
             std::process::exit(0);
         }
-        Self::from_args(args.into_iter(), default_seed)
+        Self::from_args(args.into_iter(), default_seed, usage)
+            .unwrap_or_else(|message| exit_with_usage(usage, &message))
     }
 
     /// [`ExpArgs::parse`] over an explicit argument list (testable).
-    #[must_use]
-    pub fn from_args(args: impl Iterator<Item = String>, default_seed: u64) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns the message for an argument `usage` does not declare, a
+    /// flag missing its value, or a `--seed` that is not a `u64`.
+    pub fn from_args(
+        args: impl Iterator<Item = String>,
+        default_seed: u64,
+        usage: &'static str,
+    ) -> Result<Self, String> {
         let mut parsed = ExpArgs {
             quick: false,
             json: None,
@@ -860,32 +896,47 @@ impl ExpArgs {
             ledger: None,
             cache: None,
             rest: Vec::new(),
+            usage,
         };
         let mut args = args.peekable();
         while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--quick" => parsed.quick = true,
-                "--sequential" => parsed.sequential = true,
-                "--json" => {
-                    let path = args.next().expect("--json requires a path");
-                    parsed.json = Some(PathBuf::from(path));
+            let Some((name, takes_value)) = declared_flags(usage).find(|&(name, _)| name == arg)
+            else {
+                return Err(format!("unknown argument {arg:?}"));
+            };
+            let value = if takes_value {
+                match args.next_if(|value| !value.starts_with("--")) {
+                    Some(value) => Some(value),
+                    None => return Err(format!("{name} requires a value")),
                 }
-                "--ledger" => {
-                    let path = args.next().expect("--ledger requires a path");
-                    parsed.ledger = Some(PathBuf::from(path));
+            } else {
+                None
+            };
+            match (name, value) {
+                ("--quick", None) => parsed.quick = true,
+                ("--sequential", None) => parsed.sequential = true,
+                ("--json", Some(path)) => parsed.json = Some(PathBuf::from(path)),
+                ("--ledger", Some(path)) => parsed.ledger = Some(PathBuf::from(path)),
+                ("--cache", Some(dir)) => parsed.cache = Some(PathBuf::from(dir)),
+                ("--seed", Some(seed)) => {
+                    parsed.root_seed = seed
+                        .parse()
+                        .map_err(|_| format!("--seed takes a u64, got {seed:?}"))?;
                 }
-                "--cache" => {
-                    let dir = args.next().expect("--cache requires a directory");
-                    parsed.cache = Some(PathBuf::from(dir));
+                (_, value) => {
+                    parsed.rest.push(arg);
+                    parsed.rest.extend(value);
                 }
-                "--seed" => {
-                    let seed = args.next().expect("--seed requires a value");
-                    parsed.root_seed = seed.parse().expect("--seed takes a u64");
-                }
-                _ => parsed.rest.push(arg),
             }
         }
-        parsed
+        Ok(parsed)
+    }
+
+    /// Prints `message` and the binary's usage on stderr and exits with
+    /// status 2: the answer to a binary-specific value the binary cannot
+    /// use.
+    pub fn usage_error(&self, message: &str) -> ! {
+        exit_with_usage(self.usage, message)
     }
 
     /// The execution mode implied by the flags.
@@ -898,20 +949,43 @@ impl ExpArgs {
         }
     }
 
-    /// Whether a binary-specific boolean flag was passed.
+    /// Whether a binary-specific switch was passed.  `name` must be a
+    /// switch the usage declares.
     #[must_use]
     pub fn flag(&self, name: &str) -> bool {
+        debug_assert!(
+            declared_flags(self.usage).any(|flag| flag == (name, false)),
+            "{name} is not a switch of the usage"
+        );
         self.rest.iter().any(|a| a == name)
     }
 
-    /// The value following a binary-specific `--name value` pair.
+    /// The value following a binary-specific `--name value` pair.  `name`
+    /// must be a value flag the usage declares.
     #[must_use]
     pub fn value(&self, name: &str) -> Option<&str> {
+        debug_assert!(
+            declared_flags(self.usage).any(|flag| flag == (name, true)),
+            "{name} is not a value flag of the usage"
+        );
+        // Values never start with `--`, so a flag name cannot be mistaken
+        // for another flag's value.
         self.rest
             .iter()
             .position(|a| a == name)
             .and_then(|i| self.rest.get(i + 1))
             .map(String::as_str)
+    }
+
+    /// The value of `--name` parsed as a `T`; a malformed value prints the
+    /// usage and exits with status 2 ([`ExpArgs::usage_error`]).
+    #[must_use]
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.value(name).map(|value| {
+            value
+                .parse()
+                .unwrap_or_else(|_| self.usage_error(&format!("{name}: malformed value {value:?}")))
+        })
     }
 
     /// Writes the JSON report if `--json` was passed.
@@ -1094,6 +1168,46 @@ mod tests {
         assert!(order(&[(8, 4), (10, 3)], 2, 99).is_empty());
     }
 
+    const TEST_USAGE: &str = "\
+usage: exp_test [--quick] [--json <path>] [--seed <u64>] [--sequential]
+                [--ledger <path>] [--cache <dir>] [--max-n <usize>] [--no-validate]";
+
+    fn parse_args(args: &[&str]) -> Result<ExpArgs, String> {
+        ExpArgs::from_args(args.iter().map(ToString::to_string), 5, TEST_USAGE)
+    }
+
+    #[test]
+    fn usage_declares_switches_and_value_flags() {
+        let flags: Vec<(&str, bool)> = declared_flags(
+            "usage: exp_x [--quick] [--store mem|spill] [--only task:n:k[:mode]] [--with-4-7]",
+        )
+        .collect();
+        assert_eq!(
+            flags,
+            [
+                ("--quick", false),
+                ("--store", true),
+                ("--only", true),
+                ("--with-4-7", false)
+            ]
+        );
+    }
+
+    #[test]
+    fn exp_args_reject_undeclared_flags_and_missing_or_malformed_values() {
+        let cases: [(&[&str], &str); 6] = [
+            (&["--worker", "4"], "unknown argument \"--worker\""),
+            (&["--quick", "stray"], "unknown argument \"stray\""),
+            (&["--json"], "--json requires a value"),
+            (&["--max-n", "--quick"], "--max-n requires a value"),
+            (&["--seed", "abc"], "--seed takes a u64, got \"abc\""),
+            (&["--seed", "-1"], "--seed takes a u64, got \"-1\""),
+        ];
+        for (args, message) in cases {
+            assert_eq!(parse_args(args).unwrap_err(), message, "{args:?}");
+        }
+    }
+
     #[test]
     fn exp_args_parse_all_flags() {
         let args = ExpArgs::from_args(
@@ -1114,7 +1228,9 @@ mod tests {
             .iter()
             .map(ToString::to_string),
             5,
-        );
+            TEST_USAGE,
+        )
+        .unwrap();
         assert!(args.quick);
         assert!(args.sequential);
         assert_eq!(args.mode(), ExecMode::Sequential);
@@ -1123,7 +1239,11 @@ mod tests {
         assert_eq!(args.ledger.as_deref(), Some(Path::new("out.jsonl")));
         assert_eq!(args.cache.as_deref(), Some(Path::new("cachedir")));
         assert_eq!(args.value("--max-n"), Some("14"));
+        assert_eq!(args.parsed::<usize>("--max-n"), Some(14));
         assert!(!args.flag("--no-validate"));
+        let defaults = parse_args(&[]).unwrap();
+        assert_eq!(defaults.root_seed, 5);
+        assert_eq!(defaults.parsed::<usize>("--max-n"), None);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `exp_modelcheck`'s cell and store flags: malformed values print the usage
 //! and exit with status 2 instead of panicking, and `--scale-bench` runs the
-//! backend `--store` names instead of silently keeping its default.  Every
-//! `exp_*` binary answers `--help` with its usage alone.
+//! backend `--store` names instead of silently keeping its default.  A flag
+//! the usage does not declare is an error too, not a silently ignored
+//! argument.  Every `exp_*` binary answers `--help` with its usage alone.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -31,6 +32,35 @@ fn malformed_cell_and_store_flags_print_usage_and_exit_2() {
             stderr.contains("usage: exp_modelcheck"),
             "{args:?}: {stderr}"
         );
+    }
+}
+
+/// `--worker 4` (a typo of `--workers`) used to run the default worker
+/// count, and `--seed abc` to panic; a value flag at the end of the line
+/// has no value, and a flag cannot be another flag's value.
+#[test]
+fn unknown_flags_and_missing_or_malformed_values_print_usage_and_exit_2() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["--worker", "4"], "unknown argument \"--worker\""),
+        (&["--seed", "abc"], "--seed takes a u64, got \"abc\""),
+        (&["--quick", "--max-n"], "--max-n requires a value"),
+        (&["--workers", "--quick"], "--workers requires a value"),
+        (
+            &["--max-states", "many"],
+            "--max-states: malformed value \"many\"",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = exp_modelcheck(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!(
+                "exp_modelcheck: {message}\nusage: exp_modelcheck "
+            )),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran: {stderr}");
     }
 }
 

@@ -564,8 +564,9 @@ pub struct Engine<P> {
     trace: Trace,
     memo: LookMemo,
     /// Engine-owned scratch snapshot the incremental Look pipeline fills in
-    /// place: after warm-up, `look_compute` performs zero heap allocations
-    /// on the memo-miss path.
+    /// place: after warm-up, the snapshot capture on the memo-miss path
+    /// performs zero heap allocations (the protocol's Compute may still
+    /// allocate).
     scratch: Snapshot,
     /// Round-leaping state (only consulted in [`StepPath::Leap`] mode).
     leap: LeapState,
@@ -976,16 +977,23 @@ impl<P: Protocol> Engine<P> {
     /// A scheduler-facing summary of the current state.
     #[must_use]
     pub fn scheduler_view(&self) -> SchedulerView {
-        SchedulerView {
-            step: self.step,
-            pending: self.robots.iter().map(RobotState::has_pending).collect(),
-            pending_moves: self
-                .robots
-                .iter()
-                .map(RobotState::has_pending_move)
-                .collect(),
-            num_robots: self.robots.len(),
-        }
+        let mut view = SchedulerView::default();
+        self.fill_scheduler_view(&mut view);
+        view
+    }
+
+    /// Refills `view` with [`Engine::scheduler_view`]'s summary, keeping
+    /// the allocations of its per-robot vectors: [`Engine::run`] keeps one
+    /// view for the whole run.
+    fn fill_scheduler_view(&self, view: &mut SchedulerView) {
+        view.step = self.step;
+        view.pending.clear();
+        view.pending
+            .extend(self.robots.iter().map(RobotState::has_pending));
+        view.pending_moves.clear();
+        view.pending_moves
+            .extend(self.robots.iter().map(RobotState::has_pending_move));
+        view.num_robots = self.robots.len();
     }
 
     fn check_robot(&self, robot: RobotId) -> Result<(), SimError> {
@@ -1651,6 +1659,10 @@ impl<P: Protocol> Engine<P> {
     /// both the engine and the monitor, so stop conditions can be phrased
     /// over observed properties ("three clearings demonstrated") as well as
     /// over engine state ("configuration gathered").
+    ///
+    /// The loop keeps one [`SchedulerView`] and one [`StepReport`] for the
+    /// whole run and refills them on every step, so a step allocates only
+    /// what its scheduler decision itself allocates.
     pub fn run<S, M, F>(
         &mut self,
         scheduler: &mut S,
@@ -1665,6 +1677,8 @@ impl<P: Protocol> Engine<P> {
     {
         let mut steps = 0u64;
         let moves_before = self.moves;
+        let mut view = SchedulerView::default();
+        let mut report = StepReport::default();
         loop {
             if stop(self, monitor) {
                 return RunReport {
@@ -1691,8 +1705,9 @@ impl<P: Protocol> Engine<P> {
                     continue;
                 }
             }
-            let step = scheduler.next(&self.scheduler_view());
-            if let Err(e) = self.step(&step, monitor) {
+            self.fill_scheduler_view(&mut view);
+            let step = scheduler.next(&view);
+            if let Err(e) = self.step_into(&step, monitor, &mut report) {
                 return RunReport {
                     outcome: RunOutcome::Failed(e),
                     steps,

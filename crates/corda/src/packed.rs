@@ -29,6 +29,8 @@
 //! [`PackedState::behavior_sig`] and [`PackedState::canonical_sig`], without
 //! unpacking.
 
+use rr_ring::{Direction, Ring, View};
+
 use crate::robot::Phase;
 
 /// Number of `u64` words in a state signature: 384 bits, enough for the
@@ -369,10 +371,15 @@ pub(crate) fn phase_code(n: usize, node: usize, phase: Phase) -> u64 {
         Phase::Ready => PHASE_READY,
         Phase::IdlePending => PHASE_IDLE,
         Phase::MovePending { target } => {
-            if (node + 1) % n == target {
+            let ring = Ring::new(n);
+            if target == ring.neighbor(node, Direction::Cw) {
                 PHASE_MOVE_CW
             } else {
-                debug_assert_eq!((node + n - 1) % n, target, "pending target not adjacent");
+                debug_assert_eq!(
+                    ring.neighbor(node, Direction::Ccw),
+                    target,
+                    "pending target not adjacent"
+                );
                 PHASE_MOVE_CCW
             }
         }
@@ -385,10 +392,10 @@ pub(crate) fn code_phase(n: usize, node: usize, code: u64) -> Phase {
         PHASE_READY => Phase::Ready,
         PHASE_IDLE => Phase::IdlePending,
         PHASE_MOVE_CW => Phase::MovePending {
-            target: (node + 1) % n,
+            target: Ring::new(n).neighbor(node, Direction::Cw),
         },
         PHASE_MOVE_CCW => Phase::MovePending {
-            target: (node + n - 1) % n,
+            target: Ring::new(n).neighbor(node, Direction::Ccw),
         },
         _ => unreachable!("2-bit phase code"),
     }
@@ -638,33 +645,6 @@ pub(crate) fn behavior_sig_from(
     sig
 }
 
-/// Booth's two-candidate least-rotation scan over a short slice, with
-/// branch-based wraparound (no division) — the hot-path twin of
-/// [`View::least_rotation_start`], against which the tests pin it.
-fn booth_start(word: &[u16]) -> usize {
-    let k = word.len();
-    let at = |t: usize| word[if t >= k { t - k } else { t }];
-    let (mut i, mut j, mut len) = (0usize, 1usize, 0usize);
-    while i < k && j < k && len < k {
-        let a = at(i + len);
-        let b = at(j + len);
-        if a == b {
-            len += 1;
-            continue;
-        }
-        if a > b {
-            i += len + 1;
-        } else {
-            j += len + 1;
-        }
-        if i == j {
-            j += 1;
-        }
-        len = 0;
-    }
-    i.min(j)
-}
-
 /// [`PackedState::canonical_sig`] over any `(node, phase code)` stream of
 /// exactly `k` robots — shared by the packed and the live-engine entry
 /// points.  Runs on stack arrays end to end: the model checker calls this
@@ -748,10 +728,11 @@ fn canonical_choice(
     let mut rev = [0u16; MAX_CANONICAL_N];
     for v in 0..n {
         fwd[v] = enc(&counts[v], false);
-        rev[v] = enc(&counts[(n - v) % n], true);
+        let mirror = if v == 0 { 0 } else { n - v };
+        rev[v] = enc(&counts[mirror], true);
     }
-    let fi = booth_start(&fwd[..n]);
-    let ri = booth_start(&rev[..n]);
+    let fi = View::least_rotation_start(n, |t| usize::from(fwd[t]));
+    let ri = View::least_rotation_start(n, |t| usize::from(rev[t]));
     let wrap = |t: usize| if t >= n { t - n } else { t };
     let reversed_wins = (0..n).find_map(|t| {
         let a = fwd[wrap(fi + t)];
@@ -802,24 +783,6 @@ mod tests {
         let mut r = BitReader::new(&packed);
         for &(v, bits) in &fields {
             assert_eq!(r.pull(bits), v, "width {bits}");
-        }
-    }
-
-    #[test]
-    fn booth_start_matches_the_view_reference() {
-        use rr_ring::View;
-        let words: [&[u16]; 6] = [
-            &[3, 1, 2, 1, 2],
-            &[0, 0, 0],
-            &[5],
-            &[2, 1],
-            &[1, 2, 1, 2],
-            &[9, 8, 7, 6, 5, 4, 3, 2, 1, 0],
-        ];
-        for word in words {
-            let expected =
-                View::least_rotation_start(word.len(), |t| usize::from(word[t % word.len()]));
-            assert_eq!(booth_start(word), expected, "{word:?}");
         }
     }
 

@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 use crate::robot::RobotId;
 
 /// Scheduler-facing summary of the simulator state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SchedulerView {
     /// Global step counter.
     pub step: u64,
@@ -194,30 +194,14 @@ impl Scheduler for AsynchronousScheduler {
         if self.ages.len() != k {
             self.ages = vec![view.step; k];
         }
-        // Forcibly flush actions that have been pending too long, most
-        // overdue first (oldest age wins; lowest id breaks exact ties).
-        // Serving the *most* overdue robot matters: picking the first overdue
-        // id would let small ids win every tie and starve the largest id
-        // outright once the window is tight enough for the forced branches to
-        // dominate the random one.
-        if let Some(r) = (0..k)
-            .filter(|&r| {
-                view.pending[r] && view.step.saturating_sub(self.ages[r]) >= self.fairness_window
-            })
-            .min_by_key(|&r| self.ages[r])
-        {
+        // Forcibly flush actions that have been pending too long, then wake
+        // robots that have been silent too long, most overdue first.
+        let (pending, silent) = most_overdue(view, &self.ages, self.fairness_window, |_| false);
+        if let Some(r) = pending {
             self.ages[r] = view.step;
             return SchedulerStep::Execute(r);
         }
-        // Forcibly wake robots that have been silent too long, most overdue
-        // first.
-        if let Some(r) = (0..k)
-            .filter(|&r| {
-                !view.pending[r]
-                    && view.step.saturating_sub(self.ages[r]) >= self.fairness_window * k as u64
-            })
-            .min_by_key(|&r| self.ages[r])
-        {
+        if let Some(r) = silent {
             self.ages[r] = view.step;
             return SchedulerStep::Look(r);
         }
@@ -234,6 +218,41 @@ impl Scheduler for AsynchronousScheduler {
     fn name(&self) -> &str {
         "async"
     }
+}
+
+/// The robots the forced-fairness branches of the asynchronous schedulers
+/// serve, found in one pass: the most overdue *pending* robot (its action
+/// has waited at least `window` steps) and the most overdue *silent* robot
+/// (no pending action for at least `window * k` steps).  Within each
+/// branch the oldest age wins and the lowest id breaks exact ties; robots
+/// `skip` rejects take part in neither.
+///
+/// Serving the *most* overdue robot matters: picking the first overdue id
+/// would let small ids win every tie and starve the largest id outright
+/// once the window is tight enough for the forced branches to dominate the
+/// random one.
+fn most_overdue(
+    view: &SchedulerView,
+    ages: &[u64],
+    window: u64,
+    skip: impl Fn(RobotId) -> bool,
+) -> (Option<RobotId>, Option<RobotId>) {
+    let silent_window = window * ages.len() as u64;
+    let (mut pending, mut silent) = (None, None);
+    for (r, &age) in ages.iter().enumerate() {
+        if skip(r) {
+            continue;
+        }
+        let (best, limit): (&mut Option<RobotId>, u64) = if view.pending[r] {
+            (&mut pending, window)
+        } else {
+            (&mut silent, silent_window)
+        };
+        if view.step.saturating_sub(age) >= limit && best.is_none_or(|b| age < ages[b]) {
+            *best = Some(r);
+        }
+    }
+    (pending, silent)
 }
 
 /// The bounded-unfair fault adversary
@@ -311,25 +330,12 @@ impl Scheduler for BoundedUnfairScheduler {
         let victim = self.victim;
         let skip = |r: usize| starve && r == victim;
         // Forced branches mirror AsynchronousScheduler, minus the victim.
-        if let Some(r) = (0..k)
-            .filter(|&r| {
-                !skip(r)
-                    && view.pending[r]
-                    && view.step.saturating_sub(self.ages[r]) >= self.fairness_window
-            })
-            .min_by_key(|&r| self.ages[r])
-        {
+        let (pending, silent) = most_overdue(view, &self.ages, self.fairness_window, skip);
+        if let Some(r) = pending {
             self.ages[r] = view.step;
             return SchedulerStep::Execute(r);
         }
-        if let Some(r) = (0..k)
-            .filter(|&r| {
-                !skip(r)
-                    && !view.pending[r]
-                    && view.step.saturating_sub(self.ages[r]) >= self.fairness_window * k as u64
-            })
-            .min_by_key(|&r| self.ages[r])
-        {
+        if let Some(r) = silent {
             self.ages[r] = view.step;
             return SchedulerStep::Look(r);
         }

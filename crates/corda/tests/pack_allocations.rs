@@ -1,9 +1,11 @@
 //! Packing a state whose bit stream fits the inline words allocates nothing:
 //! `Engine::pack_behavior`, which is what the model checker stores for every
-//! discovered state, and `Engine::pack_state` of a shallow state.  A
-//! counting global allocator, enabled only around the calls under test and
-//! only on the calling thread, pins it.  This is a test binary of its own,
-//! so that no other test shares the allocator.
+//! discovered state, and `Engine::pack_state` of a shallow state.  Nor does
+//! a step of `Engine::run` under the asynchronous scheduler: the run loop
+//! keeps its scheduler view and step report for the whole run.  A counting
+//! global allocator, enabled only around the calls under test and only on
+//! the calling thread, pins both.  This is a test binary of its own, so
+//! that no other test shares the allocator.
 
 // The counting allocator is the one purposeful use of `unsafe` here: it
 // forwards to `System` verbatim and only bumps a counter.
@@ -11,25 +13,31 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use rr_corda::packed::INLINE_WORDS;
 use rr_corda::protocol::GreedyGapWalker;
-use rr_corda::{Engine, SchedulerStep};
+use rr_corda::scheduler::AsynchronousScheduler;
+use rr_corda::{
+    Engine, EngineOptions, LookPath, MultiplicityCapability, SchedulerStep, StepPath, TraceMode,
+    ViewOrder,
+};
 use rr_ring::Configuration;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations made on this thread inside `allocations_of`; `None`
+    /// outside it.  Per thread, so tests running in parallel do not count
+    /// each other's allocations.
+    static COUNTED: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 fn count() {
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    }
+    let _ = COUNTED.try_with(|counted| {
+        if let Some(n) = counted.get() {
+            counted.set(Some(n + 1));
+        }
+    });
 }
 
 // SAFETY: every method forwards the exact arguments to `System`, whose
@@ -65,11 +73,10 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Allocations `f` makes on this thread, and its result.
 fn allocations_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
+    COUNTED.with(|counted| counted.set(Some(0)));
     let value = f();
-    COUNTING.with(|c| c.set(false));
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, value)
+    let allocations = COUNTED.with(|counted| counted.replace(None));
+    (allocations.unwrap_or(0), value)
 }
 
 #[test]
@@ -103,4 +110,34 @@ fn packing_inline_sized_states_allocates_nothing() {
 
     // Same bytes as the reference pack of the saved state.
     assert_eq!(full, engine.save_state().pack());
+}
+
+#[test]
+fn an_async_run_allocates_the_same_for_any_number_of_steps() {
+    // The engine-throughput workload (E12): the greedy walker keeps every
+    // robot moving, with exclusivity off and no trace.
+    let options = EngineOptions {
+        capability: MultiplicityCapability::None,
+        enforce_exclusivity: false,
+        trace: TraceMode::Disabled,
+        view_order: ViewOrder::CwFirst,
+        look_path: LookPath::Incremental,
+        step_path: StepPath::StepBaseline,
+    };
+    let initial = Configuration::from_gaps_at_origin(&[0, 1, 3, 2, 0, 4, 1, 5]);
+    let run_allocations = |steps: u64| {
+        let mut engine = Engine::new(GreedyGapWalker, initial.clone(), options).unwrap();
+        let mut scheduler = AsynchronousScheduler::seeded(7);
+        let (allocs, report) =
+            allocations_of(|| engine.run_until(&mut scheduler, steps, |_| false));
+        assert_eq!(report.steps, steps);
+        assert!(report.moves > steps / 4, "the walkers stalled: {report:?}");
+        allocs
+    };
+    let short = run_allocations(1_000);
+    let long = run_allocations(10_000);
+    assert_eq!(
+        short, long,
+        "Engine::run allocated per step: {short} allocations for 1,000 steps, {long} for 10,000"
+    );
 }

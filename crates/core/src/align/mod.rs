@@ -54,12 +54,18 @@ impl AlignProtocol {
     /// Gathering) can delegate their first phase to Align.
     #[must_use]
     pub fn decide(views: &[View; 2]) -> Decision {
-        let k = views[0].len();
-        if k < 3 {
+        if views[0].len() < 3 {
             return Decision::Idle;
         }
-        let w_min = views[0].supermin();
-        let Some(sel) = reductions::choose_reduction(&w_min) else {
+        Self::decide_with_supermin(views, &views[0].supermin())
+    }
+
+    /// [`AlignProtocol::decide`] for a caller that already holds `w_min`,
+    /// the supermin configuration view of `views`: Gathering computes it
+    /// for its own stage test, so its Look computes it once.
+    #[must_use]
+    pub fn decide_with_supermin(views: &[View; 2], w_min: &View) -> Decision {
+        let Some(sel) = reductions::choose_reduction(w_min) else {
             return Decision::Idle;
         };
         if views[0] == sel.mover_view {

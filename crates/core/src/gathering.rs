@@ -88,7 +88,7 @@ impl GatheringProtocol {
                 Decision::Idle
             }
         } else {
-            AlignProtocol::decide(views)
+            AlignProtocol::decide_with_supermin(views, &w_min)
         }
     }
 }

@@ -250,22 +250,38 @@ impl Configuration {
     }
 
     /// Debug cross-check: the incremental index equals what a from-scratch
-    /// scan of the counts would produce.  O(n); only ever called behind
-    /// `debug_assert!`.
+    /// scan of the counts would produce.  O(n) and allocation-free, so a
+    /// debug build's moves allocate no more than a release build's; only
+    /// ever called behind `debug_assert!`.
     fn index_is_consistent(&self) -> bool {
-        let n = self.ring.len();
-        let occ: Vec<usize> = (0..n).filter(|&v| self.counts[v] > 0).collect();
         let robots: u64 = self.counts.iter().map(|&c| u64::from(c)).sum();
         let multis = self.counts.iter().filter(|&&c| c > 1).count();
-        !occ.is_empty()
-            && self.occupied as usize == occ.len()
+        let mut occ = self
+            .counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(v, _)| v);
+        let Some(first) = occ.next() else {
+            return false;
+        };
+        // Each occupied node must link to the next one clockwise, and the
+        // last one back round to the first.
+        let linked = |v: usize, next: usize| {
+            self.next_occ[v] as usize == next && self.prev_occ[next] as usize == v
+        };
+        let (mut last, mut occupied) = (first, 1usize);
+        for v in occ {
+            if !linked(last, v) {
+                return false;
+            }
+            (last, occupied) = (v, occupied + 1);
+        }
+        linked(last, first)
+            && self.occupied as usize == occupied
             && self.robots == robots
             && self.multis as usize == multis
             && self.counts[self.anchor as usize] > 0
-            && occ.iter().enumerate().all(|(i, &v)| {
-                let next = occ[(i + 1) % occ.len()];
-                self.next_occ[v] as usize == next && self.prev_occ[next] as usize == v
-            })
     }
 
     /// Creates a configuration from explicit per-node robot counts.
@@ -667,10 +683,17 @@ impl Configuration {
         for _ in 0..self.occupied as usize {
             let next = self.occupied_after(cur, dir);
             // Walking distance from `cur` to `next` in `dir`, minus one, is
-            // the gap between them; a sole robot sees the full cycle, n - 1.
-            let gap = match dir {
-                Direction::Cw => (next + n - cur - 1) % n,
-                Direction::Ccw => (cur + n - next - 1) % n,
+            // the gap between them: the clockwise distance from `from` to
+            // `to`, which wraps round when `to <= from` (a sole robot sees
+            // the full cycle, n - 1).
+            let (from, to) = match dir {
+                Direction::Cw => (cur, next),
+                Direction::Ccw => (next, cur),
+            };
+            let gap = if to > from {
+                to - from - 1
+            } else {
+                to + n - from - 1
             };
             out.push(gap);
             cur = next;

@@ -54,8 +54,10 @@ impl Ring {
     pub fn neighbor(&self, v: NodeId, dir: Direction) -> NodeId {
         debug_assert!(v < self.n);
         match dir {
-            Direction::Cw => (v + 1) % self.n,
-            Direction::Ccw => (v + self.n - 1) % self.n,
+            Direction::Cw if v + 1 == self.n => 0,
+            Direction::Cw => v + 1,
+            Direction::Ccw if v == 0 => self.n - 1,
+            Direction::Ccw => v - 1,
         }
     }
 
@@ -83,7 +85,11 @@ impl Ring {
     #[must_use]
     pub fn distance_cw(&self, a: NodeId, b: NodeId) -> usize {
         debug_assert!(a < self.n && b < self.n);
-        (b + self.n - a) % self.n
+        if b >= a {
+            b - a
+        } else {
+            b + self.n - a
+        }
     }
 
     /// Graph distance (length of the shortest of the two arcs) between `a` and `b`.
@@ -164,6 +170,26 @@ mod tests {
         assert_eq!(r.neighbor(4, Direction::Cw), 0);
         assert_eq!(r.neighbor(0, Direction::Ccw), 4);
         assert_eq!(r.neighbors(0), [1, 4]);
+    }
+
+    #[test]
+    fn neighbor_and_distance_cw_equal_the_modular_formulas() {
+        // Built without `Ring::new`, so the degenerate sizes 1 and 2 check
+        // the wrap arithmetic too.
+        for n in 1..=64 {
+            let r = Ring { n };
+            for v in 0..n {
+                assert_eq!(r.neighbor(v, Direction::Cw), (v + 1) % n, "n={n} v={v}");
+                assert_eq!(
+                    r.neighbor(v, Direction::Ccw),
+                    (v + n - 1) % n,
+                    "n={n} v={v}"
+                );
+                for b in 0..n {
+                    assert_eq!(r.distance_cw(v, b), (b + n - v) % n, "n={n} {v}->{b}");
+                }
+            }
+        }
     }
 
     #[test]

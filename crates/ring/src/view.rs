@@ -151,12 +151,15 @@ impl View {
     /// two-candidate variant): `i` and `j` are the two live candidate start
     /// positions, `len` the length of their common prefix.  A mismatch at
     /// offset `len` eliminates the larger candidate *and* every start inside
-    /// its matched prefix.
+    /// its matched prefix.  Both read offsets stay below `2k`, so one
+    /// comparison wraps them — no division on the workspace's hottest loop.
+    /// `gap` is only ever called with an index below `k`.
     pub fn least_rotation_start(k: usize, gap: impl Fn(usize) -> usize) -> usize {
+        let at = |t: usize| gap(wrap(t, k));
         let (mut i, mut j, mut len) = (0usize, 1usize, 0usize);
         while i < k && j < k && len < k {
-            let a = gap((i + len) % k);
-            let b = gap((j + len) % k);
+            let a = at(i + len);
+            let b = at(j + len);
             if a == b {
                 len += 1;
                 continue;
@@ -213,12 +216,12 @@ impl View {
         let fi = Self::least_rotation_start(k, fwd);
         let ri = Self::least_rotation_start(k, rev);
         let reversed_wins = (0..k).find_map(|t| {
-            let a = fwd((fi + t) % k);
-            let b = rev((ri + t) % k);
+            let a = fwd(wrap(fi + t, k));
+            let b = rev(wrap(ri + t, k));
             (a != b).then_some(b < a)
         });
         if reversed_wins == Some(true) {
-            View::new((0..k).map(|t| rev((ri + t) % k)).collect())
+            View::new((0..k).map(|t| rev(wrap(ri + t, k))).collect())
         } else {
             self.rotation(fi)
         }
@@ -288,7 +291,7 @@ impl View {
         let rev = |t: usize| self.gaps[k - 1 - t];
         let fi = Self::least_rotation_start(k, fwd);
         let ri = Self::least_rotation_start(k, rev);
-        (0..k).all(|t| fwd((fi + t) % k) == rev((ri + t) % k))
+        (0..k).all(|t| fwd(wrap(fi + t, k)) == rev(wrap(ri + t, k)))
     }
 
     /// Whether the configuration seen by this view is *rigid*: aperiodic and
@@ -296,6 +299,18 @@ impl View {
     #[must_use]
     pub fn is_rigid(&self) -> bool {
         !self.is_periodic() && !self.is_symmetric()
+    }
+}
+
+/// `t mod k` for `t < 2k`: the one-comparison wrap of an offset from a
+/// start index below `k` by less than `k`.  Inlined into the generic Booth
+/// scan's instances in other crates (the checker's canonical signature).
+#[inline]
+fn wrap(t: usize, k: usize) -> usize {
+    if t >= k {
+        t - k
+    } else {
+        t
     }
 }
 

@@ -4,8 +4,11 @@
 use proptest::prelude::*;
 use rr_ring::{enumerate, supermin_intervals, supermin_view, symmetry, Configuration, Ring, View};
 
+/// Words of 2–24 gaps: the sweeps read words of up to 21 gaps (E6's
+/// (60, 21)), so the Booth, `supermin` and `is_symmetric` checks against the
+/// naive scans cover every length the experiments meet.
 fn gap_word() -> impl Strategy<Value = Vec<usize>> {
-    (2usize..10, 1usize..12).prop_flat_map(|(k, extra)| {
+    (2usize..25, 1usize..12).prop_flat_map(|(k, extra)| {
         proptest::collection::vec(0usize..5, k).prop_map(move |mut gaps| {
             gaps[k - 1] += extra;
             gaps
