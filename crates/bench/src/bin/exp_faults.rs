@@ -41,7 +41,7 @@ use std::time::Instant;
 
 use rr_bench::sweep::{exit_if_failed, grid_map, ExpArgs, FaultRecord};
 use rr_checker::explore::{
-    check_protocol, replay_counterexample, CheckOutcome, ExploreOptions, FaultBudget,
+    check_protocol_with_stats, replay_counterexample, CheckOutcome, ExploreOptions, FaultBudget,
 };
 use rr_corda::{BoundedUnfairScheduler, InterleavingMode, Protocol};
 use rr_core::driver::{run_task, TaskTargets};
@@ -170,8 +170,8 @@ fn check_faulted_cell<P: Protocol + Clone + Send>(
         .with_workers(workers)
         .with_faults(fault.budget());
     for initial in &initials {
-        let report = match check_protocol(protocol, initial, invariant, &options) {
-            Ok(report) => report,
+        let report = match check_protocol_with_stats(protocol, initial, invariant, &options) {
+            Ok((report, _)) => report,
             Err(e) => {
                 record.ok = false;
                 record.counterexample = format!("engine rejected the initial state: {e}");
@@ -347,27 +347,31 @@ fn selftest() -> Result<(), String> {
         InterleavingMode::SsyncSubsets,
         InterleavingMode::AsyncPhases,
     ] {
-        let plain = check_protocol(&protocol, &initial, &invariant, &ExploreOptions::new(mode))
-            .map_err(|e| e.to_string())?;
-        let empty = check_protocol(
+        let plain =
+            check_protocol_with_stats(&protocol, &initial, &invariant, &ExploreOptions::new(mode))
+                .map_err(|e| e.to_string())?
+                .0;
+        let empty = check_protocol_with_stats(
             &protocol,
             &initial,
             &invariant,
             &ExploreOptions::new(mode).with_faults(FaultBudget::none()),
         )
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| e.to_string())?
+        .0;
         if plain != empty {
             return Err(format!(
                 "{mode}: empty fault budget drifted from fault-free checker"
             ));
         }
-        let crashed = check_protocol(
+        let crashed = check_protocol_with_stats(
             &protocol,
             &initial,
             &invariant,
             &ExploreOptions::new(mode).with_faults(FaultBudget::none().with_crashes(1)),
         )
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| e.to_string())?
+        .0;
         let Some(ce) = crashed.counterexample() else {
             return Err(format!("{mode}: one crash did NOT falsify plain gathering"));
         };

@@ -13,7 +13,7 @@
 //! and storage backend.
 //!
 //! Gathering and alignment cells run on the **canonical symmetry quotient**
-//! with σ-threaded liveness (`check_protocol_quotient`): states are
+//! with σ-threaded liveness (`check_protocol_quotient_with_stats`): states are
 //! deduplicated up to ring rotation/reflection *and* robot relabeling, and
 //! fairness is re-established over concrete robots by threading the
 //! accumulated relabeling along quotient edges.  On the previously-proved
@@ -72,9 +72,9 @@ use rr_bench::sweep::{
     exit_if_failed, grid_map, parse_byte_size, ExpArgs, ModelCheckRecord, ScaleRecord,
 };
 use rr_checker::explore::{
-    check_protocol, check_protocol_quotient_with_stats, check_protocol_with_stats,
-    replay_counterexample, CheckOutcome, ExploreOptions, MutatedProtocol, ViolationKind,
-    DEFAULT_MAX_STATES, DEFAULT_MEM_BUDGET,
+    check_protocol_quotient_with_stats, check_protocol_with_stats, replay_counterexample,
+    CheckOutcome, ExploreOptions, MutatedProtocol, ViolationKind, DEFAULT_MAX_STATES,
+    DEFAULT_MEM_BUDGET,
 };
 use rr_checker::StoreKind;
 use rr_corda::{Decision, InterleavingMode, Protocol, ViewIndex};
@@ -192,8 +192,8 @@ fn check_cell_protocol<P: Protocol + Clone + Send>(
             // Cross-check: on the grid the concrete checker already proved,
             // the quotient verdict must agree with the concrete one —
             // verified/falsified, and the violation kind when falsified.
-            let concrete = match check_protocol(protocol, initial, invariant, &options) {
-                Ok(concrete) => concrete,
+            let concrete = match check_protocol_with_stats(protocol, initial, invariant, &options) {
+                Ok((concrete, _)) => concrete,
                 Err(e) => {
                     record.ok = false;
                     record.counterexample = format!("engine rejected the initial state: {e}");
@@ -332,13 +332,14 @@ fn selftest() -> Result<(), String> {
         InterleavingMode::SsyncSubsets,
         InterleavingMode::AsyncPhases,
     ] {
-        let report = check_protocol(
+        let report = check_protocol_with_stats(
             &mutant,
             &initial,
             &GatheringInvariant::new(),
             &ExploreOptions::new(mode),
         )
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| e.to_string())?
+        .0;
         let Some(ce) = report.counterexample() else {
             return Err(format!("{mode}: idle mutant was NOT falsified"));
         };
@@ -360,13 +361,14 @@ fn selftest() -> Result<(), String> {
         MutatedProtocol::<AlignProtocol>::trigger_for(&c_star),
         Decision::Move(ViewIndex::First),
     );
-    let report = check_protocol(
+    let report = check_protocol_with_stats(
         &mutant,
         &c_star,
         &AlignmentInvariant::new(),
         &ExploreOptions::new(InterleavingMode::AsyncPhases),
     )
-    .map_err(|e| e.to_string())?;
+    .map_err(|e| e.to_string())?
+    .0;
     let Some(ce) = report.counterexample() else {
         return Err("move mutant was NOT falsified".to_string());
     };

@@ -274,24 +274,50 @@ impl GridSpec {
             },
             other => return Err(format!("unknown kind `{other}`")),
         };
-        Ok(GridSpec {
+        let spec = GridSpec {
             experiment,
             root_seed,
             instances,
             kind,
-        })
+        };
+        spec.checked_cells()
+            .ok_or("the cell count overflows a usize")?;
+        if let GridKind::Sweep { schedulers, .. } = &spec.kind {
+            let sweep = spec.to_sweep();
+            for &(n, _) in &spec.instances {
+                for &scheduler in schedulers {
+                    sweep.step_budget(n, scheduler).ok_or_else(|| {
+                        format!("the {} step budget of n = {n} overflows", scheduler.name())
+                    })?;
+                }
+            }
+        }
+        Ok(spec)
     }
 
     /// The number of cells (= ledger records) this grid expands to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows a `usize`, which [`GridSpec::parse`]
+    /// rejects.
     #[must_use]
     pub fn cells(&self) -> usize {
+        self.checked_cells().expect("the cell count fits a usize")
+    }
+
+    fn checked_cells(&self) -> Option<usize> {
         match &self.kind {
             GridKind::Sweep {
                 schedulers,
                 seeds_per_cell,
                 ..
-            } => self.instances.len() * schedulers.len() * *seeds_per_cell as usize,
-            GridKind::Align { .. } => self.instances.len(),
+            } => self
+                .instances
+                .len()
+                .checked_mul(schedulers.len())?
+                .checked_mul(usize::try_from(*seeds_per_cell).ok()?),
+            GridKind::Align { .. } => Some(self.instances.len()),
         }
     }
 
@@ -798,6 +824,21 @@ mod tests {
         assert!(
             GridSpec::parse(bad_exp).is_err(),
             "path-unsafe experiment id"
+        );
+        let sweep = sample_spec().canonical_encoding();
+        let too_many_cells =
+            sweep.replace("seeds_per_cell=1", "seeds_per_cell=18446744073709551615");
+        assert!(
+            GridSpec::parse(&too_many_cells).is_err(),
+            "2 instances x 3 schedulers x u64::MAX seeds"
+        );
+        let too_long = sweep.replace(
+            "async_budget_factor=2",
+            "async_budget_factor=2305843009213693952",
+        );
+        assert!(
+            GridSpec::parse(&too_long).is_err(),
+            "100000 x 10 steps x 2^61 overflows the async budget"
         );
     }
 

@@ -473,8 +473,30 @@ pub struct ScaleRecord {
 }
 
 impl Sweep {
+    /// The step budget of a cell on an `n`-node ring under `scheduler`:
+    /// `budget_per_n · n + budget_flat`, times `async_budget_factor` (at
+    /// least 1) for the asynchronous scheduler.  `None` when it overflows a
+    /// `u64`, which [`GridSpec::parse`](crate::grid::GridSpec::parse)
+    /// rejects.
+    #[must_use]
+    pub(crate) fn step_budget(&self, n: usize, scheduler: SchedulerKind) -> Option<u64> {
+        let budget = self
+            .budget_per_n
+            .checked_mul(n as u64)?
+            .checked_add(self.budget_flat)?;
+        if scheduler == SchedulerKind::Asynchronous {
+            budget.checked_mul(self.async_budget_factor.max(1))
+        } else {
+            Some(budget)
+        }
+    }
+
     /// Expands the grid into batch jobs, in deterministic declaration order
     /// (instances outermost, then schedulers, then seeds).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell's step budget overflows a `u64`.
     #[must_use]
     pub fn jobs(&self) -> Vec<BatchJob> {
         let mut jobs = Vec::new();
@@ -483,19 +505,15 @@ impl Sweep {
                 for rep in 0..self.seeds_per_cell {
                     let coords = (n as u64) << 40 | (k as u64) << 24 | (si as u64) << 16 | rep;
                     let seed = splitmix64(self.root_seed ^ coords);
-                    let budget = self.budget_per_n * n as u64 + self.budget_flat;
-                    let budget = if scheduler == SchedulerKind::Asynchronous {
-                        budget * self.async_budget_factor.max(1)
-                    } else {
-                        budget
-                    };
                     jobs.push(BatchJob {
                         task: self.task,
                         start: crate::rigid_start(n, k),
                         scheduler,
                         seed,
                         targets: self.targets,
-                        max_scheduler_steps: budget,
+                        max_scheduler_steps: self
+                            .step_budget(n, scheduler)
+                            .expect("the step budget fits a u64"),
                     });
                 }
             }
@@ -852,9 +870,46 @@ fn declared_flags(usage: &str) -> impl Iterator<Item = (&str, bool)> {
     })
 }
 
+/// Splits a command line by the flags `usage` declares — `[--name]` is a
+/// switch, `[--name <placeholder>]` takes a value — into the positional
+/// arguments in order and each flag with its value.  A value is the next
+/// argument, which must not start with `--`.  Every command-line parser of
+/// the workspace accepts flags by this rule.
+///
+/// # Errors
+///
+/// Returns the message for a flag `usage` does not declare or a flag
+/// missing its value.
+#[allow(clippy::type_complexity)]
+pub fn split_args(
+    args: impl Iterator<Item = String>,
+    usage: &str,
+) -> Result<(Vec<String>, Vec<(&str, Option<String>)>), String> {
+    let mut positional = Vec::new();
+    let mut flags = Vec::new();
+    let mut args = args.peekable();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            positional.push(arg);
+            continue;
+        }
+        let Some((name, takes_value)) = declared_flags(usage).find(|&(name, _)| name == arg) else {
+            return Err(format!("unknown argument {arg:?}"));
+        };
+        let value = if takes_value {
+            let value = args.next_if(|value| !value.starts_with("--"));
+            Some(value.ok_or_else(|| format!("{name} requires a value"))?)
+        } else {
+            None
+        };
+        flags.push((name, value));
+    }
+    Ok((positional, flags))
+}
+
 /// Prints `message` and `usage` on stderr, naming the binary the usage
 /// names, and exits with status 2.
-fn exit_with_usage(usage: &str, message: &str) -> ! {
+pub fn exit_with_usage(usage: &str, message: &str) -> ! {
     let program = usage.split_whitespace().nth(1).unwrap_or("exp");
     eprintln!("{program}: {message}\n{usage}");
     std::process::exit(2);
@@ -888,6 +943,10 @@ impl ExpArgs {
         default_seed: u64,
         usage: &'static str,
     ) -> Result<Self, String> {
+        let (positional, flags) = split_args(args, usage)?;
+        if let Some(arg) = positional.first() {
+            return Err(format!("unknown argument {arg:?}"));
+        }
         let mut parsed = ExpArgs {
             quick: false,
             json: None,
@@ -898,20 +957,7 @@ impl ExpArgs {
             rest: Vec::new(),
             usage,
         };
-        let mut args = args.peekable();
-        while let Some(arg) = args.next() {
-            let Some((name, takes_value)) = declared_flags(usage).find(|&(name, _)| name == arg)
-            else {
-                return Err(format!("unknown argument {arg:?}"));
-            };
-            let value = if takes_value {
-                match args.next_if(|value| !value.starts_with("--")) {
-                    Some(value) => Some(value),
-                    None => return Err(format!("{name} requires a value")),
-                }
-            } else {
-                None
-            };
+        for (name, value) in flags {
             match (name, value) {
                 ("--quick", None) => parsed.quick = true,
                 ("--sequential", None) => parsed.sequential = true,
@@ -924,7 +970,7 @@ impl ExpArgs {
                         .map_err(|_| format!("--seed takes a u64, got {seed:?}"))?;
                 }
                 (_, value) => {
-                    parsed.rest.push(arg);
+                    parsed.rest.push(name.to_string());
                     parsed.rest.extend(value);
                 }
             }

@@ -47,17 +47,20 @@
 //! count with [`ExploreOptions::with_workers`] (default: one per available
 //! core).
 //!
-//! Two deduplication regimes are offered.  [`check_protocol`] keys states by
-//! their exact behavioural identity ([`PackedState::behavior_sig`], the
-//! packed form of [`EngineState::exact_key`]) — robot identities preserved,
-//! as per-robot fairness is **not** invariant under relabeling — and
-//! reports, as a statistic, how many canonical classes
-//! ([`PackedState::canonical_sig`], the Booth least-rotation quotient by
-//! ring rotation/reflection + robot relabeling) the concrete states collapse
-//! to.  [`check_safety_quotient`] dedups directly on canonical classes,
-//! which is sound for safety (a bad state is reachable iff an isomorphic one
-//! is) and explores the `≈ 2n`-fold smaller quotient graph; the two regimes
-//! must agree on every safety verdict, which the test suite pins.
+//! Two deduplication regimes are offered, one entry point each, and both
+//! always decide safety *and* liveness.  [`check_protocol_with_stats`] keys
+//! states by their exact behavioural identity
+//! ([`PackedState::behavior_sig`]: robot nodes and phases, counters
+//! excluded) — robot identities preserved, as per-robot fairness is **not**
+//! invariant under relabeling — and reports, as a statistic, how many
+//! canonical classes ([`PackedState::canonical_sig`], the Booth
+//! least-rotation quotient by ring rotation/reflection + robot relabeling)
+//! the concrete states collapse to.  [`check_protocol_quotient_with_stats`]
+//! dedups directly on canonical classes, which is sound for safety (a bad
+//! state is reachable iff an isomorphic one is), explores the `≈ 2n`-fold
+//! smaller quotient graph, and decides liveness on it by threading robot
+//! relabelings (below); the two regimes must agree on every verdict, which
+//! the test suite pins.
 //!
 //! Counterexamples [`replay`](replay_counterexample) on a fresh [`Engine`]:
 //! a safety trace reproduces its violation at the final step, a liveness
@@ -162,8 +165,6 @@ pub struct ExploreOptions {
     /// State budget; exceeding it yields [`CheckOutcome::BudgetExceeded`]
     /// instead of a verdict.
     pub max_states: usize,
-    /// Whether to run the liveness (SCC) analysis after the safety sweep.
-    pub check_liveness: bool,
     /// Worker threads a parallel phase may use; `0` means one per available
     /// core.  A batch is split across them only when every thread's share
     /// is large enough to pay for starting it.  The verdict, the report and
@@ -192,7 +193,6 @@ impl ExploreOptions {
         ExploreOptions {
             interleaving,
             max_states: DEFAULT_MAX_STATES,
-            check_liveness: true,
             workers: 0,
             faults: FaultBudget::none(),
             store: StoreKind::Mem,
@@ -238,13 +238,6 @@ impl ExploreOptions {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Disables the liveness analysis (safety sweep only).
-    #[must_use]
-    pub fn safety_only(mut self) -> Self {
-        self.check_liveness = false;
         self
     }
 }
@@ -368,8 +361,8 @@ fn render_steps(steps: &[SchedulerStep]) -> String {
 /// The verdict of one exhaustive check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckOutcome {
-    /// Every reachable edge is safe and (if checked) every fair schedule
-    /// makes the required progress.
+    /// Every reachable edge is safe and every fair schedule makes the
+    /// required progress.
     Verified,
     /// A violation was found, with its concrete schedule.
     Falsified(Box<Counterexample>),
@@ -824,32 +817,20 @@ fn state_view(state: &EngineState, crashed: u32) -> StateView<'_> {
 // Public entry points.
 // ---------------------------------------------------------------------------
 
-/// Exhaustively checks `protocol` against `invariant` from `initial`,
+/// Exhaustively checks `protocol` against `invariant` from `initial` —
+/// safety on every edge, then liveness on the explored graph —
 /// deduplicating on exact behavioural state identity (sound for safety *and*
 /// per-robot fairness liveness).
+///
+/// Returns the report together with the storage backend's [`StoreStats`]
+/// (spilled bytes, phase timings and the like); everything in the report
+/// itself is backend-independent by design.
 ///
 /// # Errors
 ///
 /// Returns `Err` only when the initial configuration is rejected by the
 /// engine; violations found during the search are reported as
 /// [`CheckOutcome::Falsified`].
-pub fn check_protocol<P: Protocol + Clone + Send>(
-    protocol: &P,
-    initial: &Configuration,
-    invariant: &dyn Invariant,
-    options: &ExploreOptions,
-) -> Result<ExploreReport, SimError> {
-    Ok(check_protocol_with_stats(protocol, initial, invariant, options)?.0)
-}
-
-/// [`check_protocol`], additionally returning the storage backend's
-/// [`StoreStats`] (spilled bytes and the like) — everything in the report
-/// itself is backend-independent by design.
-///
-/// # Errors
-///
-/// Returns `Err` only when the initial configuration is rejected by the
-/// engine.
 pub fn check_protocol_with_stats<P: Protocol + Clone + Send>(
     protocol: &P,
     initial: &Configuration,
@@ -862,37 +843,28 @@ pub fn check_protocol_with_stats<P: Protocol + Clone + Send>(
 
 /// Exhaustive check — safety *and* liveness — on the canonical symmetry
 /// quotient: states are deduplicated up to ring rotation/reflection and
-/// robot relabeling (the `≈ 2n`-fold smaller graph of
-/// [`check_safety_quotient`]), and liveness is decided soundly on that
-/// quotient by threading the accumulated robot relabeling
-/// ([`rr_core::relabel::RobotPerm`]) along quotient edges, so that fairness
-/// — a per-robot property the quotient forgets — is re-established over
-/// *concrete* robots.  The verdict equals [`check_protocol`]'s on every
-/// instance; `tests/exhaustive_small_instances.rs` pins that equality over
-/// the proved grid.
+/// robot relabeling, the `≈ 2n`-fold smaller graph.  This is sound and
+/// complete for safety (a violating edge exists iff an isomorphic one
+/// does).  Liveness is decided soundly on the same quotient by threading
+/// the accumulated robot relabeling ([`rr_core::relabel::RobotPerm`])
+/// along quotient edges, so that fairness — a per-robot property the
+/// quotient forgets — is re-established over *concrete* robots.  The
+/// verdict equals [`check_protocol_with_stats`]'s on every instance;
+/// `tests/exhaustive_small_instances.rs` pins that equality over the proved
+/// grid.  Returns the report with the storage backend's [`StoreStats`].
 ///
-/// For invariants carrying auxiliary path state, or under fault budgets,
-/// the exploration falls back to exact keys (like [`check_safety_quotient`])
-/// and liveness is decided concretely — same verdict, no quotient savings.
-/// In the (astronomically unlikely) event that the threaded analysis
-/// exceeds its internal state cap, the checker transparently re-runs the
+/// Only invariants without auxiliary path state get the quotient: for an
+/// invariant carrying one (the searching contamination state), a sound
+/// class key would have to canonicalize the engine state and the auxiliary
+/// state *jointly*, so the exploration falls back to exact keys and decides
+/// liveness concretely — same verdict and cost as
+/// [`check_protocol_with_stats`], no quotient savings.  Fault budgets fall
+/// back the same way: crashed masks and fairness exemptions name robot ids,
+/// which relabeling does not preserve.  When the threaded analysis exceeds
+/// its internal state cap (astronomically unlikely), or finds a lasso that
+/// does not close concretely (a protocol whose steps are not equivariant
+/// under the merged symmetries), the checker transparently re-runs the
 /// exact exploration, so the verdict is always complete.
-///
-/// # Errors
-///
-/// Returns `Err` only when the initial configuration is rejected by the
-/// engine.
-pub fn check_protocol_quotient<P: Protocol + Clone + Send>(
-    protocol: &P,
-    initial: &Configuration,
-    invariant: &dyn Invariant,
-    options: &ExploreOptions,
-) -> Result<ExploreReport, SimError> {
-    Ok(check_protocol_quotient_with_stats(protocol, initial, invariant, options)?.0)
-}
-
-/// [`check_protocol_quotient`], additionally returning the storage
-/// backend's [`StoreStats`].
 ///
 /// # Errors
 ///
@@ -904,44 +876,15 @@ pub fn check_protocol_quotient_with_stats<P: Protocol + Clone + Send>(
     invariant: &dyn Invariant,
     options: &ExploreOptions,
 ) -> Result<(ExploreReport, StoreStats), SimError> {
-    let (report, stats, overflow) =
+    let (report, stats, gave_up) =
         explore(protocol, initial, invariant, options, Dedup::Canonical)?;
-    if overflow {
-        // The threaded quotient-liveness analysis hit its state cap: fall
-        // back to the exact explorer, whose liveness analysis needs no
-        // relabeling bookkeeping.
+    if gave_up {
+        // The threaded quotient-liveness analysis gave up: fall back to the
+        // exact explorer, whose liveness analysis needs no relabeling
+        // bookkeeping.
         return check_protocol_with_stats(protocol, initial, invariant, options);
     }
     Ok((report, stats))
-}
-
-/// Safety-only exhaustive check deduplicating on canonical state classes:
-/// the `≈ 2n`-fold smaller symmetry quotient of the state graph.
-///
-/// Sound and complete for safety (a violating edge exists iff an isomorphic
-/// one does); liveness is intentionally unavailable here because per-robot
-/// fairness is not invariant under the robot relabeling the quotient
-/// performs — use [`check_protocol`] for liveness.
-///
-/// Only invariants without auxiliary path state get the quotient: for an
-/// invariant carrying one (the searching contamination state), a sound class
-/// key would have to canonicalize the engine state and the auxiliary state
-/// *jointly*, so this function falls back to exact keys — same exploration
-/// cost as [`check_protocol`], minus its liveness analysis.  Prefer
-/// [`check_protocol`] for those invariants.
-///
-/// # Errors
-///
-/// Returns `Err` only when the initial configuration is rejected by the
-/// engine.
-pub fn check_safety_quotient<P: Protocol + Clone + Send>(
-    protocol: &P,
-    initial: &Configuration,
-    invariant: &dyn Invariant,
-    options: &ExploreOptions,
-) -> Result<ExploreReport, SimError> {
-    let options = options.safety_only();
-    Ok(explore(protocol, initial, invariant, &options, Dedup::Canonical)?.0)
 }
 
 // ---------------------------------------------------------------------------
@@ -1452,9 +1395,9 @@ fn resolve_workers(requested: usize) -> usize {
 }
 
 /// The exploration engine.  Returns the report, the storage backend's
-/// stats, and whether the quotient-liveness analysis overflowed its thread
-/// cap (in which case the report's outcome is not a verdict and the caller
-/// must fall back to exact exploration).
+/// stats, and whether the quotient-liveness analysis gave up (in which case
+/// the report's outcome is not a verdict and the caller must fall back to
+/// exact exploration).
 fn explore<P: Protocol + Clone + Send>(
     protocol: &P,
     initial: &Configuration,
@@ -1648,10 +1591,10 @@ fn explore<P: Protocol + Clone + Send>(
     // on-disk run file — the runs are exploration-only state.
     let visited_spilled_bytes = visited.spilled_bytes();
     drop(visited);
-    let mut quotient_overflow = false;
+    let mut quotient_gave_up = false;
     let outcome = if let Some(outcome) = stop {
         outcome
-    } else if options.check_liveness {
+    } else {
         let edges = sink.finish();
         let graph = Graph {
             meta: &meta,
@@ -1667,8 +1610,8 @@ fn explore<P: Protocol + Clone + Send>(
                 invariant,
             ) {
                 Ok(violation) => violation,
-                Err(QuotientOverflow) => {
-                    quotient_overflow = true;
+                Err(QuotientGaveUp) => {
+                    quotient_gave_up = true;
                     None
                 }
             }
@@ -1679,8 +1622,6 @@ fn explore<P: Protocol + Clone + Send>(
             Some(ce) => CheckOutcome::Falsified(Box::new(ce)),
             None => CheckOutcome::Verified,
         }
-    } else {
-        CheckOutcome::Verified
     };
 
     let stats = StoreStats {
@@ -1704,7 +1645,7 @@ fn explore<P: Protocol + Clone + Send>(
         state_bytes: store.payload_bytes(),
         outcome,
     };
-    Ok((report, stats, quotient_overflow))
+    Ok((report, stats, quotient_gave_up))
 }
 
 /// Edge codes from the root to node `i`, following BFS parent pointers.
@@ -1774,7 +1715,12 @@ fn liveness_violation(
     }
     prefix_codes.reverse();
 
-    let cycle_codes = covering_cycle(graph, &scc, bad, entry, required[bad], &eligible);
+    let walk = covering_walk(entry, required[bad], &|u| graph.out(u).len(), &|u, i| {
+        let e = &graph.out(u)[i];
+        (eligible(u, e) && scc[e.to as usize] == bad)
+            .then(|| (e.to as usize, step_activation_mask(e.code)))
+    });
+    let cycle_codes: Vec<u32> = walk.iter().map(|&(u, i)| graph.out(u)[i].code).collect();
     let mut prefix = Vec::new();
     let mut faults = Vec::new();
     realize_codes(&prefix_codes, 0, &mut prefix, &mut faults);
@@ -1803,79 +1749,75 @@ fn liveness_violation(
     })
 }
 
-/// A non-empty closed walk from `entry` back to `entry` inside SCC
-/// `target_scc`, using only eligible edges, whose activation masks cover
-/// `required` (the fairness obligation; possibly a strict subset of the
-/// robots, or empty, under fault exemptions).  Returned as edge codes.
-fn covering_cycle(
-    graph: &Graph<'_>,
-    scc: &[usize],
-    target_scc: usize,
+/// A non-empty closed walk from `entry` back to `entry` whose edge masks
+/// cover `required` (the fairness obligation; possibly a strict subset of
+/// the robots, or empty, under fault exemptions) — the lasso cycle of both
+/// liveness analyses.  The graph is given like [`tarjan_core`]'s: node
+/// `u`'s out-degree, and per edge index its `(target, activation mask)`,
+/// or `None` for an edge the walk may not take (outside the bad SCC, or
+/// ineligible).  Returned as the walk's `(node, edge index)` pairs.
+///
+/// Greedy: from the current node, breadth-first to the nearest edge that
+/// activates a robot still missing, until everything required is covered;
+/// then breadth-first back to `entry`.
+fn covering_walk(
     entry: usize,
     required: u32,
-    eligible: &dyn Fn(usize, &Edge) -> bool,
-) -> Vec<u32> {
-    // BFS inside the SCC from `from`, stopping as soon as `stop(u, e)` holds
-    // for an edge about to be relaxed; returns the end node and the walk
-    // (as (node, edge-index) pairs) including that stopping edge.
-    #[allow(clippy::type_complexity)]
+    degree: &dyn Fn(usize) -> usize,
+    arc: &dyn Fn(usize, usize) -> Option<(usize, u32)>,
+) -> Vec<(usize, usize)> {
+    // BFS from `from`, stopping as soon as `stop(to, mask)` holds for an
+    // edge about to be relaxed; appends the walk from `from` up to and
+    // including that edge, and returns the node it ends on.
     let walk_until =
-        |from: usize, stop: &dyn Fn(usize, &Edge) -> bool| -> (usize, Vec<(usize, usize)>) {
+        |from: usize, stop: &dyn Fn(usize, u32) -> bool, walk: &mut Vec<(usize, usize)>| {
             let mut parent: HashMap<usize, (usize, usize)> = HashMap::new();
             let mut queue = VecDeque::from([from]);
             let mut seen: HashSet<usize> = HashSet::from([from]);
             while let Some(u) = queue.pop_front() {
-                for (ei, e) in graph.out(u).iter().enumerate() {
-                    if !eligible(u, e) || scc[e.to as usize] != target_scc {
+                for i in 0..degree(u) {
+                    let Some((to, mask)) = arc(u, i) else {
                         continue;
-                    }
-                    if stop(u, e) {
-                        // Reconstruct from → u, then append (u, ei).
-                        let mut walk = vec![(u, ei)];
+                    };
+                    if stop(to, mask) {
+                        let start = walk.len();
+                        walk.push((u, i));
                         let mut cur = u;
                         while cur != from {
-                            let (p, pei) = parent[&cur];
-                            walk.push((p, pei));
+                            let (p, pi) = parent[&cur];
+                            walk.push((p, pi));
                             cur = p;
                         }
-                        walk.reverse();
-                        return (e.to as usize, walk);
+                        walk[start..].reverse();
+                        return to;
                     }
-                    if seen.insert(e.to as usize) {
-                        parent.insert(e.to as usize, (u, ei));
-                        queue.push_back(e.to as usize);
+                    if seen.insert(to) {
+                        parent.insert(to, (u, i));
+                        queue.push_back(to);
                     }
                 }
             }
-            unreachable!("SCC is strongly connected and covers the mask");
+            unreachable!("the SCC is strongly connected and covers the mask");
         };
-    let append = |walk: Vec<(usize, usize)>, codes: &mut Vec<u32>, covered: &mut u32| {
-        for (n, ei) in walk {
-            let e = &graph.out(n)[ei];
-            *covered |= step_activation_mask(e.code);
-            codes.push(e.code);
-        }
-    };
 
-    let mut codes = Vec::new();
+    let mut walk = Vec::new();
     let mut covered = 0u32;
     let mut cur = entry;
     while covered & required != required {
         let missing = required & !covered;
-        let (end, walk) = walk_until(cur, &|_, e: &Edge| {
-            step_activation_mask(e.code) & missing != 0
-        });
-        append(walk, &mut codes, &mut covered);
-        cur = end;
+        let start = walk.len();
+        cur = walk_until(cur, &|_, mask| mask & missing != 0, &mut walk);
+        for &(u, i) in &walk[start..] {
+            covered |= arc(u, i).expect("walk edges are allowed").1;
+        }
     }
     // Close the walk — unconditionally when the obligation was empty (fully
     // exempt SCC), so the lasso cycle is never empty.
-    if cur != entry || codes.is_empty() {
-        let (end, walk) = walk_until(cur, &|_, e: &Edge| e.to as usize == entry);
-        append(walk, &mut codes, &mut covered);
+    if cur != entry || walk.is_empty() {
+        let end = walk_until(cur, &|to, _| to == entry, &mut walk);
         debug_assert_eq!(end, entry);
     }
-    codes
+    walk
 }
 
 // ---------------------------------------------------------------------------
@@ -1911,9 +1853,13 @@ fn covering_cycle(
 //   and by protocol equivariance the reached states differ from the entry
 //   only by a fixed dihedral symmetry `d` — so the concrete run closes
 //   exactly after `ord(d) ≤ n` traversals.  The realization below repeats
-//   the walk until the engine's exact behavioural signature closes, and
-//   panics past `n + 2` traversals (that would be a bookkeeping bug, not an
-//   input property).
+//   the walk until the engine's exact behavioural signature closes.  A walk
+//   still open after `n + 2` traversals means the protocol's steps are not
+//   equivariant under the symmetries the quotient merged (a robot whose two
+//   views are equal moves in the engine's fixed first direction however the
+//   state is mirrored, and a table mutant's `Move(First)` follows that
+//   direction outright), so the analysis gives up and the caller decides
+//   liveness by exact exploration.
 //
 // The whole analysis is a pure function of the stored quotient graph, so
 // verdicts and extracted counterexamples remain byte-identical across
@@ -1922,13 +1868,14 @@ fn covering_cycle(
 /// Hard cap on threaded (quotient state × relabeling) pairs per candidate
 /// SCC.  Thread spaces are bounded by |SCC| × |subgroup generated by the
 /// edge relabelings| and stay tiny in practice; the cap is a guard rail —
-/// exceeding it aborts the quotient analysis and the caller falls back to
-/// exact exploration, so verdicts never suffer.
+/// exceeding it makes the quotient analysis give up and the caller fall
+/// back to exact exploration, so verdicts never suffer.
 const THREAD_CAP: usize = 4_000_000;
 
-/// Marker: the quotient-liveness analysis gave up (thread cap); the caller
-/// must decide liveness by exact exploration instead.
-struct QuotientOverflow;
+/// Marker: the quotient-liveness analysis gave up — the thread cap was
+/// exceeded, or the lasso it found does not close concretely — and the
+/// caller must decide liveness by exact exploration instead.
+struct QuotientGaveUp;
 
 /// One stored edge internal to a candidate SCC, with its relabeling.
 struct AlignedEdge {
@@ -1999,7 +1946,7 @@ fn quotient_liveness_violation<P: Protocol + Clone>(
     worker: &mut Worker<P>,
     full_mask: u32,
     invariant: &dyn Invariant,
-) -> Result<Option<Counterexample>, QuotientOverflow> {
+) -> Result<Option<Counterexample>, QuotientGaveUp> {
     let meta = graph.meta;
     if meta[0].target {
         return Ok(None);
@@ -2071,12 +2018,12 @@ fn threaded_violation_in_scc<P: Protocol + Clone>(
     bfs_parent: &[Option<(usize, usize)>],
     invariant: &dyn Invariant,
     full_mask: u32,
-) -> Result<Option<Counterexample>, QuotientOverflow> {
+) -> Result<Option<Counterexample>, QuotientGaveUp> {
     let c = scc[members[0] as usize];
     let k = full_mask.count_ones() as usize;
     let identity = RobotPerm::identity(k);
     if members.len() >= THREAD_CAP {
-        return Err(QuotientOverflow);
+        return Err(QuotientGaveUp);
     }
 
     // Stored representatives of the members, and the aligned internal edges.
@@ -2126,7 +2073,7 @@ fn threaded_violation_in_scc<P: Protocol + Clone>(
                 Some(&t) => t,
                 None => {
                     if threads.len() >= THREAD_CAP {
-                        return Err(QuotientOverflow);
+                        return Err(QuotientGaveUp);
                     }
                     let t = threads.len() as u32;
                     thread_of.insert(key, t);
@@ -2169,7 +2116,14 @@ fn threaded_violation_in_scc<P: Protocol + Clone>(
     let entry_t = (0..threads.len())
         .find(|&v| t_scc[v] == bad)
         .expect("non-empty SCC");
-    let walk = covering_thread_cycle(&t_out, &t_scc, bad, entry_t, full_mask);
+    let walk: Vec<(u32, RobotPerm)> =
+        covering_walk(entry_t, full_mask, &|v| t_out[v].len(), &|v, i| {
+            let e = &t_out[v][i];
+            (t_scc[e.to as usize] == bad).then_some((e.to as usize, e.mask))
+        })
+        .into_iter()
+        .map(|(v, i)| (t_out[v][i].code, t_out[v][i].perm))
+        .collect();
 
     // Stored-tree prefix root → entry's stored node, with per-edge
     // alignments (the worker's engine is the shared scratch).
@@ -2235,11 +2189,9 @@ fn threaded_violation_in_scc<P: Protocol + Clone>(
             break;
         }
     }
-    assert!(
-        closed,
-        "quotient lasso failed to close within {max_traversals} traversals — \
-         relabeling bookkeeping bug"
-    );
+    if !closed {
+        return Err(QuotientGaveUp);
+    }
 
     let what = match invariant.liveness_mode() {
         LivenessMode::Reach => "never reaching the target",
@@ -2253,73 +2205,6 @@ fn threaded_violation_in_scc<P: Protocol + Clone>(
         faults: Vec::new(),
         starved: 0,
     }))
-}
-
-/// A non-empty closed walk `entry → entry` in the threaded graph, inside
-/// threaded SCC `target_scc`, whose realized masks cover `required` —
-/// the threaded counterpart of [`covering_cycle`], returned as
-/// `(stored code, edge relabeling)` pairs ready for realization.
-fn covering_thread_cycle(
-    t_out: &[Vec<ThreadEdge>],
-    t_scc: &[usize],
-    target_scc: usize,
-    entry: usize,
-    required: u32,
-) -> Vec<(u32, RobotPerm)> {
-    #[allow(clippy::type_complexity)]
-    let walk_until =
-        |from: usize, stop: &dyn Fn(&ThreadEdge) -> bool| -> (usize, Vec<(usize, usize)>) {
-            let mut parent: HashMap<usize, (usize, usize)> = HashMap::new();
-            let mut queue = VecDeque::from([from]);
-            let mut seen: HashSet<usize> = HashSet::from([from]);
-            while let Some(u) = queue.pop_front() {
-                for (ei, e) in t_out[u].iter().enumerate() {
-                    if t_scc[e.to as usize] != target_scc {
-                        continue;
-                    }
-                    if stop(e) {
-                        let mut walk = vec![(u, ei)];
-                        let mut cur = u;
-                        while cur != from {
-                            let (p, pei) = parent[&cur];
-                            walk.push((p, pei));
-                            cur = p;
-                        }
-                        walk.reverse();
-                        return (e.to as usize, walk);
-                    }
-                    if seen.insert(e.to as usize) {
-                        parent.insert(e.to as usize, (u, ei));
-                        queue.push_back(e.to as usize);
-                    }
-                }
-            }
-            unreachable!("threaded SCC is strongly connected and covers the mask");
-        };
-    let append =
-        |walk: Vec<(usize, usize)>, steps: &mut Vec<(u32, RobotPerm)>, covered: &mut u32| {
-            for (u, ei) in walk {
-                let e = &t_out[u][ei];
-                *covered |= e.mask;
-                steps.push((e.code, e.perm));
-            }
-        };
-
-    let mut steps = Vec::new();
-    let mut covered = 0u32;
-    let mut cur = entry;
-    while covered & required != required {
-        let missing = required & !covered;
-        let (end, walk) = walk_until(cur, &|e| e.mask & missing != 0);
-        append(walk, &mut steps, &mut covered);
-        cur = end;
-    }
-    if cur != entry || steps.is_empty() {
-        let (end, walk) = walk_until(cur, &|e| e.to as usize == entry);
-        append(walk, &mut steps, &mut covered);
-        debug_assert_eq!(end, entry);
-    }
-    steps
 }
 
 /// The non-target states reachable from the root through non-target states
@@ -2586,6 +2471,7 @@ pub fn replay_counterexample<P: Protocol + Clone>(
                 }
             }
             let loop_state = engine.save_state();
+            let loop_behavior = engine.pack_behavior();
             let loop_aug_bits = aug.key_bits();
             if reach_mode && invariant.is_target(&state_view(&loop_state, crashed), &aug) {
                 return Ok(ReplayReport {
@@ -2618,8 +2504,7 @@ pub fn replay_counterexample<P: Protocol + Clone>(
                     }
                 }
             }
-            let closes = engine.save_state().exact_key() == loop_state.exact_key()
-                && aug.key_bits() == loop_aug_bits;
+            let closes = engine.pack_behavior() == loop_behavior && aug.key_bits() == loop_aug_bits;
             let fair = activated & required == required && activated & crashed == 0;
             let reproduced = closes && fair && !progress_seen && !target_seen;
             let detail = if reproduced {
@@ -2738,13 +2623,14 @@ mod tests {
         for (n, k) in [(6usize, 3usize), (7, 3)] {
             for initial in enumerate_rigid_configurations(n, k) {
                 for mode in MODES {
-                    let report = check_protocol(
+                    let report = check_protocol_with_stats(
                         &GatheringProtocol::new(),
                         &initial,
                         &GatheringInvariant::new(),
                         &ExploreOptions::new(mode),
                     )
-                    .unwrap();
+                    .unwrap()
+                    .0;
                     assert!(
                         report.verified(),
                         "n={n} k={k} mode={mode}: {:?}",
@@ -2770,13 +2656,14 @@ mod tests {
             let reports: Vec<ExploreReport> = [1usize, 2, 5]
                 .iter()
                 .map(|&w| {
-                    check_protocol(
+                    check_protocol_with_stats(
                         &GatheringProtocol::new(),
                         &initial,
                         &GatheringInvariant::new(),
                         &ExploreOptions::new(mode).with_workers(w),
                     )
                     .unwrap()
+                    .0
                 })
                 .collect();
             assert_eq!(reports[0], reports[1], "mode={mode}");
@@ -2797,13 +2684,14 @@ mod tests {
 
         let initial = enumerate_rigid_configurations(6, 3).remove(0);
         let run = |w: usize| {
-            check_protocol(
+            check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &GatheringInvariant::new(),
                 &ExploreOptions::new(InterleavingMode::SsyncSubsets).with_workers(w),
             )
             .unwrap()
+            .0
         };
         let reference = run(1);
         for degenerate in [0, BATCH + 7, usize::MAX] {
@@ -2835,20 +2723,22 @@ mod tests {
     fn quotient_safety_pass_agrees_and_is_smaller() {
         let initial = enumerate_rigid_configurations(7, 3).remove(0);
         for mode in MODES {
-            let concrete = check_protocol(
-                &GatheringProtocol::new(),
-                &initial,
-                &GatheringInvariant::new(),
-                &ExploreOptions::new(mode).safety_only(),
-            )
-            .unwrap();
-            let quotient = check_safety_quotient(
+            let concrete = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &GatheringInvariant::new(),
                 &ExploreOptions::new(mode),
             )
-            .unwrap();
+            .unwrap()
+            .0;
+            let quotient = check_protocol_quotient_with_stats(
+                &GatheringProtocol::new(),
+                &initial,
+                &GatheringInvariant::new(),
+                &ExploreOptions::new(mode),
+            )
+            .unwrap()
+            .0;
             assert!(concrete.verified() && quotient.verified(), "mode={mode}");
             // The quotient explorer's state count is exactly the number of
             // canonical classes the concrete explorer reports.
@@ -2864,21 +2754,23 @@ mod tests {
         // "robot 1 pending" are isomorphic under the reflection exchanging
         // the two robots — the canonical quotient merges them (4 → 3).
         let initial = Configuration::from_gaps_at_origin(&[1, 3]);
-        let options = ExploreOptions::new(InterleavingMode::AsyncPhases).safety_only();
-        let concrete = check_protocol(
+        let options = ExploreOptions::new(InterleavingMode::AsyncPhases);
+        let concrete = check_protocol_with_stats(
             &rr_corda::protocol::IdleProtocol,
             &initial,
             &GatheringInvariant::new(),
             &options,
         )
-        .unwrap();
-        let quotient = check_safety_quotient(
+        .unwrap()
+        .0;
+        let quotient = check_protocol_quotient_with_stats(
             &rr_corda::protocol::IdleProtocol,
             &initial,
             &GatheringInvariant::new(),
             &options,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(concrete.states, 4);
         assert_eq!(quotient.states, 3);
         assert_eq!(concrete.quotient_states, 3);
@@ -2897,13 +2789,14 @@ mod tests {
             Decision::Idle,
         );
         for mode in MODES {
-            let report = check_protocol(
+            let report = check_protocol_with_stats(
                 &mutant,
                 &initial,
                 &GatheringInvariant::new(),
                 &ExploreOptions::new(mode),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             let ce = report.counterexample().expect("mutant must be falsified");
             assert_eq!(ce.kind, ViolationKind::Liveness);
             assert!(!ce.cycle.is_empty());
@@ -2912,6 +2805,31 @@ mod tests {
             assert!(replay.reproduced, "mode={mode}: {}", replay.detail);
             assert!(!ce.render().is_empty());
         }
+    }
+
+    #[test]
+    fn replay_rejects_a_lasso_whose_cycle_does_not_close() {
+        // The replay is a certificate check, so it must also say no: cut
+        // the last step off the idle mutant's ASYNC lasso cycle.  Every
+        // ASYNC step flips one robot's phase, so the cut cycle ends one
+        // phase away from its entry state and cannot close.
+        let initial = enumerate_rigid_configurations(7, 3).remove(0);
+        let mutant = MutatedProtocol::new(
+            GatheringProtocol::new(),
+            MutatedProtocol::<GatheringProtocol>::trigger_for(&initial),
+            Decision::Idle,
+        );
+        let inv = GatheringInvariant::new();
+        let options = ExploreOptions::new(InterleavingMode::AsyncPhases);
+        let report = check_protocol_with_stats(&mutant, &initial, &inv, &options)
+            .unwrap()
+            .0;
+        let mut cut = report.counterexample().expect("mutant falsified").clone();
+        assert!(cut.cycle.len() > 1, "{}", cut.render());
+        cut.cycle.pop();
+        let replay = replay_counterexample(&mutant, &initial, &inv, &cut).unwrap();
+        assert!(!replay.reproduced, "{}", replay.detail);
+        assert!(replay.detail.contains("closes=false"), "{}", replay.detail);
     }
 
     #[test]
@@ -2924,20 +2842,22 @@ mod tests {
         for (n, k) in [(6usize, 3usize), (7, 3)] {
             let initial = enumerate_rigid_configurations(n, k).remove(0);
             for mode in MODES {
-                let concrete = check_protocol(
+                let concrete = check_protocol_with_stats(
                     &GatheringProtocol::new(),
                     &initial,
                     &GatheringInvariant::new(),
                     &ExploreOptions::new(mode),
                 )
-                .unwrap();
-                let quotient = check_protocol_quotient(
+                .unwrap()
+                .0;
+                let quotient = check_protocol_quotient_with_stats(
                     &GatheringProtocol::new(),
                     &initial,
                     &GatheringInvariant::new(),
                     &ExploreOptions::new(mode),
                 )
-                .unwrap();
+                .unwrap()
+                .0;
                 assert!(concrete.verified(), "n={n} k={k} mode={mode}");
                 assert!(quotient.verified(), "n={n} k={k} mode={mode}");
                 assert_eq!(quotient.states, concrete.quotient_states, "mode={mode}");
@@ -2959,13 +2879,14 @@ mod tests {
             Decision::Idle,
         );
         for mode in MODES {
-            let report = check_protocol_quotient(
+            let report = check_protocol_quotient_with_stats(
                 &mutant,
                 &initial,
                 &GatheringInvariant::new(),
                 &ExploreOptions::new(mode),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             let ce = report.counterexample().expect("mutant must be falsified");
             assert_eq!(ce.kind, ViolationKind::Liveness);
             assert!(!ce.cycle.is_empty());
@@ -2986,10 +2907,17 @@ mod tests {
         let inv = GatheringInvariant::new();
         let options = ExploreOptions::new(InterleavingMode::AsyncPhases);
         let concrete =
-            check_protocol(&rr_corda::protocol::IdleProtocol, &initial, &inv, &options).unwrap();
-        let quotient =
-            check_protocol_quotient(&rr_corda::protocol::IdleProtocol, &initial, &inv, &options)
-                .unwrap();
+            check_protocol_with_stats(&rr_corda::protocol::IdleProtocol, &initial, &inv, &options)
+                .unwrap()
+                .0;
+        let quotient = check_protocol_quotient_with_stats(
+            &rr_corda::protocol::IdleProtocol,
+            &initial,
+            &inv,
+            &options,
+        )
+        .unwrap()
+        .0;
         let concrete_ce = concrete.counterexample().expect("idle never gathers");
         let ce = quotient.counterexample().expect("idle never gathers");
         assert_eq!(ce.kind, ViolationKind::Liveness);
@@ -3041,14 +2969,17 @@ mod tests {
         );
         for mode in MODES {
             let base = ExploreOptions::new(mode);
-            let mem = check_protocol(&mutant, &initial, &inv, &base).unwrap();
-            let spill = check_protocol(
+            let mem = check_protocol_with_stats(&mutant, &initial, &inv, &base)
+                .unwrap()
+                .0;
+            let spill = check_protocol_with_stats(
                 &mutant,
                 &initial,
                 &inv,
                 &base.with_store(StoreKind::Spill).with_mem_budget(0),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert_eq!(mem, spill, "mode={mode}");
             assert_eq!(
                 mem.counterexample().unwrap().render(),
@@ -3074,13 +3005,14 @@ mod tests {
             (InterleavingMode::SsyncSubsets, 1),
             (InterleavingMode::AsyncPhases, 2),
         ] {
-            let report = check_protocol(
+            let report = check_protocol_with_stats(
                 &mutant,
                 &initial,
                 &AlignmentInvariant::new(),
                 &ExploreOptions::new(mode),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             let ce = report.counterexample().expect("mutant must be falsified");
             assert_eq!(ce.kind, ViolationKind::Safety);
             assert_eq!(ce.prefix.len(), minimal_len, "mode={mode}: {}", ce.render());
@@ -3096,13 +3028,14 @@ mod tests {
     fn alignment_is_verified_exhaustively() {
         for initial in enumerate_rigid_configurations(7, 3) {
             for mode in MODES {
-                let report = check_protocol(
+                let report = check_protocol_with_stats(
                     &AlignProtocol::new(),
                     &initial,
                     &AlignmentInvariant::new(),
                     &ExploreOptions::new(mode),
                 )
-                .unwrap();
+                .unwrap()
+                .0;
                 assert!(report.verified(), "mode={mode}: {:?}", report.outcome);
             }
         }
@@ -3115,13 +3048,14 @@ mod tests {
         // invariant, and the lasso replays.
         let initial = Configuration::from_gaps_at_origin(&[1, 3]); // n=6, k=2
         let inv = SearchingInvariant::new();
-        let report = check_protocol(
+        let report = check_protocol_with_stats(
             &rr_corda::protocol::IdleProtocol,
             &initial,
             &inv,
             &ExploreOptions::new(InterleavingMode::AsyncPhases),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let ce = report.counterexample().expect("idle never clears");
         assert_eq!(ce.kind, ViolationKind::Liveness);
         assert_eq!(report.progress_edges, 0);
@@ -3140,13 +3074,14 @@ mod tests {
         // discovered (3) and completed expansions (0) must say so
         // separately, where the old report claimed `explored = 3`.
         let initial = enumerate_rigid_configurations(7, 3).remove(0);
-        let report = check_protocol(
+        let report = check_protocol_with_stats(
             &GatheringProtocol::new(),
             &initial,
             &GatheringInvariant::new(),
             &ExploreOptions::new(InterleavingMode::AsyncPhases).with_max_states(3),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(
             report.outcome,
             CheckOutcome::BudgetExceeded {
@@ -3157,13 +3092,14 @@ mod tests {
         // One more state of budget: the root's whole frontier fits, its
         // expansion completes, and the budget trips during node 1's
         // expansion instead — completed expansions advance to 1.
-        let report = check_protocol(
+        let report = check_protocol_with_stats(
             &GatheringProtocol::new(),
             &initial,
             &GatheringInvariant::new(),
             &ExploreOptions::new(InterleavingMode::AsyncPhases).with_max_states(4),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(
             report.outcome,
             CheckOutcome::BudgetExceeded {
@@ -3173,7 +3109,7 @@ mod tests {
         );
         // Budget reporting is worker-independent like everything else.
         for workers in [2usize, 7] {
-            let again = check_protocol(
+            let again = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &GatheringInvariant::new(),
@@ -3181,7 +3117,8 @@ mod tests {
                     .with_max_states(4)
                     .with_workers(workers),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert_eq!(again, report, "workers={workers}");
         }
     }
@@ -3281,20 +3218,22 @@ mod tests {
         // the SAME exploration: identical reports, field for field.
         let initial = enumerate_rigid_configurations(7, 3).remove(0);
         for mode in MODES {
-            let plain = check_protocol(
+            let plain = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &GatheringInvariant::new(),
                 &ExploreOptions::new(mode),
             )
-            .unwrap();
-            let budgeted = check_protocol(
+            .unwrap()
+            .0;
+            let budgeted = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &GatheringInvariant::new(),
                 &ExploreOptions::new(mode).with_faults(FaultBudget::none()),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert_eq!(plain, budgeted, "mode={mode}");
         }
     }
@@ -3307,13 +3246,14 @@ mod tests {
         // carry the crash directive and replay on a fresh engine.
         let initial = enumerate_rigid_configurations(6, 3).remove(0);
         for mode in MODES {
-            let report = check_protocol(
+            let report = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &GatheringInvariant::new(),
                 &ExploreOptions::new(mode).with_faults(FaultBudget::none().with_crashes(1)),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             let ce = report.counterexample().expect("crash defeats gathering");
             assert_eq!(ce.kind, ViolationKind::Liveness);
             assert!(
@@ -3339,22 +3279,22 @@ mod tests {
         let initial = enumerate_rigid_configurations(6, 3).remove(0);
         let inv = rr_core::invariant::CrashTolerantGatheringInvariant::new();
         for mode in MODES {
-            let plain = check_protocol(
+            let plain = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &inv,
-                &ExploreOptions::new(mode).safety_only(),
+                &ExploreOptions::new(mode),
             )
-            .unwrap();
-            let crashy = check_protocol(
+            .unwrap()
+            .0;
+            let crashy = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &inv,
-                &ExploreOptions::new(mode)
-                    .safety_only()
-                    .with_faults(FaultBudget::none().with_crashes(1)),
+                &ExploreOptions::new(mode).with_faults(FaultBudget::none().with_crashes(1)),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert!(
                 crashy.states > plain.states,
                 "mode={mode}: {} !> {}",
@@ -3374,13 +3314,14 @@ mod tests {
         let initial = enumerate_rigid_configurations(6, 3).remove(0);
         let inv = rr_core::invariant::EventualGatheringInvariant::new();
         for mode in MODES {
-            let report = check_protocol(
+            let report = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &inv,
                 &ExploreOptions::new(mode).with_faults(FaultBudget::none().with_corrupt_looks(1)),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             match report.counterexample() {
                 None => assert!(report.verified(), "mode={mode}: {:?}", report.outcome),
                 Some(ce) => {
@@ -3399,14 +3340,15 @@ mod tests {
         // reported lasso must not activate robot 0 in its cycle, must name
         // the starved robot, and must replay under the relaxed fairness.
         let initial = Configuration::from_gaps_at_origin(&[1, 3]); // n=6, k=2
-        let report = check_protocol(
+        let report = check_protocol_with_stats(
             &rr_corda::protocol::IdleProtocol,
             &initial,
             &GatheringInvariant::new(),
             &ExploreOptions::new(InterleavingMode::AsyncPhases)
                 .with_faults(FaultBudget::none().with_starved(0b01)),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let ce = report.counterexample().expect("idle never gathers");
         assert_eq!(ce.kind, ViolationKind::Liveness);
         assert_eq!(ce.starved, 0b01);
@@ -3436,13 +3378,14 @@ mod tests {
         let initial = enumerate_rigid_configurations(6, 3).remove(0);
         let inv = rr_core::invariant::CrashTolerantGatheringInvariant::new();
         for mode in MODES {
-            let report = check_protocol(
+            let report = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &inv,
                 &ExploreOptions::new(mode).with_faults(FaultBudget::none().with_crashes(1)),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             if let Some(ce) = report.counterexample() {
                 let replay =
                     replay_counterexample(&GatheringProtocol::new(), &initial, &inv, ce).unwrap();

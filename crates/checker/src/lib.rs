@@ -37,10 +37,9 @@ mod visited;
 pub use characterization::{build_characterization, CellStatus, CharacterizationCell};
 pub use enumeration::{configuration_graph, ConfigurationGraph};
 pub use explore::{
-    check_protocol, check_protocol_quotient, check_protocol_quotient_with_stats,
-    check_protocol_with_stats, check_safety_quotient, replay_counterexample, CheckOutcome,
-    Counterexample, ExploreOptions, ExploreReport, FaultBudget, FaultDirective, MutatedProtocol,
-    ReplayReport, ViolationKind,
+    check_protocol_quotient_with_stats, check_protocol_with_stats, replay_counterexample,
+    CheckOutcome, Counterexample, ExploreOptions, ExploreReport, FaultBudget, FaultDirective,
+    MutatedProtocol, ReplayReport, ViolationKind,
 };
 pub use game::{exhaustive_impossibility, GameOutcome};
 pub use store::{StoreKind, StoreStats};

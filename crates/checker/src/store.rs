@@ -59,8 +59,9 @@ impl std::fmt::Display for StoreKind {
 /// Backend-specific statistics of one exploration.  Everything in the
 /// [`crate::ExploreReport`] itself is backend-independent (so reports can be
 /// compared byte for byte across backends); what the backend actually did —
-/// how many bytes it wrote to disk — surfaces here, via
-/// [`crate::check_protocol_with_stats`].
+/// how many bytes it wrote to disk — surfaces here, returned by both check
+/// entry points ([`crate::check_protocol_with_stats`],
+/// [`crate::check_protocol_quotient_with_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
     /// The backend that ran.

@@ -7,7 +7,7 @@
 //! graphs run in `exp_modelcheck`, release-built).
 
 use rr_checker::explore::{
-    check_protocol, check_protocol_quotient, check_safety_quotient, ExploreOptions,
+    check_protocol_quotient_with_stats, check_protocol_with_stats, ExploreOptions,
 };
 use rr_corda::{InterleavingMode, Protocol};
 use rr_core::invariant::{AlignmentInvariant, GatheringInvariant, Invariant, SearchingInvariant};
@@ -31,32 +31,34 @@ fn assert_cell_proved<P: Protocol + Clone + Send>(
     assert!(!initials.is_empty(), "no rigid class for n={n} k={k}");
     for initial in &initials {
         for &mode in modes {
-            let report = check_protocol(protocol, initial, invariant, &ExploreOptions::new(mode))
-                .unwrap_or_else(|e| panic!("n={n} k={k} {mode}: {e}"));
+            let report =
+                check_protocol_with_stats(protocol, initial, invariant, &ExploreOptions::new(mode))
+                    .unwrap_or_else(|e| panic!("n={n} k={k} {mode}: {e}"))
+                    .0;
             assert!(
                 report.verified(),
                 "n={n} k={k} mode={mode} from {initial}: {:?}",
                 report.outcome
             );
-            // The symmetry-quotient safety pass must agree.
-            let quotient =
-                check_safety_quotient(protocol, initial, invariant, &ExploreOptions::new(mode))
-                    .unwrap();
-            assert!(quotient.verified(), "quotient disagrees on n={n} k={k}");
+            // The full quotient check must agree, liveness included: the
+            // σ-threaded fairness analysis re-derives the concrete verdict
+            // from the 2n-fold smaller graph on every cell of the grid.
+            // (For the searching invariant, whose auxiliary contamination
+            // state forces exact keys, this degrades to the concrete checker
+            // — the verdicts still must match.)
+            let quotient = check_protocol_quotient_with_stats(
+                protocol,
+                initial,
+                invariant,
+                &ExploreOptions::new(mode),
+            )
+            .unwrap()
+            .0;
             assert!(quotient.states <= report.states);
-            // ... and so must the *full* quotient check, liveness included:
-            // the σ-threaded fairness analysis re-derives the concrete
-            // verdict from the 2n-fold smaller graph on every cell of the
-            // grid.  (For the searching invariant, whose auxiliary
-            // contamination state forces exact keys, this degrades to the
-            // concrete checker — the verdicts still must match.)
-            let full_quotient =
-                check_protocol_quotient(protocol, initial, invariant, &ExploreOptions::new(mode))
-                    .unwrap();
             assert!(
-                full_quotient.verified(),
+                quotient.verified(),
                 "quotient liveness disagrees on n={n} k={k} mode={mode} from {initial}: {:?}",
-                full_quotient.outcome
+                quotient.outcome
             );
         }
     }

@@ -17,9 +17,8 @@
 
 use proptest::prelude::*;
 use rr_checker::explore::{
-    check_protocol, check_protocol_quotient, check_protocol_with_stats, check_safety_quotient,
-    replay_counterexample, CheckOutcome, ExploreOptions, FaultBudget, MutatedProtocol,
-    ViolationKind,
+    check_protocol_quotient_with_stats, check_protocol_with_stats, replay_counterexample,
+    CheckOutcome, ExploreOptions, FaultBudget, MutatedProtocol, ViolationKind,
 };
 use rr_checker::StoreKind;
 use rr_corda::{Decision, InterleavingMode, Protocol, ViewIndex};
@@ -86,13 +85,20 @@ fn assert_worker_invariant<P: Protocol + Clone + Send>(
             fewest_started = fewest_started.min(stats.threads_started);
         }
     }
-    // The quotient explorer obeys the same discipline.
+    // The quotient explorer obeys the same discipline, liveness included.
     let quotient_reference =
-        check_safety_quotient(protocol, initial, invariant, &base.with_workers(1)).unwrap();
+        check_protocol_quotient_with_stats(protocol, initial, invariant, &base.with_workers(1))
+            .unwrap()
+            .0;
     for workers in &WORKER_COUNTS[1..] {
-        let report =
-            check_safety_quotient(protocol, initial, invariant, &base.with_workers(*workers))
-                .unwrap();
+        let report = check_protocol_quotient_with_stats(
+            protocol,
+            initial,
+            invariant,
+            &base.with_workers(*workers),
+        )
+        .unwrap()
+        .0;
         assert_eq!(
             report, quotient_reference,
             "{label} quotient: workers={workers}"
@@ -200,13 +206,14 @@ fn wide_batches_fan_out_and_stay_worker_invariant() {
         "a multi-worker run never fanned out: {started:?}"
     );
     // The two stops are the ones described above.
-    let tripped = check_protocol(
+    let tripped = check_protocol_with_stats(
         &GatheringProtocol::new(),
         &gathering,
         &GatheringInvariant::new(),
         &budget,
     )
-    .unwrap();
+    .unwrap()
+    .0;
     assert_eq!(
         tripped.outcome,
         CheckOutcome::BudgetExceeded {
@@ -214,13 +221,14 @@ fn wide_batches_fan_out_and_stay_worker_invariant() {
             completed_expansions: 4_756,
         }
     );
-    let falsified = check_protocol(
+    let falsified = check_protocol_with_stats(
         &move_mutant,
         &align_start,
         &AlignmentInvariant::new(),
         &async_phases,
     )
-    .unwrap();
+    .unwrap()
+    .0;
     let ce = falsified.counterexample().expect("the mutant collides");
     assert_eq!((ce.kind, ce.prefix.len()), (ViolationKind::Safety, 8));
 }
@@ -315,12 +323,19 @@ fn quotient_full_check_is_worker_and_store_invariant() {
     let invariant = GatheringInvariant::new();
     for mode in MODES {
         let base = ExploreOptions::new(mode);
-        let verified_ref =
-            check_protocol_quotient(&GatheringProtocol::new(), &initial, &invariant, &base)
-                .unwrap();
+        let verified_ref = check_protocol_quotient_with_stats(
+            &GatheringProtocol::new(),
+            &initial,
+            &invariant,
+            &base,
+        )
+        .unwrap()
+        .0;
         assert!(verified_ref.verified(), "{mode}");
         let falsified_ref =
-            check_protocol_quotient(&idle_mutant, &initial, &invariant, &base).unwrap();
+            check_protocol_quotient_with_stats(&idle_mutant, &initial, &invariant, &base)
+                .unwrap()
+                .0;
         let ce = falsified_ref.counterexample().expect("mutant falsified");
         let replay = replay_counterexample(&idle_mutant, &initial, &invariant, ce).unwrap();
         assert!(replay.reproduced, "{mode}: {}", replay.detail);
@@ -330,19 +345,26 @@ fn quotient_full_check_is_worker_and_store_invariant() {
                     .with_workers(workers)
                     .with_store(store)
                     .with_mem_budget(4 << 10);
-                let verified = check_protocol_quotient(
+                let verified = check_protocol_quotient_with_stats(
                     &GatheringProtocol::new(),
                     &initial,
                     &invariant,
                     &options,
                 )
-                .unwrap();
+                .unwrap()
+                .0;
                 assert_eq!(
                     verified, verified_ref,
                     "{mode}: workers={workers} store={store}"
                 );
-                let falsified =
-                    check_protocol_quotient(&idle_mutant, &initial, &invariant, &options).unwrap();
+                let falsified = check_protocol_quotient_with_stats(
+                    &idle_mutant,
+                    &initial,
+                    &invariant,
+                    &options,
+                )
+                .unwrap()
+                .0;
                 assert_eq!(
                     falsified, falsified_ref,
                     "{mode}: workers={workers} store={store}"

@@ -10,7 +10,7 @@
 //! any [`Monitor`] (look/move/step hooks), and [`Engine::run`] loops
 //! scheduler → step → monitor until a stop condition holds.
 
-use rr_ring::{Configuration, Direction, NodeId, Ring, View};
+use rr_ring::{Configuration, Direction, NodeId, Ring};
 use serde::{Deserialize, Serialize};
 
 use crate::error::SimError;
@@ -123,9 +123,6 @@ pub struct EngineOptions {
     /// Stepping strategy (baseline round-by-round by default).
     pub step_path: StepPath,
 }
-
-/// Former name of [`EngineOptions`], kept for continuity.
-pub type SimulatorOptions = EngineOptions;
 
 impl Default for EngineOptions {
     fn default() -> Self {
@@ -272,99 +269,6 @@ impl EngineState {
     #[must_use]
     pub fn robots(&self) -> &[RobotState] {
         &self.robots
-    }
-
-    /// Exact behavioural identity of the state: the occupancy counts plus
-    /// each robot's `(node, phase)`, *excluding* the monotonically growing
-    /// step/move/look counters (two states differing only in those counters
-    /// behave identically under every future schedule, provided the engine's
-    /// view order is not [`ViewOrder::Alternating`]).
-    ///
-    /// This is the hash key for concrete-state model checking, where robot
-    /// identities must be preserved (per-robot fairness is not invariant
-    /// under relabeling).
-    #[must_use]
-    pub fn exact_key(&self) -> Vec<u64> {
-        let ring = self.config.ring();
-        let mut key = Vec::with_capacity(1 + self.robots.len());
-        key.push(ring.len() as u64);
-        for r in &self.robots {
-            let phase = match r.phase {
-                Phase::Ready => 0u64,
-                Phase::IdlePending => 1,
-                Phase::MovePending { target } => {
-                    if ring.neighbor(r.node, Direction::Cw) == target {
-                        2
-                    } else {
-                        3
-                    }
-                }
-            };
-            key.push((r.node as u64) << 2 | phase);
-        }
-        key
-    }
-
-    /// Canonical behavioural identity of the state *up to ring automorphism
-    /// and robot relabeling*: the lexicographically smallest, over all `2n`
-    /// rotations/reflections of the ring, of the per-node encoded word
-    /// `(robots ready, idle-pending, move-pending-cw, move-pending-ccw)`.
-    ///
-    /// Two engine states with equal canonical keys are isomorphic: some ring
-    /// automorphism maps one onto the other (reflections swap the cw/ccw
-    /// pending-move directions, which the encoding accounts for).  The
-    /// minimization reuses the Booth least-rotation machinery of
-    /// [`View::min_rotation`] on the encoded word — one O(n) scan for the
-    /// word and one for its reflection, exactly like `View::supermin`.
-    ///
-    /// This quotient is sound for reachability/safety questions (a state is
-    /// reachable iff an isomorphic one is); it deliberately forgets robot
-    /// identities, so per-robot fairness arguments must use
-    /// [`EngineState::exact_key`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than 15 robots share a node and phase (the per-node
-    /// encoding packs each phase count into 4 bits; model-checked instances
-    /// are far smaller).
-    #[must_use]
-    pub fn canonical_key(&self) -> Vec<usize> {
-        let ring = self.config.ring();
-        let n = ring.len();
-        let mut ready = vec![0usize; n];
-        let mut idle = vec![0usize; n];
-        let mut pend_cw = vec![0usize; n];
-        let mut pend_ccw = vec![0usize; n];
-        for r in &self.robots {
-            match r.phase {
-                Phase::Ready => ready[r.node] += 1,
-                Phase::IdlePending => idle[r.node] += 1,
-                Phase::MovePending { target } => {
-                    if ring.neighbor(r.node, Direction::Cw) == target {
-                        pend_cw[r.node] += 1;
-                    } else {
-                        pend_ccw[r.node] += 1;
-                    }
-                }
-            }
-        }
-        let enc = |v: usize, cw: &[usize], ccw: &[usize]| {
-            assert!(
-                ready[v] < 16 && idle[v] < 16 && cw[v] < 16 && ccw[v] < 16,
-                "canonical_key packs per-node phase counts into 4 bits"
-            );
-            ready[v] | idle[v] << 4 | cw[v] << 8 | ccw[v] << 12
-        };
-        // Forward reading of the ring, and the reflection through node 0
-        // (v ↦ n - v mod n).  All 2n automorphisms are rotations of one of
-        // the two words; reflections swap the cw/ccw pending directions.
-        let forward: Vec<usize> = (0..n).map(|v| enc(v, &pend_cw, &pend_ccw)).collect();
-        let reflected: Vec<usize> = (0..n)
-            .map(|v| enc((n - v) % n, &pend_ccw, &pend_cw))
-            .collect();
-        let a = View::new(forward).min_rotation();
-        let b = View::new(reflected).min_rotation();
-        a.min(b).gaps().to_vec()
     }
 
     /// Bit-packs this state into a single small allocation; the exact
@@ -576,9 +480,6 @@ pub struct Engine<P> {
     moves: u64,
     looks: u64,
 }
-
-/// Former name of [`Engine`], kept for continuity.
-pub type Simulator<P> = Engine<P>;
 
 impl<P: Protocol> Engine<P> {
     /// Creates an engine for `protocol` starting from `initial`.
@@ -1734,7 +1635,11 @@ mod tests {
     use crate::monitor::MoveLog;
     use crate::protocol::{GreedyGapWalker, IdleProtocol};
     use crate::scheduler::RoundRobinScheduler;
-    use rr_ring::Configuration;
+    use rr_ring::{Configuration, View};
+
+    // The reference `exact_key`/`canonical_key` the signatures are pinned
+    // against; test-only, shared with `tests/packed_roundtrip.rs`.
+    include!("../tests/common/reference_keys.rs");
 
     fn cfg(gaps: &[usize]) -> Configuration {
         Configuration::from_gaps_at_origin(gaps)
@@ -2023,22 +1928,22 @@ mod tests {
         // different counters.
         a.step(&cycle(1), &mut ()).unwrap();
         assert_ne!(a.save_state(), b.save_state());
-        assert_eq!(a.save_state().exact_key(), b.save_state().exact_key());
+        assert_eq!(exact_key(&a.save_state()), exact_key(&b.save_state()));
         // A pending phase *is* part of the key.
         b.step(&SchedulerStep::Look(1), &mut ()).unwrap();
-        assert_ne!(a.save_state().exact_key(), b.save_state().exact_key());
+        assert_ne!(exact_key(&a.save_state()), exact_key(&b.save_state()));
     }
 
     #[test]
     fn canonical_key_is_invariant_under_rotation_and_reflection() {
-        use rr_ring::Configuration;
         let ring = Ring::new(9);
         // Base: robots at 0, 2, 3 — rotate by r and reflect (v ↦ -v).
         let base = Configuration::new_exclusive(ring, &[0, 2, 3]).unwrap();
-        let base_key = Engine::with_default_options(GreedyGapWalker, base)
-            .unwrap()
-            .save_state()
-            .canonical_key();
+        let base_key = canonical_key(
+            &Engine::with_default_options(GreedyGapWalker, base)
+                .unwrap()
+                .save_state(),
+        );
         for rot in 0..9usize {
             for reflect in [false, true] {
                 let nodes: Vec<usize> = [0usize, 2, 3]
@@ -2049,19 +1954,21 @@ mod tests {
                     })
                     .collect();
                 let c = Configuration::new_exclusive(ring, &nodes).unwrap();
-                let key = Engine::with_default_options(GreedyGapWalker, c)
-                    .unwrap()
-                    .save_state()
-                    .canonical_key();
+                let key = canonical_key(
+                    &Engine::with_default_options(GreedyGapWalker, c)
+                        .unwrap()
+                        .save_state(),
+                );
                 assert_eq!(key, base_key, "rot={rot} reflect={reflect}");
             }
         }
         // A genuinely different configuration has a different key.
         let other = Configuration::new_exclusive(ring, &[0, 2, 4]).unwrap();
-        let other_key = Engine::with_default_options(GreedyGapWalker, other)
-            .unwrap()
-            .save_state()
-            .canonical_key();
+        let other_key = canonical_key(
+            &Engine::with_default_options(GreedyGapWalker, other)
+                .unwrap()
+                .save_state(),
+        );
         assert_ne!(other_key, base_key);
     }
 
@@ -2072,16 +1979,16 @@ mod tests {
         // canonical keys agree; but a pending move differs from no pending.
         let c = cfg(&[3, 3]); // robots at 0 and 4 on an 8-ring (symmetric)
         let mut cw = Engine::with_default_options(GreedyGapWalker, c.clone()).unwrap();
-        let ready_key = cw.save_state().canonical_key();
+        let ready_key = canonical_key(&cw.save_state());
         cw.step(&SchedulerStep::Look(0), &mut ()).unwrap();
-        let cw_key = cw.save_state().canonical_key();
+        let cw_key = canonical_key(&cw.save_state());
         assert_ne!(ready_key, cw_key);
 
         // Mirror: build the reflected engine state by letting the *other*
         // robot look (by symmetry its pending move is the reflection).
         let mut ccw = Engine::with_default_options(GreedyGapWalker, c).unwrap();
         ccw.step(&SchedulerStep::Look(1), &mut ()).unwrap();
-        assert_eq!(ccw.save_state().canonical_key(), cw_key);
+        assert_eq!(canonical_key(&ccw.save_state()), cw_key);
     }
 
     #[test]
@@ -2125,19 +2032,20 @@ mod tests {
         // Different counters, same behaviour: equal sigs.
         a.step(&cycle(1), &mut ()).unwrap();
         assert_ne!(a.pack_state(), b.pack_state(), "counters differ");
+        assert_eq!(a.behavior_sig(), b.behavior_sig());
         assert_eq!(a.pack_state().behavior_sig(), b.pack_state().behavior_sig());
         // A pending phase is part of the signature.
         b.step(&SchedulerStep::Look(1), &mut ()).unwrap();
+        assert_ne!(a.behavior_sig(), b.behavior_sig());
         assert_ne!(a.pack_state().behavior_sig(), b.pack_state().behavior_sig());
         assert_eq!(
-            a.save_state().exact_key() == b.save_state().exact_key(),
+            exact_key(&a.save_state()) == exact_key(&b.save_state()),
             a.pack_state().behavior_sig() == b.pack_state().behavior_sig()
         );
     }
 
     #[test]
     fn canonical_sig_matches_canonical_key_equality() {
-        use rr_ring::Configuration;
         let ring = Ring::new(9);
         let base = Configuration::new_exclusive(ring, &[0, 2, 3]).unwrap();
         let base_sig = Engine::with_default_options(GreedyGapWalker, base)
@@ -2154,29 +2062,31 @@ mod tests {
                     })
                     .collect();
                 let c = Configuration::new_exclusive(ring, &nodes).unwrap();
-                let sig = Engine::with_default_options(GreedyGapWalker, c)
-                    .unwrap()
-                    .pack_state()
-                    .canonical_sig();
-                assert_eq!(sig, base_sig, "rot={rot} reflect={reflect}");
+                let engine = Engine::with_default_options(GreedyGapWalker, c).unwrap();
+                assert_eq!(
+                    engine.canonical_sig(),
+                    base_sig,
+                    "rot={rot} reflect={reflect}"
+                );
+                assert_eq!(engine.pack_state().canonical_sig(), base_sig);
             }
         }
         let other = Configuration::new_exclusive(ring, &[0, 2, 4]).unwrap();
         let other_sig = Engine::with_default_options(GreedyGapWalker, other)
             .unwrap()
-            .pack_state()
             .canonical_sig();
         assert_ne!(other_sig, base_sig);
 
         // Pending-move directions up to reflection, like canonical_key.
         let sym = cfg(&[3, 3]);
         let mut cw = Engine::with_default_options(GreedyGapWalker, sym.clone()).unwrap();
-        let ready_sig = cw.pack_state().canonical_sig();
+        let ready_sig = cw.canonical_sig();
         cw.step(&SchedulerStep::Look(0), &mut ()).unwrap();
-        let cw_sig = cw.pack_state().canonical_sig();
+        let cw_sig = cw.canonical_sig();
         assert_ne!(ready_sig, cw_sig);
         let mut ccw = Engine::with_default_options(GreedyGapWalker, sym).unwrap();
         ccw.step(&SchedulerStep::Look(1), &mut ()).unwrap();
+        assert_eq!(ccw.canonical_sig(), cw_sig);
         assert_eq!(ccw.pack_state().canonical_sig(), cw_sig);
     }
 

@@ -38,7 +38,7 @@ pub mod trace;
 
 pub use engine::{
     debug_step_probe, Engine, EngineOptions, EngineState, LookPath, MoveRecord, RunOutcome,
-    RunReport, Simulator, SimulatorOptions, StepPath, StepReport, ViewOrder,
+    RunReport, StepPath, StepReport, ViewOrder,
 };
 pub use error::SimError;
 pub use fault::{CorruptionKind, FaultEvent, FaultModel};

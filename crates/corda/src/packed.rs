@@ -109,10 +109,10 @@ pub const PHASE_MOVE_CCW: u64 = 3;
 /// the counter-free behavioural projection by
 /// [`crate::Engine::pack_behavior`].  Packed states order and compare by
 /// their bits, which makes them usable as deterministic map keys; note that
-/// — unlike [`crate::EngineState::exact_key`] — a full pack's bits *include*
-/// the monotone counters, so two behaviourally equal states reached along
-/// different paths generally pack differently.  Use
-/// [`PackedState::behavior_sig`] for counter-free behavioural identity.
+/// a full pack's bits *include* the monotone counters, so two behaviourally
+/// equal states reached along different paths generally pack differently.
+/// Use [`PackedState::behavior_sig`] (or compare behavioural projections)
+/// for counter-free behavioural identity.
 ///
 /// States of up to [`INLINE_WORDS`] words — every behavioural projection of
 /// a checkable instance, and full packs of shallow states — are stored
@@ -431,8 +431,8 @@ impl PackedState {
     }
 
     /// The **behavioural signature** of the packed state: robot nodes and
-    /// phases, *excluding* the monotone counters — the allocation-free
-    /// equivalent of [`crate::EngineState::exact_key`].  Two packed states of
+    /// phases, *excluding* the monotone counters, as a fixed inline
+    /// [`StateSig`] (an exact encoding, not a hash).  Two packed states of
     /// the same instance have equal signatures iff their engine states
     /// behave identically under every future schedule (for non-alternating
     /// view orders).  [`crate::Engine::behavior_sig`] computes the identical
@@ -459,12 +459,13 @@ impl PackedState {
 
     /// The **canonical signature** of the packed state: the behavioural
     /// identity *up to ring automorphism and robot relabeling*, packed into
-    /// a fixed [`StateSig`].  Equal signatures ⇔ equal
-    /// [`crate::EngineState::canonical_key`]s; this is the allocation-free
+    /// a fixed [`StateSig`].  Equal signatures ⇔ some ring rotation or
+    /// reflection maps one state's robot nodes and phases onto the other's
+    /// (counters ignored, robots relabeled); this is the allocation-free
     /// form the model checker's symmetry quotient and class statistics run
     /// on.
     ///
-    /// The encoding mirrors `canonical_key`: per node, the 16-bit word
+    /// The encoding: per node, the 16-bit word
     /// `ready | idle << 4 | pending-cw << 8 | pending-ccw << 12`; the
     /// signature is the lexicographically smallest among the `2n`
     /// rotations/reflections of that word sequence (reflections swap cw and

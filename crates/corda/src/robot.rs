@@ -1,4 +1,4 @@
-//! Simulator-side robot bookkeeping.
+//! Engine-side robot bookkeeping.
 //!
 //! Robot identifiers exist only so the simulator (and the verification
 //! oracles, e.g. the perpetual-exploration monitor) can track individual

@@ -5,12 +5,16 @@
 //! pack entry points (`EngineState::pack`, `Engine::pack_state`) agree bit
 //! for bit.  The behavioural projection (`Engine::pack_behavior`) and the
 //! state signatures are pinned against their reference definitions
-//! (`exact_key`, `canonical_key`) on the same histories.
+//! (`exact_key`, `canonical_key`, in `common/reference_keys.rs`) on the
+//! same histories.
 
 use proptest::prelude::*;
 use rr_corda::protocol::GreedyGapWalker;
-use rr_corda::{Engine, EngineOptions, SchedulerStep};
-use rr_ring::Configuration;
+use rr_corda::robot::Phase;
+use rr_corda::{Engine, EngineOptions, EngineState, SchedulerStep};
+use rr_ring::{Configuration, Direction, View};
+
+include!("common/reference_keys.rs");
 
 /// A random gap word for `k` robots with a positive total gap.
 fn gap_word() -> impl Strategy<Value = Vec<usize>> {
@@ -151,11 +155,11 @@ proptest! {
         }
         let (sa, sb) = (a.save_state(), b.save_state());
         prop_assert_eq!(
-            sa.exact_key() == sb.exact_key(),
+            exact_key(&sa) == exact_key(&sb),
             a.behavior_sig() == b.behavior_sig()
         );
         prop_assert_eq!(
-            sa.canonical_key() == sb.canonical_key(),
+            canonical_key(&sa) == canonical_key(&sb),
             a.canonical_sig() == b.canonical_sig()
         );
         // Live-engine and packed-state signature entry points agree.
@@ -166,7 +170,7 @@ proptest! {
         prop_assert_eq!(projected.behavior_sig(), a.behavior_sig());
         let mut scratch = a.clone();
         scratch.restore_packed(&projected);
-        prop_assert_eq!(scratch.save_state().exact_key(), sa.exact_key());
+        prop_assert_eq!(exact_key(&scratch.save_state()), exact_key(&sa));
         prop_assert_eq!(scratch.step_count(), 0, "projection zeroes the counters");
         prop_assert_eq!(scratch.configuration(), a.configuration());
     }

@@ -230,8 +230,7 @@ mod tests {
     use rr_corda::scheduler::{
         AsynchronousScheduler, RoundRobinScheduler, SemiSynchronousScheduler,
     };
-    use rr_corda::Simulator;
-    use rr_corda::SimulatorOptions;
+    use rr_corda::{Engine, EngineOptions};
     use rr_ring::enumerate::enumerate_rigid_configurations;
     use rr_ring::{symmetry, Configuration, Direction};
 
@@ -327,10 +326,10 @@ mod tests {
         for n in [10usize, 11, 12] {
             let k = n - 3;
             for config in enumerate_rigid_configurations(n, k) {
-                let mut sim = Simulator::new(
+                let mut sim = Engine::new(
                     NminusThreeProtocol,
                     config.clone(),
-                    SimulatorOptions::for_protocol(&NminusThreeProtocol),
+                    EngineOptions::for_protocol(&NminusThreeProtocol),
                 )
                 .unwrap();
                 let mut sched = RoundRobinScheduler::new();

@@ -41,12 +41,6 @@ impl Axis {
     pub fn fixed_nodes(&self) -> Vec<usize> {
         (0..self.n).filter(|&v| self.reflect(v) == v).collect()
     }
-
-    /// Whether the axis passes through node `v`.
-    #[must_use]
-    pub fn passes_through_node(&self, v: usize) -> bool {
-        self.reflect(v) == v
-    }
 }
 
 /// Coarse classification of a configuration (the paper's trichotomy).

@@ -44,12 +44,6 @@ impl View {
         &self.gaps
     }
 
-    /// Consumes the view, returning the underlying gap vector.
-    #[must_use]
-    pub fn into_gaps(self) -> Vec<usize> {
-        self.gaps
-    }
-
     /// Empties the view in place, keeping the gap buffer's allocation.
     ///
     /// Together with [`View::push`] this is the buffer-reuse surface of the
@@ -181,24 +175,13 @@ impl View {
     /// reflections).
     ///
     /// Runs in O(k) time with no intermediate allocation (only the returned
-    /// view is materialized); [`View::min_rotation_naive`] is the
-    /// all-rotations reference implementation it is tested against.
+    /// view is materialized); `tests/view_properties.rs` pins it against the
+    /// minimum of [`View::all_rotations`].
     #[must_use]
     pub fn min_rotation(&self) -> View {
         self.rotation(Self::least_rotation_start(self.gaps.len(), |t| {
             self.gaps[t]
         }))
-    }
-
-    /// Reference implementation of [`View::min_rotation`] that materializes
-    /// every rotation; kept for equivalence tests and benchmarks.  The empty
-    /// view has no non-trivial rotation and is returned unchanged.
-    #[must_use]
-    pub fn min_rotation_naive(&self) -> View {
-        self.all_rotations()
-            .into_iter()
-            .min()
-            .unwrap_or_else(|| self.clone())
     }
 
     /// The lexicographically smallest view obtainable by rotating and/or
@@ -225,16 +208,6 @@ impl View {
         } else {
             self.rotation(fi)
         }
-    }
-
-    /// Reference implementation of [`View::supermin`] via
-    /// [`View::min_rotation_naive`]; kept for equivalence tests and
-    /// benchmarks.
-    #[must_use]
-    pub fn supermin_naive(&self) -> View {
-        let a = self.min_rotation_naive();
-        let b = self.opposite_direction().min_rotation_naive();
-        a.min(b)
     }
 
     /// Property 1 (i) of the paper: the configuration is periodic iff the view
@@ -351,7 +324,7 @@ mod tests {
     fn empty_view_contract_covers_every_method() {
         // The degenerate k = 0 cyclic word: aperiodic (period 0), symmetric,
         // fixed by every rotation/reflection — and, crucially, no method
-        // panics (period/is_periodic/min_rotation_naive all used to).
+        // panics (period/is_periodic used to).
         let e = View::new(vec![]);
         assert_eq!(e.len(), 0);
         assert!(e.is_empty());
@@ -364,9 +337,7 @@ mod tests {
         assert_eq!(e.reflection_rotation(3), e);
         assert_eq!(e.all_rotations(), Vec::<View>::new());
         assert_eq!(e.min_rotation(), e);
-        assert_eq!(e.min_rotation_naive(), e);
         assert_eq!(e.supermin(), e);
-        assert_eq!(e.supermin_naive(), e);
         assert_eq!(e.period(), 0, "empty is aperiodic with period 0 = len");
         assert!(!e.is_periodic());
         assert!(e.is_symmetric());
@@ -389,9 +360,7 @@ mod tests {
         assert_eq!(s.reflection_rotation(2), s);
         assert_eq!(s.all_rotations(), vec![s.clone()]);
         assert_eq!(s.min_rotation(), s);
-        assert_eq!(s.min_rotation_naive(), s);
         assert_eq!(s.supermin(), s);
-        assert_eq!(s.supermin_naive(), s);
         assert_eq!(s.period(), 1, "the only period of a singleton is trivial");
         assert!(!s.is_periodic());
         assert!(s.is_symmetric());

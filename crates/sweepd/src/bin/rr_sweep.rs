@@ -2,12 +2,16 @@
 //!
 //! ```text
 //! rr-sweep --spool <dir> submit <grid-file>...     queue grid files (idempotent)
-//! rr-sweep --spool <dir> submit --preset <name> [--quick] [--seed <u64>]
+//! rr-sweep --spool <dir> submit [--preset <name>] [--quick] [--seed <u64>]
 //! rr-sweep --spool <dir> status                    one row per job
 //! rr-sweep --spool <dir> tail <job-id> [--follow]  stream a job's ledger
 //! rr-sweep --spool <dir> gc                        prune stale spool state
 //! rr-sweep grid <preset> [--quick] [--seed <u64>]  print a canonical grid file
 //! ```
+//!
+//! A command accepts exactly the flags its usage lines declare: an
+//! undeclared flag, a missing or malformed value, or a stray argument
+//! prints the usage on stderr and exits with status 2.
 //!
 //! The client never executes cells — it only moves grid files and reads
 //! ledgers, so it is safe to run while a daemon is serving the same spool.
@@ -17,15 +21,22 @@ use std::process::exit;
 
 use rr_bench::grid::{preset, GridSpec};
 use rr_bench::ledger;
+use rr_bench::sweep::{exit_with_usage, split_args};
 use rr_sweepd::{JobState, Spool};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: rr-sweep --spool <dir> <submit|status|tail|gc> [args]\n\
-         \x20      rr-sweep grid <preset> [--quick] [--seed <u64>]\n\
-         presets: e3/align, e4/clearing, e5/nminus3, e6/gathering"
-    );
-    exit(2)
+/// One line per command form; the flags a command accepts are the ones its
+/// lines declare.
+const USAGE: &str = "\
+usage: rr-sweep --spool <dir> submit <grid-file>...
+       rr-sweep --spool <dir> submit [--preset <name>] [--quick] [--seed <u64>]
+       rr-sweep --spool <dir> status
+       rr-sweep --spool <dir> tail <job-id> [--follow]
+       rr-sweep --spool <dir> gc
+       rr-sweep grid <preset> [--quick] [--seed <u64>]
+presets: e3/align, e4/clearing, e5/nminus3, e6/gathering";
+
+fn usage_error(message: &str) -> ! {
+    exit_with_usage(USAGE, message)
 }
 
 fn fatal(message: &str) -> ! {
@@ -33,15 +44,87 @@ fn fatal(message: &str) -> ! {
     exit(1)
 }
 
-/// Builds a preset spec from `--preset NAME [--quick] [--seed N]` args.
-fn preset_from_args(name: &str, rest: &[String]) -> GridSpec {
-    let quick = rest.iter().any(|a| a == "--quick");
-    let seed = rest
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| rest.get(i + 1))
-        .map(|s| s.parse().unwrap_or_else(|e| fatal(&format!("--seed: {e}"))));
-    preset(name, quick, seed).unwrap_or_else(|| fatal(&format!("unknown preset `{name}`")))
+/// A command line checked against [`USAGE`].
+struct Invocation {
+    spool: Option<PathBuf>,
+    command: String,
+    positional: Vec<String>,
+    /// Each flag given, with its value if it takes one.
+    flags: Vec<(String, Option<String>)>,
+}
+
+impl Invocation {
+    /// Splits `args` into the optional leading `--spool <dir>`, the command
+    /// and its arguments, accepting only the flags the command's usage
+    /// lines declare.
+    fn parse(args: Vec<String>) -> Result<Self, String> {
+        let mut args = args.into_iter().peekable();
+        let spool = match args.next_if(|arg| arg == "--spool") {
+            Some(_) => Some(PathBuf::from(
+                args.next().ok_or("--spool requires a value")?,
+            )),
+            None => None,
+        };
+        let command = args.next().ok_or("missing command")?;
+        let usage: Vec<&str> = USAGE
+            .lines()
+            .filter(|line| {
+                // The command follows the program name and `--spool <dir>`.
+                let mut words = line.split_whitespace().skip_while(|w| *w != "rr-sweep");
+                let mut word = words.nth(1);
+                if word == Some("--spool") {
+                    word = words.nth(1);
+                }
+                word == Some(command.as_str())
+            })
+            .collect();
+        if usage.is_empty() {
+            return Err(format!("unknown command {command:?}"));
+        }
+        let usage = usage.join("\n");
+        let (positional, flags) = split_args(args, &usage)?;
+        Ok(Invocation {
+            spool,
+            command,
+            positional,
+            flags: flags
+                .into_iter()
+                .map(|(name, value)| (name.to_string(), value))
+                .collect(),
+        })
+    }
+
+    fn flag(&self, name: &str) -> bool {
+        self.flags.iter().any(|(flag, _)| *flag == name)
+    }
+
+    fn value(&self, name: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(flag, _)| *flag == name)
+            .and_then(|(_, value)| value.as_deref())
+    }
+
+    /// The positional arguments, which must number exactly `count`.
+    fn exactly(&self, count: usize) -> &[String] {
+        if self.positional.len() != count {
+            usage_error(&format!(
+                "{} takes {count} argument(s), got {:?}",
+                self.command, self.positional
+            ));
+        }
+        &self.positional
+    }
+
+    /// The preset grid `name` with the `--quick` and `--seed` flags.
+    fn preset(&self, name: &str) -> GridSpec {
+        let seed = self.value("--seed").map(|seed| {
+            seed.parse()
+                .unwrap_or_else(|_| usage_error(&format!("--seed takes a u64, got {seed:?}")))
+        });
+        preset(name, self.flag("--quick"), seed)
+            .unwrap_or_else(|| usage_error(&format!("unknown preset {name:?}")))
+    }
 }
 
 fn open_spool(dir: Option<&PathBuf>) -> Spool {
@@ -51,26 +134,25 @@ fn open_spool(dir: Option<&PathBuf>) -> Spool {
     Spool::open(dir).unwrap_or_else(|e| fatal(&format!("opening spool {}: {e}", dir.display())))
 }
 
-fn cmd_submit(spool: &Spool, rest: &[String]) {
-    let mut specs: Vec<GridSpec> = Vec::new();
-    if let Some(i) = rest.iter().position(|a| a == "--preset") {
-        let name = rest
-            .get(i + 1)
-            .unwrap_or_else(|| fatal("--preset requires a name"));
-        specs.push(preset_from_args(name, rest));
+fn cmd_submit(args: &Invocation) {
+    let specs: Vec<GridSpec> = if let Some(name) = args.value("--preset") {
+        args.exactly(0);
+        vec![args.preset(name)]
     } else {
-        let files: Vec<&String> = rest.iter().filter(|a| !a.starts_with("--")).collect();
-        if files.is_empty() {
-            fatal("submit needs grid files or --preset <name>");
+        if args.positional.is_empty() || !args.flags.is_empty() {
+            usage_error("submit takes grid files, or --preset <name> and its flags");
         }
-        for file in files {
-            let text = std::fs::read_to_string(file)
-                .unwrap_or_else(|e| fatal(&format!("reading {file}: {e}")));
-            let spec = GridSpec::parse(&text)
-                .unwrap_or_else(|why| fatal(&format!("{file}: invalid grid: {why}")));
-            specs.push(spec);
-        }
-    }
+        args.positional
+            .iter()
+            .map(|file| {
+                let text = std::fs::read_to_string(file)
+                    .unwrap_or_else(|e| fatal(&format!("reading {file}: {e}")));
+                GridSpec::parse(&text)
+                    .unwrap_or_else(|why| fatal(&format!("{file}: invalid grid: {why}")))
+            })
+            .collect()
+    };
+    let spool = open_spool(args.spool.as_ref());
     for spec in &specs {
         let outcome = spool
             .submit(spec)
@@ -111,11 +193,7 @@ fn cmd_status(spool: &Spool) {
     }
 }
 
-fn cmd_tail(spool: &Spool, rest: &[String]) {
-    let Some(job_id) = rest.iter().find(|a| !a.starts_with("--")) else {
-        fatal("tail needs a job id");
-    };
-    let follow = rest.iter().any(|a| a == "--follow");
+fn cmd_tail(spool: &Spool, job_id: &str, follow: bool) {
     let path = spool.ledger_path(job_id);
     let mut offset = 0u64;
     loop {
@@ -152,33 +230,27 @@ fn cmd_gc(spool: &Spool) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut spool_dir: Option<PathBuf> = None;
-    let mut command: Option<String> = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        if arg == "--spool" && command.is_none() {
-            spool_dir = Some(PathBuf::from(
-                it.next().unwrap_or_else(|| fatal("--spool requires a dir")),
-            ));
-        } else if command.is_none() {
-            command = Some(arg);
-        } else {
-            rest.push(arg);
+    let args = Invocation::parse(std::env::args().skip(1).collect())
+        .unwrap_or_else(|message| usage_error(&message));
+    let spool = || open_spool(args.spool.as_ref());
+    match args.command.as_str() {
+        "grid" => {
+            let name = &args.exactly(1)[0];
+            print!("{}", args.preset(name).canonical_encoding());
         }
-    }
-    match command.as_deref() {
-        Some("grid") => {
-            let Some(name) = rest.first().cloned() else {
-                fatal("grid needs a preset name");
-            };
-            print!("{}", preset_from_args(&name, &rest).canonical_encoding());
+        "submit" => cmd_submit(&args),
+        "status" => {
+            args.exactly(0);
+            cmd_status(&spool());
         }
-        Some("submit") => cmd_submit(&open_spool(spool_dir.as_ref()), &rest),
-        Some("status") => cmd_status(&open_spool(spool_dir.as_ref())),
-        Some("tail") => cmd_tail(&open_spool(spool_dir.as_ref()), &rest),
-        Some("gc") => cmd_gc(&open_spool(spool_dir.as_ref())),
-        _ => usage(),
+        "tail" => {
+            let job_id = &args.exactly(1)[0];
+            cmd_tail(&spool(), job_id, args.flag("--follow"));
+        }
+        "gc" => {
+            args.exactly(0);
+            cmd_gc(&spool());
+        }
+        _ => unreachable!("parsing accepts only the commands of the usage"),
     }
 }

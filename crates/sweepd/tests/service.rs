@@ -298,3 +298,35 @@ fn client_grid_preset_roundtrips_through_submit() {
         "client preset must equal the in-process preset"
     );
 }
+
+#[test]
+fn client_rejects_undeclared_flags_and_missing_or_malformed_values() {
+    // Each of these used to run with a silently defaulted setting (or, for
+    // `--seed abc`, fail without the usage); now each prints the usage and
+    // exits 2 before touching a spool.
+    let spool = tmp_dir("client-flags");
+    let spool_arg = spool.to_str().unwrap();
+    let cases: [&[&str]; 5] = [
+        &["grid", "e4", "--quik"],
+        &["grid", "e4", "--quick", "--seed"],
+        &["grid", "e4", "--quick", "--sead", "7"],
+        &["grid", "e4", "--seed", "abc"],
+        &["--spool", spool_arg, "submit", "grid.txt", "--quick"],
+    ];
+    for args in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_rr-sweep"))
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        assert!(output.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert!(stderr.contains("usage: rr-sweep"), "{args:?}: {stderr}");
+    }
+    assert_eq!(
+        std::fs::read_dir(&spool).unwrap().count(),
+        0,
+        "nothing queued"
+    );
+    std::fs::remove_dir_all(&spool).unwrap();
+}
