@@ -29,8 +29,10 @@
 //! ```text
 //! exp_faults [--quick] [--json <path>] [--seed <u64>] [--sequential]
 //!            [--selftest] [--max-n <usize>] [--max-k <usize>]
-//!            [--workers <usize>]
 //! ```
+//!
+//! Cells run in parallel (`--sequential`: on one thread); each checker call
+//! runs on the thread of its cell.
 //!
 //! `--selftest` is the checker-of-the-checker canary: it asserts that an
 //! empty fault budget explores byte-identically to the fault-free checker,
@@ -154,21 +156,18 @@ fn property_of(task: CheckTask, fault: FaultRow) -> (&'static str, Box<dyn Invar
 /// Exhausts every schedule and fault placement of one cell, demanding a
 /// certificate either way: proofs stand on their own, falsifications must
 /// replay on the engine with their fault directives honoured.
-fn check_faulted_cell<P: Protocol + Clone + Send>(
+fn check_faulted_cell<P: Protocol + Clone>(
     protocol: &P,
     invariant: &dyn Invariant,
     cell: &Cell,
     mode: InterleavingMode,
     fault: FaultRow,
-    workers: usize,
     record: &mut FaultRecord,
 ) {
     let initials = enumerate_rigid_configurations(cell.n, cell.k);
     record.initial_classes = initials.len() as u64;
     record.ok = true;
-    let options = ExploreOptions::new(mode)
-        .with_workers(workers)
-        .with_faults(fault.budget());
+    let options = ExploreOptions::new(mode).with_faults(fault.budget());
     for initial in &initials {
         let report = match check_protocol_with_stats(protocol, initial, invariant, &options) {
             Ok((report, _)) => report,
@@ -254,7 +253,7 @@ fn run_unfair_cell(cell: &Cell, seed: u64, n_budget: u64, record: &mut FaultReco
     }
 }
 
-fn run_cell(cell: Cell, experiment: &str, workers: usize, root_seed: u64) -> FaultRecord {
+fn run_cell(cell: Cell, experiment: &str, root_seed: u64) -> FaultRecord {
     let started = Instant::now();
     let (mode_name, family, detail, property): (String, &str, String, String) = match cell.kind {
         CellKind::Checked { task, mode, fault } => (
@@ -305,7 +304,6 @@ fn run_cell(cell: Cell, experiment: &str, workers: usize, root_seed: u64) -> Fau
                     &cell,
                     mode,
                     fault,
-                    workers,
                     &mut record,
                 ),
                 CheckTask::Alignment => check_faulted_cell(
@@ -314,7 +312,6 @@ fn run_cell(cell: Cell, experiment: &str, workers: usize, root_seed: u64) -> Fau
                     &cell,
                     mode,
                     fault,
-                    workers,
                     &mut record,
                 ),
             }
@@ -396,7 +393,7 @@ fn selftest() -> Result<(), String> {
 
 const USAGE: &str = "\
 usage: exp_faults [--quick] [--json <path>] [--seed <u64>] [--sequential]
-                  [--selftest] [--max-n <usize>] [--max-k <usize>] [--workers <usize>]";
+                  [--selftest] [--max-n <usize>] [--max-k <usize>]";
 
 fn main() {
     let args = ExpArgs::parse(0xE14, USAGE);
@@ -404,7 +401,6 @@ fn main() {
         .parsed("--max-n")
         .unwrap_or(if args.quick { 6 } else { 8 });
     let max_k: usize = args.parsed("--max-k").unwrap_or(4);
-    let workers: usize = args.parsed("--workers").unwrap_or(0);
 
     if args.flag("--selftest") {
         if let Err(e) = selftest() {
@@ -452,7 +448,7 @@ fn main() {
     }
 
     let records = grid_map(cells, args.mode(), |cell| {
-        run_cell(cell, "E14", workers, args.root_seed)
+        run_cell(cell, "E14", args.root_seed)
     });
 
     println!(

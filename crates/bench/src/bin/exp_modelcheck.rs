@@ -7,10 +7,14 @@
 //! subsets and **all** ASYNC Look-Move phase interleavings, checks the
 //! per-task safety invariants on every edge, and decides fair liveness by
 //! SCC analysis — upgrading "verified on sampled schedules" to "proved for
-//! all schedules".  The checker runs its packed-state parallel engine
-//! (experiment E11): states are stored bit-packed, expansion is sharded over
-//! a worker pool, and the reports are byte-identical for every worker count
-//! and storage backend.
+//! all schedules".  The checker runs its packed-state engine (experiment
+//! E11): states are stored bit-packed, every successor is admitted as it is
+//! generated, and the reports are byte-identical for every storage backend.
+//! Each rigid class is one independent search, so the binary runs one job
+//! per (cell, class): the jobs of the whole grid share one thread pool,
+//! claimed in reverse declaration order so that the large searching cells
+//! declared last start first, and each cell's reports are folded back in
+//! class order.
 //!
 //! Gathering and alignment cells run on the **canonical symmetry quotient**
 //! with σ-threaded liveness (`check_protocol_quotient_with_stats`): states are
@@ -39,28 +43,34 @@
 //! ```text
 //! exp_modelcheck [--quick] [--json <path>] [--seed <u64>] [--sequential]
 //!                [--selftest] [--max-n <usize>] [--max-k <usize>]
-//!                [--workers <usize>] [--store mem|spill]
-//!                [--mem-budget <bytes|KiB|MiB|GiB>] [--only task:n:k[:mode]]
-//!                [--max-states <usize>] [--scale-bench]
+//!                [--store mem|spill] [--mem-budget <bytes|KiB|MiB|GiB>]
+//!                [--only task:n:k[:mode]] [--max-states <usize>] [--scale-bench]
 //! ```
 //!
-//! `--workers` sets the checker's per-cell worker threads (0 = one per
-//! core); `--sequential` additionally serializes the cell grid itself.
+//! `--sequential` runs every class job on one thread.  The first failing
+//! class in class order decides a cell's verdict and counterexample; its
+//! sums cover the classes before it and that class's own figures (none
+//! when the engine rejected its initial state or the quotient/concrete
+//! cross-check disagreed).  A record's wall time is the sum of its class
+//! jobs' wall times, and its states/second is taken over that sum.
 //! `--store spill` keeps packed states in delta-compressed clusters on disk
 //! with a resident cache bounded by `--mem-budget` (default 64MiB) — the
 //! report is byte-identical to `--store mem` minus the `store` and
 //! `spilled_bytes` fields, which is exactly what CI's spill-smoke leg gates
-//! on.  `--only gathering:12:6` (optionally `:ssync`/`:async`) restricts the
-//! grid to one cell for targeted out-of-core runs.  `--scale-bench` switches
-//! to experiment E16: one fixed cell (default: the largest proved
-//! searching cell; override with `--only`) is re-explored at worker counts
-//! 1/2/4/8 (quick: 1/4) on the spill backend (override with `--store`)
-//! under a tight visited-map budget (default 1 MiB, override with
-//! `--mem-budget`), the run **fails unless every deterministic report field
-//! is byte-identical across the counts**, and the per-phase wall time
-//! (parallel expansion vs batch merge), the machine's core count and the
-//! worker threads the checker started are recorded per worker count.  A
-//! malformed `--only` or `--store` prints the usage and exits with status 2.
+//! on.  The budget applies to each running class, so a pool of `c` threads
+//! keeps up to `c` budgets resident.  `--only gathering:12:6` (optionally
+//! `:ssync`/`:async`) restricts the grid to one cell for targeted
+//! out-of-core runs.  `--scale-bench` switches to experiment E16: one fixed
+//! cell (default: the largest proved searching cell; override with
+//! `--only`) explores its classes twice on the concrete checker, once on
+//! one thread and once on a pool of `min(cores, classes)` threads, on the
+//! spill backend (override with `--store`) under a tight visited-map budget
+//! per running class (default 1 MiB, override with `--mem-budget`); the run
+//! **fails unless every deterministic report field is byte-identical across
+//! the two rows**, and the per-phase wall time (expansion vs batch end),
+//! the row's wall time and the machine's core count are recorded per row.
+//! A malformed `--only` or `--store` prints the usage and exits with
+//! status 2.
 //! `--selftest` checks that
 //! a deliberately broken protocol (one decision-table entry mutated) is
 //! *falsified* with a counterexample that replays on the engine — a canary
@@ -69,15 +79,15 @@
 use std::time::Instant;
 
 use rr_bench::sweep::{
-    exit_if_failed, grid_map, parse_byte_size, ExpArgs, ModelCheckRecord, ScaleRecord,
+    exit_if_failed, grid_map, parse_byte_size, ExecMode, ExpArgs, ModelCheckRecord, ScaleRecord,
 };
 use rr_checker::explore::{
     check_protocol_quotient_with_stats, check_protocol_with_stats, replay_counterexample,
-    CheckOutcome, ExploreOptions, MutatedProtocol, ViolationKind, DEFAULT_MAX_STATES,
-    DEFAULT_MEM_BUDGET,
+    CheckOutcome, ExploreOptions, ExploreReport, MutatedProtocol, ViolationKind,
+    DEFAULT_MAX_STATES, DEFAULT_MEM_BUDGET,
 };
-use rr_checker::StoreKind;
-use rr_corda::{Decision, InterleavingMode, Protocol, ViewIndex};
+use rr_checker::{StoreKind, StoreStats};
+use rr_corda::{Decision, InterleavingMode, Protocol, SimError, ViewIndex};
 use rr_core::invariant::{AlignmentInvariant, GatheringInvariant, Invariant, SearchingInvariant};
 use rr_core::unified::{protocol_for, Task};
 use rr_core::{AlignProtocol, GatheringProtocol};
@@ -116,9 +126,8 @@ impl CellTask {
 const USAGE: &str = "\
 usage: exp_modelcheck [--quick] [--json <path>] [--seed <u64>] [--sequential]
                       [--selftest] [--max-n <usize>] [--max-k <usize>]
-                      [--workers <usize>] [--store mem|spill]
-                      [--mem-budget <bytes|KiB|MiB|GiB>] [--only task:n:k[:mode]]
-                      [--max-states <usize>] [--scale-bench]
+                      [--store mem|spill] [--mem-budget <bytes|KiB|MiB|GiB>]
+                      [--only task:n:k[:mode]] [--max-states <usize>] [--scale-bench]
   task: gathering | alignment | graph-searching;  mode: ssync | async";
 
 #[derive(Debug, Clone, Copy)]
@@ -129,13 +138,21 @@ struct Cell {
     mode: InterleavingMode,
 }
 
-/// Per-cell checker configuration derived from the CLI.
+/// Per-call checker configuration derived from the CLI.
 #[derive(Debug, Clone, Copy)]
 struct CheckCfg {
-    workers: usize,
     store: StoreKind,
     mem_budget: u64,
     max_states: usize,
+}
+
+impl CheckCfg {
+    fn options(&self, mode: InterleavingMode) -> ExploreOptions {
+        ExploreOptions::new(mode)
+            .with_store(self.store)
+            .with_mem_budget(self.mem_budget)
+            .with_max_states(self.max_states)
+    }
 }
 
 /// Whether the paper claims an algorithm for the cell.
@@ -155,63 +172,108 @@ fn previously_proved(cell: &Cell) -> bool {
     cell.n <= 10 && cell.k <= 5
 }
 
-fn check_cell_protocol<P: Protocol + Clone + Send>(
+/// How a class job calls the checker.
+#[derive(Debug, Clone, Copy)]
+enum Check {
+    /// The grid's call: the quotient checker, cross-checked against the
+    /// concrete one on the previously proved grid.
+    Grid,
+    /// E16's call: the concrete checker alone.
+    Concrete,
+}
+
+/// One class job's result: the report with its store stats, or why the
+/// class has none (the engine rejected its initial state, or the quotient
+/// and concrete verdicts disagree).
+type ClassRun = Result<(ExploreReport, StoreStats), String>;
+
+/// Runs one (cell, class) job with the cell's protocol and invariant.
+fn check_class(cell: &Cell, initial: &Configuration, cfg: &CheckCfg, check: Check) -> ClassRun {
+    match cell.task {
+        CellTask::Gathering => check_class_with(
+            &GatheringProtocol::new(),
+            &GatheringInvariant::new(),
+            cell,
+            initial,
+            cfg,
+            check,
+        ),
+        CellTask::Alignment => check_class_with(
+            &AlignProtocol::new(),
+            &AlignmentInvariant::new(),
+            cell,
+            initial,
+            cfg,
+            check,
+        ),
+        CellTask::Searching => {
+            let protocol = protocol_for(Task::GraphSearching, cell.n, cell.k)
+                .ok_or_else(|| format!("no searching protocol for ({}, {})", cell.n, cell.k))?;
+            check_class_with(
+                &protocol,
+                &SearchingInvariant::new(),
+                cell,
+                initial,
+                cfg,
+                check,
+            )
+        }
+    }
+}
+
+fn check_class_with<P: Protocol + Clone>(
     protocol: &P,
     invariant: &dyn Invariant,
     cell: &Cell,
+    initial: &Configuration,
     cfg: &CheckCfg,
-    record: &mut ModelCheckRecord,
-) {
-    let initials = enumerate_rigid_configurations(cell.n, cell.k);
-    record.initial_classes = initials.len() as u64;
-    if initials.is_empty() {
-        record.vacuous = true;
-        record.ok = true;
-        return;
+    check: Check,
+) -> ClassRun {
+    let options = cfg.options(cell.mode);
+    if let Check::Concrete = check {
+        return check_protocol_with_stats(protocol, initial, invariant, &options)
+            .map_err(|e| format!("engine rejected {initial}: {e}"));
     }
+    let rejected = |e: SimError| format!("engine rejected the initial state: {e}");
+    let (report, stats) =
+        check_protocol_quotient_with_stats(protocol, initial, invariant, &options)
+            .map_err(rejected)?;
+    if previously_proved(cell) {
+        // Cross-check: on the grid the concrete checker already proved,
+        // the quotient verdict must agree with the concrete one —
+        // verified/falsified, and the violation kind when falsified.
+        let concrete = check_protocol_with_stats(protocol, initial, invariant, &options)
+            .map_err(rejected)?
+            .0;
+        let quotient_kind = report.counterexample().map(|ce| ce.kind);
+        let concrete_kind = concrete.counterexample().map(|ce| ce.kind);
+        if report.verified() != concrete.verified() || quotient_kind != concrete_kind {
+            return Err(format!(
+                "quotient/concrete verdict mismatch from {initial}: \
+                 quotient {:?} vs concrete {:?}",
+                report.outcome, concrete.outcome
+            ));
+        }
+    }
+    Ok((report, stats))
+}
+
+/// Folds a claimed cell's class runs into its record, in class order: the
+/// first failing class sets `ok` and the counterexample and ends the fold.
+fn fold_classes(record: &mut ModelCheckRecord, initials: &[Configuration], runs: Vec<ClassRun>) {
     record.ok = true;
-    // Accumulated packed payload bytes; divided down to `bytes_per_state`
-    // by the caller once every class is in.
+    // Accumulated packed payload bytes, divided down to `bytes_per_state`
+    // once every class is in.
     let mut state_bytes = 0u64;
-    for initial in &initials {
-        let options = ExploreOptions::new(cell.mode)
-            .with_workers(cfg.workers)
-            .with_store(cfg.store)
-            .with_mem_budget(cfg.mem_budget)
-            .with_max_states(cfg.max_states);
-        let (report, stats) =
-            match check_protocol_quotient_with_stats(protocol, initial, invariant, &options) {
-                Ok(pair) => pair,
-                Err(e) => {
-                    record.ok = false;
-                    record.counterexample = format!("engine rejected the initial state: {e}");
-                    return;
-                }
-            };
-        if previously_proved(cell) {
-            // Cross-check: on the grid the concrete checker already proved,
-            // the quotient verdict must agree with the concrete one —
-            // verified/falsified, and the violation kind when falsified.
-            let concrete = match check_protocol_with_stats(protocol, initial, invariant, &options) {
-                Ok((concrete, _)) => concrete,
-                Err(e) => {
-                    record.ok = false;
-                    record.counterexample = format!("engine rejected the initial state: {e}");
-                    return;
-                }
-            };
-            let quotient_kind = report.counterexample().map(|ce| ce.kind);
-            let concrete_kind = concrete.counterexample().map(|ce| ce.kind);
-            if report.verified() != concrete.verified() || quotient_kind != concrete_kind {
+    for (initial, run) in initials.iter().zip(runs) {
+        let (report, stats) = match run {
+            Ok(pair) => pair,
+            Err(message) => {
                 record.ok = false;
-                record.counterexample = format!(
-                    "quotient/concrete verdict mismatch from {initial}: \
-                     quotient {:?} vs concrete {:?}",
-                    report.outcome, concrete.outcome
-                );
+                record.counterexample = message;
                 return;
             }
-        }
+        };
         record.states += report.states as u64;
         record.quotient_states += report.quotient_states as u64;
         record.edges += report.edges;
@@ -247,15 +309,22 @@ fn check_cell_protocol<P: Protocol + Clone + Send>(
     record.bytes_per_state = state_bytes.checked_div(record.states).unwrap_or(0);
 }
 
-fn run_cell(cell: Cell, experiment: &str, cfg: &CheckCfg) -> ModelCheckRecord {
-    let started = Instant::now();
+/// The record of one cell from its class runs (in class order) and their
+/// summed wall time.
+fn cell_record(
+    cell: &Cell,
+    initials: &[Configuration],
+    runs: Vec<ClassRun>,
+    wall_nanos: u128,
+    cfg: &CheckCfg,
+) -> ModelCheckRecord {
     let mut record = ModelCheckRecord {
-        experiment: experiment.to_string(),
+        experiment: "E10".to_string(),
         task: cell.task.slug().to_string(),
         n: cell.n,
         k: cell.k,
         mode: cell.mode.name().to_string(),
-        initial_classes: 0,
+        initial_classes: initials.len() as u64,
         states: 0,
         quotient_states: 0,
         edges: 0,
@@ -271,46 +340,60 @@ fn run_cell(cell: Cell, experiment: &str, cfg: &CheckCfg) -> ModelCheckRecord {
         vacuous: false,
         ok: false,
         counterexample: String::new(),
-        wall_nanos: 0,
+        wall_nanos,
     };
-    if !claimed(cell.task, cell.n, cell.k) {
+    if initials.is_empty() {
+        // Unclaimed, or claimed without a rigid initial class: nothing to
+        // check.
         record.vacuous = true;
         record.ok = true;
-        record.wall_nanos = started.elapsed().as_nanos();
         return record;
     }
-    match cell.task {
-        CellTask::Gathering => check_cell_protocol(
-            &GatheringProtocol::new(),
-            &GatheringInvariant::new(),
-            &cell,
-            cfg,
-            &mut record,
-        ),
-        CellTask::Alignment => check_cell_protocol(
-            &AlignProtocol::new(),
-            &AlignmentInvariant::new(),
-            &cell,
-            cfg,
-            &mut record,
-        ),
-        CellTask::Searching => {
-            let protocol =
-                protocol_for(Task::GraphSearching, cell.n, cell.k).expect("claimed cell");
-            check_cell_protocol(
-                &protocol,
-                &SearchingInvariant::new(),
-                &cell,
-                cfg,
-                &mut record,
-            );
-        }
-    }
-    record.wall_nanos = started.elapsed().as_nanos();
+    fold_classes(&mut record, initials, runs);
     record.states_per_sec = (u128::from(record.states) * 1_000_000_000)
         .checked_div(record.wall_nanos)
         .unwrap_or(0) as u64;
     record
+}
+
+/// The E10 grid as one job list: every (cell, class) pair runs as its own
+/// job through one pool, and each cell's runs are folded back in class
+/// order.  Each claimed cell's classes are enumerated once, here.
+fn run_grid(cells: &[Cell], mode: ExecMode, cfg: &CheckCfg) -> Vec<ModelCheckRecord> {
+    let classes: Vec<Vec<Configuration>> = cells
+        .iter()
+        .map(|cell| {
+            if claimed(cell.task, cell.n, cell.k) {
+                enumerate_rigid_configurations(cell.n, cell.k)
+            } else {
+                Vec::new()
+            }
+        })
+        .collect();
+    // Reverse declaration order: the frontier searching cells, declared
+    // last and the costliest, start first; small cells fill in beside them.
+    let jobs: Vec<(usize, usize)> = (0..cells.len())
+        .flat_map(|c| (0..classes[c].len()).map(move |i| (c, i)))
+        .rev()
+        .collect();
+    // Never a parallel map inside a job: each pool call starts its own
+    // threads, so nesting would multiply them.
+    let mut runs = grid_map(jobs, mode, |(c, i)| {
+        let started = Instant::now();
+        let run = check_class(&cells[c], &classes[c][i], cfg, Check::Grid);
+        (run, started.elapsed().as_nanos())
+    });
+    runs.reverse();
+    let mut runs = runs.into_iter();
+    cells
+        .iter()
+        .zip(&classes)
+        .map(|(cell, initials)| {
+            let (cell_runs, walls): (Vec<ClassRun>, Vec<u128>) =
+                runs.by_ref().take(initials.len()).unzip();
+            cell_record(cell, initials, cell_runs, walls.iter().sum(), cfg)
+        })
+        .collect()
 }
 
 /// The canary: a gathering protocol with ONE decision-table entry mutated
@@ -391,7 +474,7 @@ fn selftest() -> Result<(), String> {
 }
 
 /// FNV-1a over `bytes`: the digest the scale-bench gate compares across
-/// worker counts.
+/// its rows.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -402,12 +485,24 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// One scale-bench row: explores every rigid initial class of `cell` on the
-/// **concrete** (exact-dedup) checker with `cfg`'s backend, accumulating
-/// the deterministic report fields into both the record and an FNV digest
-/// basis — anything worker-dependent in node ids, edge order, early stops
-/// or accounting would change the digest and trip the gate in `main`.
-fn run_scale_cell(cell: &Cell, cfg: &CheckCfg) -> ScaleRecord {
+/// **concrete** (exact-dedup) checker with `cfg`'s backend, the classes run
+/// as jobs under `mode`, and folds the deterministic report fields in class
+/// order into both the record and an FNV digest basis — anything
+/// thread-dependent in node ids, edge order, early stops or accounting
+/// would change the digest and trip the gate in `main`.
+fn run_scale_row(
+    cell: &Cell,
+    initials: &[Configuration],
+    cfg: &CheckCfg,
+    mode: ExecMode,
+) -> ScaleRecord {
+    use std::fmt::Write as _;
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let started = Instant::now();
+    let runs = grid_map(initials.iter().collect(), mode, |initial| {
+        check_class(cell, initial, cfg, Check::Concrete)
+    });
+    let wall_nanos = started.elapsed().as_nanos();
     let mut record = ScaleRecord {
         experiment: "E16".to_string(),
         task: cell.task.slug().to_string(),
@@ -415,9 +510,11 @@ fn run_scale_cell(cell: &Cell, cfg: &CheckCfg) -> ScaleRecord {
         k: cell.k,
         mode: cell.mode.name().to_string(),
         store: cfg.store.to_string(),
-        workers: cfg.workers,
-        cores: std::thread::available_parallelism().map_or(1, usize::from),
-        threads_started: 0,
+        workers: match mode {
+            ExecMode::Sequential => 1,
+            ExecMode::Sharded => cores.min(initials.len()).max(1),
+        },
+        cores,
         mem_budget: cfg.mem_budget,
         states: 0,
         edges: 0,
@@ -428,83 +525,25 @@ fn run_scale_cell(cell: &Cell, cfg: &CheckCfg) -> ScaleRecord {
         merge_nanos: 0,
         states_per_sec: 0,
         report_digest: 0,
-        ok: false,
-        wall_nanos: 0,
+        ok: !initials.is_empty(),
+        wall_nanos,
     };
-    let mut basis = String::new();
-    let run = |record: &mut ScaleRecord, basis: &mut String| -> Result<(), String> {
-        match cell.task {
-            CellTask::Gathering => scale_cell_protocol(
-                &GatheringProtocol::new(),
-                &GatheringInvariant::new(),
-                cell,
-                cfg,
-                record,
-                basis,
-            ),
-            CellTask::Alignment => scale_cell_protocol(
-                &AlignProtocol::new(),
-                &AlignmentInvariant::new(),
-                cell,
-                cfg,
-                record,
-                basis,
-            ),
-            CellTask::Searching => {
-                let protocol = protocol_for(Task::GraphSearching, cell.n, cell.k)
-                    .ok_or_else(|| format!("no searching protocol for ({}, {})", cell.n, cell.k))?;
-                scale_cell_protocol(
-                    &protocol,
-                    &SearchingInvariant::new(),
-                    cell,
-                    cfg,
-                    record,
-                    basis,
-                )
-            }
-        }
-    };
-    match run(&mut record, &mut basis) {
-        Ok(()) => {
-            record.report_digest = fnv1a(basis.as_bytes());
-            record.ok = true; // the cross-worker gate may still clear this
-        }
-        Err(e) => {
-            eprintln!("E16 workers={}: {e}", cfg.workers);
-            record.ok = false;
-        }
-    }
-    record.wall_nanos = started.elapsed().as_nanos();
-    record.states_per_sec = (u128::from(record.states) * 1_000_000_000)
-        .checked_div(record.wall_nanos)
-        .unwrap_or(0) as u64;
-    record
-}
-
-fn scale_cell_protocol<P: Protocol + Clone + Send>(
-    protocol: &P,
-    invariant: &dyn Invariant,
-    cell: &Cell,
-    cfg: &CheckCfg,
-    record: &mut ScaleRecord,
-    basis: &mut String,
-) -> Result<(), String> {
-    use std::fmt::Write as _;
-    let initials = enumerate_rigid_configurations(cell.n, cell.k);
     if initials.is_empty() {
-        return Err(format!(
-            "({}, {}) has no rigid initial class",
-            cell.n, cell.k
-        ));
+        eprintln!(
+            "E16 workers={}: ({}, {}) has no rigid initial class",
+            record.workers, cell.n, cell.k
+        );
     }
-    let options = ExploreOptions::new(cell.mode)
-        .with_workers(cfg.workers)
-        .with_store(cfg.store)
-        .with_mem_budget(cfg.mem_budget)
-        .with_max_states(cfg.max_states);
-    for initial in &initials {
-        let (report, stats) = check_protocol_with_stats(protocol, initial, invariant, &options)
-            .map_err(|e| format!("engine rejected {initial}: {e}"))?;
+    let mut basis = String::new();
+    for (initial, run) in initials.iter().zip(runs) {
+        let (report, stats) = match run {
+            Ok(pair) => pair,
+            Err(e) => {
+                eprintln!("E16 workers={}: {e}", record.workers);
+                record.ok = false;
+                break;
+            }
+        };
         record.states += report.states as u64;
         record.edges += report.edges;
         record.peak_resident_bytes = record.peak_resident_bytes.max(report.peak_resident_bytes);
@@ -512,7 +551,6 @@ fn scale_cell_protocol<P: Protocol + Clone + Send>(
         record.visited_spilled_bytes += stats.visited_spilled_bytes;
         record.expand_nanos += stats.expand_nanos;
         record.merge_nanos += stats.merge_nanos;
-        record.threads_started += stats.threads_started;
         // Every deterministic report field joins the digest basis — the
         // outcome's Debug form includes the full counterexample when one
         // exists, so falsified runs are compared schedule for schedule.
@@ -532,13 +570,21 @@ fn scale_cell_protocol<P: Protocol + Clone + Send>(
             report.outcome
         );
     }
-    Ok(())
+    if record.ok {
+        // The cross-row gate in `run_scale_bench` may still clear `ok`.
+        record.report_digest = fnv1a(basis.as_bytes());
+    }
+    record.states_per_sec = (u128::from(record.states) * 1_000_000_000)
+        .checked_div(record.wall_nanos)
+        .unwrap_or(0) as u64;
+    record
 }
 
-/// The E16 worker-scaling bench: one fixed cell re-explored per worker
-/// count, gated on every deterministic report field (via the FNV digest)
-/// being identical across the counts.  `store` and `mem_budget` are the
-/// explicit `--store` / `--mem-budget`, if any.
+/// The E16 class-scaling bench: one fixed cell's classes explored on one
+/// thread, then on a pool that claims them as jobs, gated on every
+/// deterministic report field (via the FNV digest) being identical across
+/// the two rows.  `store` and `mem_budget` are the explicit `--store` /
+/// `--mem-budget`, if any.
 fn run_scale_bench(
     args: &ExpArgs,
     only: Option<&OnlyFilter>,
@@ -571,21 +617,15 @@ fn run_scale_bench(
     };
     // Spill with a tight budget by default, so the visited map genuinely
     // seals runs: the bench is about the spill path, not the in-RAM one.
-    let store = store.unwrap_or(StoreKind::Spill);
-    let mem_budget = mem_budget.unwrap_or(1 << 20);
-    let worker_counts: &[usize] = if args.quick { &[1, 4] } else { &[1, 2, 4, 8] };
-
-    let mut records: Vec<ScaleRecord> = worker_counts
-        .iter()
-        .map(|&workers| {
-            let cfg = CheckCfg {
-                workers,
-                store,
-                mem_budget,
-                max_states,
-            };
-            run_scale_cell(&cell, &cfg)
-        })
+    let cfg = CheckCfg {
+        store: store.unwrap_or(StoreKind::Spill),
+        mem_budget: mem_budget.unwrap_or(1 << 20),
+        max_states,
+    };
+    let initials = enumerate_rigid_configurations(cell.n, cell.k);
+    let mut records: Vec<ScaleRecord> = [ExecMode::Sequential, ExecMode::Sharded]
+        .into_iter()
+        .map(|mode| run_scale_row(&cell, &initials, &cfg, mode))
         .collect();
     let reference = records[0].report_digest;
     for record in &mut records {
@@ -593,27 +633,29 @@ fn run_scale_bench(
     }
 
     println!(
-        "# E16 — worker scaling: {}:{}:{} {} store={store} budget={}B cores={}",
+        "# E16 — class scaling: {}:{}:{} {} classes={} store={} budget={}B per class cores={}",
         cell.task.slug(),
         cell.n,
         cell.k,
         cell.mode.name(),
-        mem_budget,
+        initials.len(),
+        cfg.store,
+        cfg.mem_budget,
         records[0].cores
     );
     println!(
-        "# workers  threads    states     edges  visited-spill   expand-ms  merge-ms   st/sec  digest"
+        "# workers    states     edges  visited-spill   expand-ms  merge-ms   wall-ms   st/sec  digest"
     );
     for r in &records {
         println!(
-            "  {:>7} {:>8} {:>9} {:>9} {:>14} {:>11} {:>9} {:>8}  {:016x}{}",
+            "  {:>7} {:>9} {:>9} {:>14} {:>11} {:>9} {:>9} {:>8}  {:016x}{}",
             r.workers,
-            r.threads_started,
             r.states,
             r.edges,
             r.visited_spilled_bytes,
             r.expand_nanos / 1_000_000,
             r.merge_nanos / 1_000_000,
+            r.wall_nanos / 1_000_000,
             r.states_per_sec,
             r.report_digest,
             if r.ok { "" } else { "  MISMATCH" }
@@ -679,7 +721,6 @@ fn main() {
     let max_k: usize = args
         .parsed("--max-k")
         .unwrap_or(if args.quick { 5 } else { 6 });
-    let workers: usize = args.parsed("--workers").unwrap_or(0);
     let store_arg = args.value("--store").map(|v| match v {
         "mem" => StoreKind::Mem,
         "spill" => StoreKind::Spill,
@@ -701,7 +742,6 @@ fn main() {
     }
     let store = store_arg.unwrap_or(StoreKind::Mem);
     let cfg = CheckCfg {
-        workers,
         store,
         mem_budget,
         max_states,
@@ -766,7 +806,7 @@ fn main() {
         }
     }
 
-    let records = grid_map(cells, args.mode(), |cell| run_cell(cell, "E10", &cfg));
+    let records = run_grid(&cells, args.mode(), &cfg);
 
     println!(
         "# E10 — exhaustive model check (all schedules), {} cells, store={store}",

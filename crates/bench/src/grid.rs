@@ -48,7 +48,9 @@ use serde::Serialize;
 
 use crate::cache::{cache_key, ResultCache};
 use crate::ledger::{self, Ledger, LedgerResume};
-use crate::sweep::{grid_map, task_slug, ExecMode, RunOptions, RunRecord, Sweep, SweepHeader};
+use crate::sweep::{
+    grid_map, task_slug, ExecMode, RunOptions, RunRecord, Sweep, SweepHeader, MAX_SEEDS_PER_CELL,
+};
 
 /// First line of every encoded grid.
 pub const GRID_MAGIC: &str = "rr-sweepd-grid/v1";
@@ -282,7 +284,18 @@ impl GridSpec {
         };
         spec.checked_cells()
             .ok_or("the cell count overflows a usize")?;
-        if let GridKind::Sweep { schedulers, .. } = &spec.kind {
+        if let GridKind::Sweep {
+            schedulers,
+            seeds_per_cell,
+            ..
+        } = &spec.kind
+        {
+            if *seeds_per_cell > MAX_SEEDS_PER_CELL {
+                return Err(format!(
+                    "seeds_per_cell = {seeds_per_cell} exceeds {MAX_SEEDS_PER_CELL}, \
+                     the most seeds per cell that get distinct seeds"
+                ));
+            }
             let sweep = spec.to_sweep();
             for &(n, _) in &spec.instances {
                 for &scheduler in schedulers {
@@ -831,6 +844,16 @@ mod tests {
         assert!(
             GridSpec::parse(&too_many_cells).is_err(),
             "2 instances x 3 schedulers x u64::MAX seeds"
+        );
+        let colliding_seeds = sweep.replace("seeds_per_cell=1", "seeds_per_cell=65537");
+        assert!(
+            GridSpec::parse(&colliding_seeds).is_err(),
+            "seed 65536 of one scheduler would reuse seed 0 of the next"
+        );
+        let most_seeds = sweep.replace("seeds_per_cell=1", "seeds_per_cell=65536");
+        assert_eq!(
+            GridSpec::parse(&most_seeds).unwrap().cells(),
+            2 * 3 * 65_536
         );
         let too_long = sweep.replace(
             "async_budget_factor=2",

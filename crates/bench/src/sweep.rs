@@ -246,10 +246,13 @@ pub struct ModelCheckRecord {
     pub target_states: u64,
     /// Progress edges seen (ReachRepeatedly invariants).
     pub progress_edges: u64,
-    /// Peak resident nodes (stored packed states + buffered successors at
-    /// the search's high-water mark, sampled immediately before each
-    /// window's sequential merge), maximized over the initial classes —
-    /// the checker's memory footprint.  Deterministic.
+    /// Peak resident nodes, maximized over the initial classes — the
+    /// checker's memory footprint.  Per class it is
+    /// [`rr_checker::ExploreReport::peak_resident_nodes`]: one sample per
+    /// expansion, the stored states when the expansion begins plus every
+    /// successor of that expansion and of the later ones in its batch that
+    /// was absent from the visited map when the batch began.
+    /// Deterministic.
     pub peak_resident_nodes: u64,
     /// Peak resident packed-state payload bytes at the same sample point,
     /// maximized over the initial classes.  Deterministic and
@@ -274,10 +277,13 @@ pub struct ModelCheckRecord {
     pub visited_spilled_bytes: u64,
     /// Storage backend the cell ran under ("mem" or "spill").
     pub store: String,
-    /// Exploration throughput in states per second over the cell's wall
-    /// time.  **Not deterministic** (machine- and load-dependent): this is
-    /// the one record field excluded from cross-run comparisons; it exists
-    /// to accumulate the perf trajectory in the CI artifacts.
+    /// Exploration throughput in states per second over
+    /// [`wall_nanos`](ModelCheckRecord::wall_nanos), the summed wall time of
+    /// the cell's class jobs: one thread's throughput, however many of the
+    /// cell's classes ran side by side.  **Not deterministic** (machine-
+    /// and load-dependent): this is the one record field excluded from
+    /// cross-run comparisons; it exists to accumulate the perf trajectory
+    /// in the CI artifacts.
     pub states_per_sec: u64,
     /// Whether the paper claims no algorithm for this cell (nothing to
     /// check; `ok` is vacuously true).
@@ -286,8 +292,8 @@ pub struct ModelCheckRecord {
     pub ok: bool,
     /// Rendered minimal counterexample schedule (empty when `ok`).
     pub counterexample: String,
-    /// Wall-clock nanoseconds (not serialized; may differ across execution
-    /// modes).
+    /// Wall-clock nanoseconds summed over the cell's class jobs, which may
+    /// have run side by side (not serialized).
     #[serde(skip)]
     pub wall_nanos: u128,
 }
@@ -407,13 +413,14 @@ pub struct ThroughputRecord {
     pub wall_nanos: u128,
 }
 
-/// One worker-scaling measurement (schema `rr-sweep/v1`, experiment `E16`).
+/// One class-scaling measurement (schema `rr-sweep/v1`, experiment `E16`).
 ///
-/// Written by `exp_modelcheck --scale-bench`: a fixed spill cell is
-/// re-explored at each worker count under the same tight memory budget, the
-/// binary gates on every deterministic report field being identical across
-/// the counts (`report_digest` pins what was compared), and the phase
-/// timers record where the wall-clock went.  The `*_nanos` and
+/// Written by `exp_modelcheck --scale-bench`: a fixed spill cell's rigid
+/// initial classes are explored once on one thread and once on a pool of
+/// threads that claim classes as jobs, under the same tight memory budget;
+/// the binary gates on every deterministic report field being identical
+/// across the two rows (`report_digest` pins what was compared), and the
+/// phase timers record where the wall-clock went.  The `*_nanos` and
 /// `states_per_sec` fields are machine-dependent perf trajectory, excluded
 /// from cross-run byte comparisons like every other throughput figure.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -430,18 +437,15 @@ pub struct ScaleRecord {
     pub mode: String,
     /// Storage backend ("spill" unless `--store` chose another).
     pub store: String,
-    /// Worker threads this row ran with.
+    /// Threads the row ran the cell's classes on: `1`, or
+    /// `min(cores, classes)` for the pool row.
     pub workers: usize,
     /// Cores the machine offered (`available_parallelism`).  Machine
-    /// dependent: a row with more workers than cores measures
-    /// oversubscription, not speed-up.
+    /// dependent.
     pub cores: usize,
-    /// Worker threads the checker's expansion started over the row's calls
-    /// (summed [`rr_checker::StoreStats::threads_started`]): `0` at one
-    /// worker, and deterministic for a fixed worker count.
-    pub threads_started: u64,
     /// Resident byte budget shared by the packed-state cache and the
-    /// visited-map memtables.
+    /// visited-map memtables of **each running class**: the pool row keeps
+    /// up to `workers` times this resident.
     pub mem_budget: u64,
     /// Concrete states explored (identical across rows, by the gate).
     pub states: u64,
@@ -454,23 +458,28 @@ pub struct ScaleRecord {
     pub spilled_bytes: u64,
     /// Bytes the visited map sealed to disk runs (identical across rows).
     pub visited_spilled_bytes: u64,
-    /// Wall nanoseconds spent expanding batches: inline batches with their
-    /// admission, split batches' parallel expansion.  Machine dependent.
+    /// Wall nanoseconds spent expanding batches, each successor admitted
+    /// as it is generated, summed over the classes.  Machine dependent.
     pub expand_nanos: u64,
-    /// Wall nanoseconds spent after expansion: split batches' replay through
-    /// admission, plus the visited-map seal.  Machine dependent.
+    /// Wall nanoseconds spent after each batch's expansion (residency
+    /// samples and the visited-map seal), summed over the classes.
+    /// Machine dependent.
     pub merge_nanos: u64,
     /// Exploration throughput over the row's wall time.  Machine dependent.
     pub states_per_sec: u64,
     /// FNV-1a digest over the row's deterministic report fields; the
-    /// scale-bench gate requires it to be identical across worker counts.
+    /// scale-bench gate requires it to be identical across the rows.
     pub report_digest: u64,
-    /// Whether this row's digest matched the single-worker reference.
+    /// Whether this row's digest matched the one-thread row's.
     pub ok: bool,
     /// Wall-clock nanoseconds for the row (not serialized).
     #[serde(skip)]
     pub wall_nanos: u128,
 }
+
+/// Most seeds per cell that [`Sweep::jobs`] tells apart: the seed index
+/// fills the low 16 bits of the seed coordinate.
+pub const MAX_SEEDS_PER_CELL: u64 = 1 << 16;
 
 impl Sweep {
     /// The step budget of a cell on an `n`-node ring under `scheduler`:
@@ -492,7 +501,10 @@ impl Sweep {
     }
 
     /// Expands the grid into batch jobs, in deterministic declaration order
-    /// (instances outermost, then schedulers, then seeds).
+    /// (instances outermost, then schedulers, then seeds).  The seed index
+    /// fills the low 16 bits of each job's seed coordinate, so at most
+    /// [`MAX_SEEDS_PER_CELL`] seeds per cell get distinct seeds;
+    /// [`GridSpec::parse`](crate::grid::GridSpec::parse) rejects more.
     ///
     /// # Panics
     ///

@@ -35,16 +35,18 @@ fn malformed_cell_and_store_flags_print_usage_and_exit_2() {
     }
 }
 
-/// `--worker 4` (a typo of `--workers`) used to run the default worker
-/// count, and `--seed abc` to panic; a value flag at the end of the line
-/// has no value, and a flag cannot be another flag's value.
+/// `--worker 4` used to run with the default settings, and `--seed abc`
+/// to panic; a value flag at the end of the line has no value, and a flag
+/// cannot be another flag's value.  `--workers` is gone: a checker call
+/// starts no threads, and the grid runs its class jobs on one pool.
 #[test]
 fn unknown_flags_and_missing_or_malformed_values_print_usage_and_exit_2() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 6] = [
         (&["--worker", "4"], "unknown argument \"--worker\""),
+        (&["--workers", "2"], "unknown argument \"--workers\""),
         (&["--seed", "abc"], "--seed takes a u64, got \"abc\""),
         (&["--quick", "--max-n"], "--max-n requires a value"),
-        (&["--workers", "--quick"], "--workers requires a value"),
+        (&["--max-k", "--quick"], "--max-k requires a value"),
         (
             &["--max-states", "many"],
             "--max-states: malformed value \"many\"",
@@ -77,11 +79,55 @@ fn scale_bench_runs_the_store_it_is_given() {
             String::from_utf8_lossy(&out.stderr)
         );
         let report = std::fs::read_to_string(&json).expect("scale report written");
-        // One record per quick worker count (1 and 4), each on `store`.
+        // One record per row (one thread, then the pool), each on `store`.
         let rows = report.matches(&format!("\"store\":\"{store}\"")).count();
         assert_eq!(rows, 2, "{store_args:?}: {report}");
     }
     std::fs::remove_file(&json).expect("remove scale report");
+}
+
+/// A cell's class jobs may finish in any order, but its record folds them
+/// in class order: the first failing class names the counterexample, and
+/// the sums stop with its figures.  Both (8, 4) classes trip a 20-state
+/// budget, so a fold that took whichever class finished first could name
+/// `[oo.o.o..]` instead of `[ooo.o...]`.
+#[test]
+fn a_failing_cell_folds_its_classes_in_class_order() {
+    let json =
+        std::env::temp_dir().join(format!("exp_modelcheck_fold_{}.json", std::process::id()));
+    let json_arg = json.to_str().expect("utf-8 temp path");
+    let out = exp_modelcheck(&[
+        "--only",
+        "gathering:8:4:async",
+        "--max-states",
+        "20",
+        "--json",
+        json_arg,
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report = std::fs::read_to_string(&json).expect("report written");
+    std::fs::remove_file(&json).expect("remove report");
+    // Drop the one machine-dependent field, then compare the whole record.
+    let (head, rest) = report
+        .split_once("\"states_per_sec\":")
+        .expect("states_per_sec field");
+    let rest = rest.trim_start_matches(|c: char| c.is_ascii_digit());
+    let record = format!("{head}{}", rest.strip_prefix(',').expect("a field follows"));
+    let expected = concat!(
+        "\"records\":[{\"experiment\":\"E10\",\"task\":\"gathering\",\"n\":8,\"k\":4,",
+        "\"mode\":\"async\",\"initial_classes\":2,\"states\":20,\"quotient_states\":20,",
+        "\"edges\":48,\"target_states\":0,\"progress_edges\":0,\"peak_resident_nodes\":40,",
+        "\"peak_resident_bytes\":1680,\"bytes_per_state\":0,\"spilled_bytes\":0,",
+        "\"visited_spilled_bytes\":0,\"store\":\"mem\",\"vacuous\":false,\"ok\":false,",
+        "\"counterexample\":\"state budget exceeded from [ooo.o...]: 20 states discovered, ",
+        "12 expansions completed\"}]}",
+    );
+    assert!(record.trim_end().ends_with(expected), "{report}");
 }
 
 /// `--help` and `-h` print the binary's usage and exit 0 before anything

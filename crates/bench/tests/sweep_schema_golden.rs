@@ -239,8 +239,9 @@ fn sample_throughput_records() -> Vec<ThroughputRecord> {
     ]
 }
 
-/// Two scale records: the single-worker reference row and a multi-worker
-/// row, digests equal (the scale-bench gate's happy path).
+/// Two scale records: the one-thread reference row and the pool row that
+/// ran the classes on both cores, digests equal (the scale-bench gate's
+/// happy path).
 fn sample_scale_records() -> Vec<ScaleRecord> {
     vec![
         ScaleRecord {
@@ -252,7 +253,6 @@ fn sample_scale_records() -> Vec<ScaleRecord> {
             store: "spill".into(),
             workers: 1,
             cores: 2,
-            threads_started: 0,
             mem_budget: 1 << 20,
             states: 250_000,
             edges: 1_000_000,
@@ -273,18 +273,17 @@ fn sample_scale_records() -> Vec<ScaleRecord> {
             k: 4,
             mode: "async".into(),
             store: "spill".into(),
-            workers: 4,
+            workers: 2,
             cores: 2,
-            threads_started: 1_536,
             mem_budget: 1 << 20,
             states: 250_000,
             edges: 1_000_000,
             peak_resident_bytes: 17_408_000,
             spilled_bytes: 6_000_000,
             visited_spilled_bytes: 14_000_000,
-            expand_nanos: 1_100_000_000,
-            merge_nanos: 700_000_000,
-            states_per_sec: 138_000,
+            expand_nanos: 4_100_000_000,
+            merge_nanos: 2_100_000_000,
+            states_per_sec: 79_000,
             report_digest: 0xDEAD_BEEF_CAFE_F00D,
             ok: true,
             wall_nanos: 33,

@@ -18,7 +18,7 @@
 //!   target/progress, whose internal edges activate *every* robot — from
 //!   which a concrete fair lasso (prefix + cycle) is extracted.
 //!
-//! # The compact, parallel exploration engine
+//! # The compact exploration engine
 //!
 //! The state graph is held in a memory-compact form: each discovered state is
 //! stored as a bit-packed [`PackedState`] plus the 64-bit key of its
@@ -30,22 +30,19 @@
 //! by hash.  Nothing in the hot loop allocates per discovered state.
 //!
 //! The BFS order of node ids is a sequence of contiguous index windows
-//! (batches), expanded by a pool of workers (one reusable [`Engine`] per
-//! worker, driven through [`Engine::restore_packed`] /
-//! `save_state`/`restore_state`).  Every successor enters the graph through
-//! one **admission** step: one probe of the visited map; on a miss the state
-//! is packed, stored, and given the next node id; on a hit the id is reused.
-//! A batch too narrow to be worth a thread start (every batch at one worker)
-//! is expanded inline and admits each successor the moment it is generated,
-//! so an in-batch duplicate is never packed or buffered.  A wide batch is
-//! split across threads whose workers pre-probe the frozen visited map and
-//! buffer what they generate; the buffered successors are then replayed
-//! through the same admission step *sequentially in window order*.  Node
-//! ids, edge order, every [`ExploreReport`] field and every extracted
-//! counterexample are therefore **byte-identical for any worker count** —
-//! the same discipline the rr-sweep records already pin.  Set the worker
-//! count with [`ExploreOptions::with_workers`] (default: one per available
-//! core).
+//! (batches), expanded on the calling thread by one reusable [`Engine`],
+//! driven through [`Engine::restore_packed`] / `save_state`/`restore_state`.
+//! Every successor enters the graph through one **admission** step the
+//! moment it is generated: one probe of the visited map; on a miss the state
+//! is packed, stored, and given the next node id; on a hit the id is reused,
+//! so a duplicate is never packed.  Node ids, edge order, every
+//! [`ExploreReport`] field and every extracted counterexample are those of a
+//! sequential breadth-first sweep, identical for every storage backend.
+//!
+//! One call explores one initial configuration and starts no thread.  The
+//! unit of parallelism is the call: a cell's rigid initial classes are
+//! independent searches, so callers run them side by side (as
+//! `exp_modelcheck` does) and fold their reports in class order.
 //!
 //! Two deduplication regimes are offered, one entry point each, and both
 //! always decide safety *and* liveness.  [`check_protocol_with_stats`] keys
@@ -90,9 +87,9 @@ use crate::visited::{Key, Visited, VISITED_ENTRY_BYTES};
 /// guard rail against accidentally pointing the checker at a huge instance.
 pub const DEFAULT_MAX_STATES: usize = 4_000_000;
 
-/// Nodes expanded per batch.  A constant (never derived from the
-/// worker count) so that the reported peak memory statistic — and the point
-/// at which a state budget trips — are identical for every worker count.
+/// Nodes expanded per batch: the window the residency samples and the
+/// visited map's seal points are taken over, so reported peak memory and
+/// spilled bytes depend on it.
 const BATCH: usize = 4096;
 
 /// The fault adversary's powers during one exhaustive check: how many fault
@@ -165,11 +162,6 @@ pub struct ExploreOptions {
     /// State budget; exceeding it yields [`CheckOutcome::BudgetExceeded`]
     /// instead of a verdict.
     pub max_states: usize,
-    /// Worker threads a parallel phase may use; `0` means one per available
-    /// core.  A batch is split across them only when every thread's share
-    /// is large enough to pay for starting it.  The verdict, the report and
-    /// any counterexample are identical for every value.
-    pub workers: usize,
     /// The fault adversary's powers (default: none — fault-free checking).
     pub faults: FaultBudget,
     /// Where discovered states and edges live during the search (default:
@@ -187,13 +179,12 @@ pub const DEFAULT_MEM_BUDGET: u64 = 64 << 20;
 
 impl ExploreOptions {
     /// Full checking (safety + liveness) under the given interleavings with
-    /// the default state budget and one worker per available core.
+    /// the default state budget.
     #[must_use]
     pub fn new(interleaving: InterleavingMode) -> Self {
         ExploreOptions {
             interleaving,
             max_states: DEFAULT_MAX_STATES,
-            workers: 0,
             faults: FaultBudget::none(),
             store: StoreKind::Mem,
             mem_budget: DEFAULT_MEM_BUDGET,
@@ -228,16 +219,14 @@ impl ExploreOptions {
         self
     }
 
-    /// Replaces the worker count.
+    /// Does nothing: returns `self` unchanged, whatever `workers` is.
     ///
-    /// Every value is well-defined and produces the identical report:
-    /// `0` resolves to one worker per available core, and any resolved
-    /// count is clamped to `1..=BATCH` (4096, the batch size) — a
-    /// worker beyond the window size could never receive work, and an
-    /// unclamped `usize::MAX` would try to allocate that many engines.
+    /// A call runs on the calling thread and starts no thread, so there is
+    /// no worker count to set; run independent calls (one per initial
+    /// class) side by side instead.  The method stays so that code written
+    /// against the earlier per-call worker pool keeps compiling.
     #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 }
@@ -408,7 +397,7 @@ pub struct ExploreReport {
     /// that expansion and of the later ones in its batch that was absent
     /// from the visited map when the batch began.  Expansions that begin
     /// after the search stopped take no sample.  Deterministic: independent
-    /// of the worker count *and* of the storage backend.
+    /// of the storage backend.
     pub peak_resident_nodes: usize,
     /// The byte-valued analog of [`peak_resident_nodes`]: packed payload
     /// bytes of the same states at the same sample points, plus the visited
@@ -665,7 +654,7 @@ fn frontier_codes(mode: InterleavingMode, robots: &[RobotState], crashed: u32, o
 /// edges (one per alive robot while the crash budget lasts) followed by
 /// corrupted-Look edges (one per fresh-Look opportunity × perturbation kind
 /// while the corruption budget lasts), in a fixed order so exploration stays
-/// deterministic for every worker count.
+/// deterministic.
 fn fault_codes(
     mode: InterleavingMode,
     robots: &[RobotState],
@@ -831,7 +820,7 @@ fn state_view(state: &EngineState, crashed: u32) -> StateView<'_> {
 /// Returns `Err` only when the initial configuration is rejected by the
 /// engine; violations found during the search are reported as
 /// [`CheckOutcome::Falsified`].
-pub fn check_protocol_with_stats<P: Protocol + Clone + Send>(
+pub fn check_protocol_with_stats<P: Protocol + Clone>(
     protocol: &P,
     initial: &Configuration,
     invariant: &dyn Invariant,
@@ -870,7 +859,7 @@ pub fn check_protocol_with_stats<P: Protocol + Clone + Send>(
 ///
 /// Returns `Err` only when the initial configuration is rejected by the
 /// engine.
-pub fn check_protocol_quotient_with_stats<P: Protocol + Clone + Send>(
+pub fn check_protocol_quotient_with_stats<P: Protocol + Clone>(
     protocol: &P,
     initial: &Configuration,
     invariant: &dyn Invariant,
@@ -891,8 +880,7 @@ pub fn check_protocol_quotient_with_stats<P: Protocol + Clone + Send>(
 // The exploration engine.
 // ---------------------------------------------------------------------------
 
-/// Everything a worker's expansion loop reads; shared immutably across the
-/// pool.
+/// Everything the expansion loop reads.
 struct ExploreCtx<'a> {
     invariant: &'a dyn Invariant,
     /// Template fixing the auxiliary-state variant and instance; each node's
@@ -904,9 +892,7 @@ struct ExploreCtx<'a> {
     faults: FaultBudget,
 }
 
-/// One expansion worker: a reusable engine plus scratch buffers.  Workers
-/// never share mutable state; every successor is admitted on the calling
-/// thread, in window order.
+/// The expansion worker: the call's engine plus scratch buffers.
 struct Worker<P> {
     engine: Engine<P>,
     before: EngineState,
@@ -936,18 +922,8 @@ struct Successor<'a, P> {
     ctx: &'a ExploreCtx<'a>,
 }
 
-/// A successor's state as admission reads it: only after the visited map
-/// missed, so a duplicate is never packed.
-trait NewState {
+impl<P: Protocol> Successor<'_, P> {
     /// The behaviour-projected state to store.
-    fn pack(&self) -> PackedState;
-    /// Its canonical class signature (the exact-dedup statistic).
-    fn class(&self) -> StateSig;
-    /// Whether it satisfies the liveness target.
-    fn target(&self) -> bool;
-}
-
-impl<P: Protocol> NewState for Successor<'_, P> {
     fn pack(&self) -> PackedState {
         match &self.source {
             Source::Engine(engine) => engine.pack_behavior(),
@@ -955,6 +931,7 @@ impl<P: Protocol> NewState for Successor<'_, P> {
         }
     }
 
+    /// Its canonical class signature (the exact-dedup statistic).
     fn class(&self) -> StateSig {
         match &self.source {
             Source::Engine(engine) => engine.canonical_sig(),
@@ -962,61 +939,16 @@ impl<P: Protocol> NewState for Successor<'_, P> {
         }
     }
 
+    /// Whether it satisfies the liveness target.
     fn target(&self) -> bool {
         self.ctx.reach_mode && self.ctx.invariant.is_target(&self.view, self.aug)
     }
 }
 
-/// A state packed ahead of admission: the root, or a successor a split
-/// batch's worker found absent from the visited map.
-struct Packed {
-    packed: PackedState,
-    target: bool,
-}
-
-impl NewState for Packed {
-    fn pack(&self) -> PackedState {
-        self.packed.clone()
-    }
-
-    fn class(&self) -> StateSig {
-        self.packed.canonical_sig()
-    }
-
-    fn target(&self) -> bool {
-        self.target
-    }
-}
-
-/// What a split batch's worker learned about a successor from its lock-free
-/// probe of the visited map, which stays frozen while the batch expands.
-enum PreProbe {
-    /// Mapped before the batch: only the node id travels to the replay.
-    Known(u32),
-    /// Absent at the batch start.  It may still duplicate a state that the
-    /// replay admits earlier in the same batch.
-    Fresh(Key, Packed),
-}
-
-/// One successor of a split batch, buffered for the replay.
-struct Buffered {
-    code: u32,
-    progress: bool,
-    state: PreProbe,
-}
-
-/// The buffered expansion of one node of a split batch: its successors in
-/// frontier order and, if a frontier step violated safety, that step and
-/// its message.
-struct Expansion {
-    succs: Vec<Buffered>,
-    violation: Option<(u32, String)>,
-}
-
 /// Expands one node: restores its state, steps every frontier code from it
 /// and hands each successor to `visit`, in frontier order.  Returns the
 /// step that violated safety, with its message; the successors after it
-/// are not generated, matching the sequential short-circuit.
+/// are not generated.
 fn expand_node<P: Protocol>(
     worker: &mut Worker<P>,
     packed: &PackedState,
@@ -1113,93 +1045,6 @@ fn expand_node<P: Protocol>(
     None
 }
 
-/// Fewest nodes one expansion thread is handed.  Starting and joining a
-/// scoped thread costs ≈40 µs (2-vCPU x86-64 VM) and a node expands in
-/// 2.0–3.4 µs, so a 256-node share is 0.5–0.9 ms of work, more than ten
-/// thread starts.  Narrow BFS frontiers, whose batches hold a few dozen
-/// nodes, thus expand inline, while wide ones still split.
-const EXPAND_PER_THREAD: usize = 256;
-
-/// The fan-out rule of expansion: how many threads share a batch of
-/// `nodes` when each must receive at least [`EXPAND_PER_THREAD`] of them,
-/// never more than `pool`.  A result of 1 means the batch runs inline on
-/// the calling thread.  No node's successors depend on the thread that
-/// generates them, so the rule is free to be a pure cost decision.
-fn fan_out(nodes: usize, pool: usize) -> usize {
-    pool.min(nodes / EXPAND_PER_THREAD).max(1)
-}
-
-/// Runs `work` on every part: the first on the calling thread, each other
-/// on a scoped thread of its own.  Returns the number of threads started.
-fn run_parts<T: Send>(mut parts: impl ExactSizeIterator<Item = T>, work: impl Fn(T) + Sync) -> u64 {
-    let Some(first) = parts.next() else {
-        return 0;
-    };
-    let started = parts.len() as u64;
-    if started == 0 {
-        work(first);
-        return 0;
-    }
-    rayon::scope(|scope| {
-        for part in parts {
-            let work = &work;
-            scope.spawn(move |_| work(part));
-        }
-        work(first);
-    });
-    started
-}
-
-/// Expands a split batch over the whole of `pool`: one contiguous chunk,
-/// worker and engine per thread, results reassembled in batch order.  Each
-/// successor is probed against the visited map as it stood at the batch
-/// start and packed only if absent there.  Returns the expansions and the
-/// number of threads started.
-fn expand_batch<P: Protocol + Clone + Send>(
-    pool: &mut [Worker<P>],
-    window: &[PackedState],
-    batch: &[NodeMeta],
-    visited: &Visited,
-    ctx: &ExploreCtx<'_>,
-) -> (Vec<Expansion>, u64) {
-    debug_assert_eq!(window.len(), batch.len());
-    let chunk_len = batch.len().div_ceil(pool.len());
-    let mut outputs: Vec<Vec<Expansion>> = (0..pool.len()).map(|_| Vec::new()).collect();
-    let parts = batch
-        .chunks(chunk_len)
-        .zip(window.chunks(chunk_len))
-        .zip(pool.iter_mut())
-        .zip(outputs.iter_mut());
-    let started = run_parts(parts, |(((chunk, states), worker), out)| {
-        *out = states
-            .iter()
-            .zip(chunk)
-            .map(|(packed, node)| {
-                let mut succs = Vec::new();
-                let violation = expand_node(worker, packed, *node, ctx, |succ| {
-                    let state = match visited.get(&succ.key) {
-                        Some(id) => PreProbe::Known(id),
-                        None => PreProbe::Fresh(
-                            succ.key,
-                            Packed {
-                                packed: succ.pack(),
-                                target: succ.target(),
-                            },
-                        ),
-                    };
-                    succs.push(Buffered {
-                        code: succ.code,
-                        progress: succ.progress,
-                        state,
-                    });
-                });
-                Expansion { succs, violation }
-            })
-            .collect();
-    });
-    (outputs.into_iter().flatten().collect(), started)
-}
-
 /// The residency sample of one expansion.
 struct Sample {
     /// Stored states when the expansion began; `None` when the search had
@@ -1245,12 +1090,12 @@ struct Discovered {
 impl Discovered {
     /// Stores a state admission found new under the next node id and maps
     /// its key to that id.
-    fn store_new(
+    fn store_new<P: Protocol>(
         &mut self,
         key: &Key,
         parent: u32,
         parent_code: u32,
-        state: &impl NewState,
+        state: &Successor<'_, P>,
     ) -> u32 {
         let id = self.meta.len() as u32;
         if let Some(classes) = &mut self.classes {
@@ -1290,13 +1135,13 @@ impl Discovered {
     /// unless that would exceed the state budget, which stops the search.
     /// Once the search has stopped, admission only probes, to count the
     /// successor for the batch's residency samples.
-    fn admit(
+    fn admit<P: Protocol>(
         &mut self,
         parent: usize,
         code: u32,
         progress: bool,
         key: &Key,
-        state: &impl NewState,
+        state: &Successor<'_, P>,
     ) {
         let seen = self.visited.get(key);
         if seen.is_none_or(|id| id as usize >= self.batch_base) {
@@ -1380,25 +1225,11 @@ impl Discovered {
     }
 }
 
-/// Resolves [`ExploreOptions::workers`]: `0` means one per available core,
-/// and the result is clamped to `1..=BATCH` — a batch is never wider than
-/// [`BATCH`] nodes, so extra workers would only ever idle (and the pool
-/// allocates one engine per worker, so an unclamped huge request would try
-/// to materialize that many engines).
-fn resolve_workers(requested: usize) -> usize {
-    let resolved = if requested > 0 {
-        requested
-    } else {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    };
-    resolved.clamp(1, BATCH)
-}
-
 /// The exploration engine.  Returns the report, the storage backend's
 /// stats, and whether the quotient-liveness analysis gave up (in which case
 /// the report's outcome is not a verdict and the caller must fall back to
 /// exact exploration).
-fn explore<P: Protocol + Clone + Send>(
+fn explore<P: Protocol + Clone>(
     protocol: &P,
     initial: &Configuration,
     invariant: &dyn Invariant,
@@ -1439,13 +1270,17 @@ fn explore<P: Protocol + Clone + Send>(
         (Dedup::Canonical, AugState::None) if options.faults.is_none() => Dedup::Canonical,
         _ => Dedup::Exact,
     };
-    let workers = resolve_workers(options.workers);
-
+    let ctx = ExploreCtx {
+        invariant,
+        aug_template: &aug_template,
+        mode: options.interleaving,
+        dedup: effective_dedup,
+        reach_mode,
+        faults: options.faults,
+    };
     let root_state = root_engine.save_state();
     let root_packed = root_engine.pack_behavior();
-    let root_bits = aug_template.key_bits();
-    let root_target = reach_mode && invariant.is_target(&state_view(&root_state, 0), &aug_template);
-    let root_key = make_key(&root_packed, root_bits, effective_dedup, 0);
+    let root_key = make_key(&root_packed, aug_template.key_bits(), effective_dedup, 0);
     let state_bytes = 8 * root_packed.words().len() as u64;
     let mut graph = Discovered {
         visited: Visited::new(options.store, options.mem_budget),
@@ -1470,42 +1305,36 @@ fn explore<P: Protocol + Clone + Send>(
         peak_bytes: state_bytes,
         stop: None,
     };
-    let root = Packed {
-        packed: root_packed,
-        target: root_target,
-    };
-    graph.store_new(&root_key, NO_PARENT, 0, &root);
-
-    let mut pool: Vec<Worker<P>> = (0..workers)
-        .map(|_| Worker {
-            engine: root_engine.clone(),
-            before: root_state.clone(),
-            frontier: Vec::new(),
-            ssync_buf: Vec::new(),
-            report: rr_corda::StepReport::default(),
-        })
-        .collect();
-    let ctx = ExploreCtx {
-        invariant,
-        aug_template: &aug_template,
-        mode: options.interleaving,
-        dedup: effective_dedup,
-        reach_mode,
-        faults: options.faults,
+    graph.store_new(
+        &root_key,
+        NO_PARENT,
+        0,
+        &Successor::<P> {
+            code: 0,
+            progress: false,
+            key: root_key,
+            source: Source::Node(&root_packed),
+            view: state_view(&root_state, 0),
+            aug: &aug_template,
+            ctx: &ctx,
+        },
+    );
+    let mut worker = Worker {
+        engine: root_engine,
+        before: root_state,
+        frontier: Vec::new(),
+        ssync_buf: Vec::new(),
+        report: rr_corda::StepReport::default(),
     };
 
-    // Batch-synchronous BFS over windows of up to BATCH node ids.  A batch
-    // too narrow to split admits each successor the moment it is generated.
-    // A wide one expands in parallel, every worker pre-probing the frozen
-    // visited map, and then replays the buffered successors through the
-    // same admission step in window order.  Either way node ids, edge order
-    // and early stops are exactly those of a sequential breadth-first
-    // sweep, for every worker count and backend.  After a stop, the rest of
-    // the batch is still expanded, admitting nothing, so that the residency
-    // samples see every successor of the batch.
+    // Batch-synchronous BFS over windows of up to BATCH node ids, every
+    // successor admitted the moment it is generated: node ids, edge order
+    // and early stops are those of a sequential breadth-first sweep, for
+    // every backend.  After a stop, the rest of the batch is still
+    // expanded, admitting nothing, so that the residency samples see every
+    // successor of the batch.
     let mut expand_nanos: u64 = 0;
     let mut merge_nanos: u64 = 0;
-    let mut threads_started: u64 = 0;
     let mut window: Vec<PackedState> = Vec::new();
     let mut next = 0usize;
     while next < graph.meta.len() {
@@ -1513,46 +1342,15 @@ fn explore<P: Protocol + Clone + Send>(
         let start = Instant::now();
         graph.store.window(next, batch_end, &mut window);
         graph.begin_batch();
-        let threads = fan_out(batch_end - next, pool.len());
-        let expanded = if threads <= 1 {
-            let worker = &mut pool[0];
-            for (i, packed) in (next..).zip(&window) {
-                let node = graph.meta[i];
-                graph.begin_node();
-                let violation = expand_node(worker, packed, node, &ctx, |succ| {
-                    graph.admit(i, succ.code, succ.progress, &succ.key, succ);
-                });
-                graph.finish_node(i, violation);
-            }
-            Instant::now()
-        } else {
-            let (expansions, started) = expand_batch(
-                &mut pool[..threads],
-                &window,
-                &graph.meta[next..batch_end],
-                &graph.visited,
-                &ctx,
-            );
-            threads_started += started;
-            let expanded = Instant::now();
-            for (i, expansion) in (next..).zip(expansions) {
-                graph.begin_node();
-                for succ in expansion.succs {
-                    match succ.state {
-                        PreProbe::Known(to) => {
-                            if graph.stop.is_none() {
-                                graph.edge(to, succ.code, succ.progress);
-                            }
-                        }
-                        PreProbe::Fresh(key, state) => {
-                            graph.admit(i, succ.code, succ.progress, &key, &state);
-                        }
-                    }
-                }
-                graph.finish_node(i, expansion.violation);
-            }
-            expanded
-        };
+        for (i, packed) in (next..).zip(&window) {
+            let node = graph.meta[i];
+            graph.begin_node();
+            let violation = expand_node(&mut worker, packed, node, &ctx, |succ| {
+                graph.admit(i, succ.code, succ.progress, &succ.key, succ);
+            });
+            graph.finish_node(i, violation);
+        }
+        let expanded = Instant::now();
         graph.end_batch();
         let stopped = graph.stop.is_some();
         // The `--mem-budget` accountant's seal point; after a stop the map
@@ -1605,7 +1403,7 @@ fn explore<P: Protocol + Clone + Send>(
             match quotient_liveness_violation(
                 &graph,
                 store.as_mut(),
-                &mut pool[0],
+                &mut worker,
                 full_mask,
                 invariant,
             ) {
@@ -1630,7 +1428,6 @@ fn explore<P: Protocol + Clone + Send>(
         visited_spilled_bytes,
         expand_nanos,
         merge_nanos,
-        threads_started,
     };
     let report = ExploreReport {
         invariant: invariant.name(),
@@ -1863,7 +1660,7 @@ fn covering_walk(
 //
 // The whole analysis is a pure function of the stored quotient graph, so
 // verdicts and extracted counterexamples remain byte-identical across
-// worker counts and storage backends.
+// storage backends.
 
 /// Hard cap on threaded (quotient state × relabeling) pairs per candidate
 /// SCC.  Thread spaces are bounded by |SCC| × |subgroup generated by the
@@ -1900,7 +1697,7 @@ struct ThreadEdge {
 /// `from` by the coded step on the worker's scratch engine and align the
 /// successor onto the stored representative `to` (robot `i` of the actual
 /// successor ↦ robot `π(i)` of `to`).  Pure in the stored bits, hence
-/// identical for every worker count and storage backend.
+/// identical for every storage backend.
 fn edge_relabeling<P: Protocol>(
     worker: &mut Worker<P>,
     from: &PackedState,
@@ -2646,80 +2443,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_does_not_change_the_report() {
-        // The headline determinism guarantee, in its smallest form: 1, 2 and
-        // 5 workers produce identical reports on a verified cell and
-        // identical counterexamples on a falsified one.  (The test suite in
-        // tests/parallel_determinism.rs covers this property more broadly.)
-        let initial = enumerate_rigid_configurations(7, 3).remove(0);
-        for mode in MODES {
-            let reports: Vec<ExploreReport> = [1usize, 2, 5]
-                .iter()
-                .map(|&w| {
-                    check_protocol_with_stats(
-                        &GatheringProtocol::new(),
-                        &initial,
-                        &GatheringInvariant::new(),
-                        &ExploreOptions::new(mode).with_workers(w),
-                    )
-                    .unwrap()
-                    .0
-                })
-                .collect();
-            assert_eq!(reports[0], reports[1], "mode={mode}");
-            assert_eq!(reports[0], reports[2], "mode={mode}");
-        }
-    }
-
-    #[test]
-    fn degenerate_worker_counts_are_clamped_and_well_defined() {
-        // `0` resolves to one worker per available core; anything above the
-        // batch width clamps to BATCH.  Every resolved count must produce
-        // the same report as a single worker.
-        assert_eq!(resolve_workers(1), 1);
-        assert_eq!(resolve_workers(BATCH + 7), BATCH);
-        assert_eq!(resolve_workers(usize::MAX), BATCH);
-        let auto = resolve_workers(0);
-        assert!((1..=BATCH).contains(&auto), "auto-detect clamps too");
-
-        let initial = enumerate_rigid_configurations(6, 3).remove(0);
-        let run = |w: usize| {
-            check_protocol_with_stats(
-                &GatheringProtocol::new(),
-                &initial,
-                &GatheringInvariant::new(),
-                &ExploreOptions::new(InterleavingMode::SsyncSubsets).with_workers(w),
-            )
-            .unwrap()
-            .0
-        };
-        let reference = run(1);
-        for degenerate in [0, BATCH + 7, usize::MAX] {
-            assert_eq!(run(degenerate), reference, "workers={degenerate}");
-        }
-    }
-
-    #[test]
-    fn fan_out_starts_threads_only_for_shares_above_the_minimum() {
-        let min = EXPAND_PER_THREAD;
-        // (nodes, pool, threads)
-        let table = [
-            (0, 8, 1),
-            (min - 1, 8, 1),
-            (min, 8, 1),
-            (2 * min - 1, 8, 1),
-            (2 * min, 8, 2),
-            (5 * min + 3, 8, 5),
-            (BATCH, 8, 8),
-            (BATCH, 4096, BATCH / min),
-            (BATCH, 1, 1),
-        ];
-        for (nodes, pool, threads) in table {
-            assert_eq!(fan_out(nodes, pool), threads, "{nodes} nodes, pool {pool}");
-        }
-    }
-
-    #[test]
     fn quotient_safety_pass_agrees_and_is_smaller() {
         let initial = enumerate_rigid_configurations(7, 3).remove(0);
         for mode in MODES {
@@ -3107,20 +2830,18 @@ mod tests {
                 completed_expansions: 1,
             }
         );
-        // Budget reporting is worker-independent like everything else.
-        for workers in [2usize, 7] {
-            let again = check_protocol_with_stats(
-                &GatheringProtocol::new(),
-                &initial,
-                &GatheringInvariant::new(),
-                &ExploreOptions::new(InterleavingMode::AsyncPhases)
-                    .with_max_states(4)
-                    .with_workers(workers),
-            )
-            .unwrap()
-            .0;
-            assert_eq!(again, report, "workers={workers}");
-        }
+        // Budget reporting is backend-independent like everything else.
+        let spilled = check_protocol_with_stats(
+            &GatheringProtocol::new(),
+            &initial,
+            &GatheringInvariant::new(),
+            &ExploreOptions::new(InterleavingMode::AsyncPhases)
+                .with_max_states(4)
+                .with_store(StoreKind::Spill),
+        )
+        .unwrap()
+        .0;
+        assert_eq!(spilled, report);
     }
 
     #[test]

@@ -14,15 +14,15 @@
 //!   state's raw words plus sparse XOR deltas ([`PackedState::delta_from`])
 //!   for the rest, and **every sealed cluster is appended to a temp file
 //!   immediately** — so the bytes written (`spilled_bytes`) are a
-//!   deterministic function of the state sequence, independent of worker
-//!   count and memory budget.  The budget only governs the cache of encoded
+//!   deterministic function of the state sequence, independent of the
+//!   memory budget.  The budget only governs the cache of encoded
 //!   clusters kept resident for window reads; edges stream to a second file
 //!   as fixed 8-byte records and are loaded back only if the liveness pass
 //!   runs (after the visited map has been dropped).
 //!
 //! Both backends present **the same state sequence** — ids, bytes, windows —
 //! so every [`crate::ExploreReport`] field and every counterexample is
-//! byte-identical across backends, which `tests/parallel_determinism.rs`
+//! byte-identical across backends, which `tests/store_invariance.rs`
 //! pins.  I/O errors on the spill files panic: the files are process-private
 //! temporaries, and a checker that cannot read its own spill has no sound
 //! verdict to offer.
@@ -68,34 +68,25 @@ pub struct StoreStats {
     pub store: StoreKind,
     /// Total bytes appended to the spill files (states + edges); `0` for the
     /// mem backend.  Deterministic: a pure function of the explored graph,
-    /// independent of worker count and memory budget.
+    /// independent of the memory budget.
     pub spilled_bytes: u64,
     /// Bytes appended to the visited map's run file (sealed sorted runs plus
     /// compaction rewrites); `0` for the mem backend.  Deterministic for a
     /// fixed (backend, budget) pair — sealing is driven by entry counts at
-    /// batch ends, never by worker timing — but, unlike
+    /// batch ends, never by timing — but, unlike
     /// [`spilled_bytes`](StoreStats::spilled_bytes), it *does* depend on the
     /// memory budget: a tighter budget seals smaller memtables more often
     /// and compacts more.
     pub visited_spilled_bytes: u64,
     /// Wall nanoseconds spent expanding batches: reading each batch's
-    /// window, then either the whole of an inline batch, whose successors
-    /// are admitted as they are generated, or the parallel expansion of a
-    /// split batch.  **Not deterministic** — a diagnostic for the E16
+    /// window, then expanding its nodes, each successor admitted as it is
+    /// generated.  **Not deterministic** — a diagnostic for the E16
     /// scaling records, excluded from every cross-run comparison.
     pub expand_nanos: u64,
-    /// Wall nanoseconds spent after expansion: a split batch's sequential
-    /// replay of its buffered successors through admission, and the
-    /// visited-map seal at every batch end.  Near zero when no batch
-    /// splits.  **Not deterministic** — same status as
-    /// [`expand_nanos`](StoreStats::expand_nanos).
+    /// Wall nanoseconds spent after each batch's expansion: its residency
+    /// samples and the visited-map seal.  **Not deterministic** — same
+    /// status as [`expand_nanos`](StoreStats::expand_nanos).
     pub merge_nanos: u64,
-    /// Worker threads the call started.  Expansion splits a batch only when
-    /// every thread's share is large enough to pay for starting it, and the
-    /// calling thread takes one share itself, so this counts the extra
-    /// threads only.  Deterministic for a fixed worker count — batch sizes
-    /// do not depend on timing — and `0` with one worker.
-    pub threads_started: u64,
 }
 
 /// States per spill cluster: the first state is the cluster base (raw
@@ -219,9 +210,8 @@ impl SpillFile {
         self.written
     }
 
-    /// Positional read through a **shared** reference: no seek, no shared
-    /// cursor, so concurrent readers (the expansion workers probing visited
-    /// runs) need no lock.
+    /// Positional read through a **shared** reference: no seek and no
+    /// shared cursor, so a probe of the visited runs needs no `&mut`.
     pub(crate) fn read_exact_at(&self, offset: u64, buf: &mut [u8]) {
         #[cfg(unix)]
         {

@@ -1,12 +1,9 @@
 //! The visited map: dedup keys → node ids, in RAM or out of core.
 //!
 //! The explorer's visited map is probed once per generated successor by
-//! admission, which inserts the key of every state it stores, always on
-//! the calling thread.  While a wide batch expands in parallel it is also
-//! probed **lock-free from every expansion worker** (read-only until the
-//! batch's replay begins).  The storage layer (`crate::store`) moved state
-//! payloads and edges out of core, but the
-//! visited map stayed fully resident — the largest structure of a big run,
+//! admission, which inserts the key of every state it stores.  The storage
+//! layer (`crate::store`) moved state payloads and edges out of core, but
+//! the visited map stayed fully resident — the largest structure of a big run,
 //! and the true RAM ceiling past ~10⁸ states.  This module gives it the
 //! same treatment, behind one type:
 //!
@@ -21,7 +18,7 @@
 //!   resident.  A probe that misses the memtable consults each run's Bloom
 //!   filter, binary-searches the footer to one [`FOOTER_STRIDE`]-record
 //!   block, and reads that block with a single positional `read_at` — no
-//!   seek, no lock, safe from concurrent workers.  When a shard accumulates
+//!   seek, no lock.  When a shard accumulates
 //!   [`MAX_RUNS_PER_SHARD`] runs they are **compacted** into one (superseded
 //!   run bytes stay in the temp file as garbage; the file is unlinked when
 //!   the map is dropped, which the explorer does before its liveness pass).
@@ -32,7 +29,7 @@
 //! deterministic — it is driven by shard entry counts at batch ends, which
 //! are a pure function of the explored graph — so
 //! `visited_spilled_bytes` is reproducible for a fixed (backend, budget)
-//! pair, independent of worker count.
+//! pair.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -284,10 +281,9 @@ struct Disk {
 type Memtable = HashMap<Key, u32, SigHashBuilder>;
 
 /// The visited map, sharded by the top bits of the key hash.  Shards stay
-/// individually small (cheaper growth, better locality), and a split
-/// batch's workers probe the whole structure **read-only and lock-free** —
-/// memtable lookups and run probes both take `&self`; only admission
-/// (insert) and the batch ends (seal, compact) mutate it.
+/// individually small (cheaper growth, better locality).  Memtable
+/// lookups and run probes both take `&self`; only admission (insert) and
+/// the batch ends (seal, compact) mutate it.
 pub(crate) struct Visited {
     shards: Vec<Memtable>,
     disk: Option<Disk>,
@@ -308,7 +304,7 @@ impl Visited {
         }
     }
 
-    /// Read-only probe, safe to run concurrently from expansion workers.
+    /// Read-only probe.
     pub(crate) fn get(&self, key: &Key) -> Option<u32> {
         let mix = key.mix();
         let shard = (mix >> 58) as usize;
@@ -360,7 +356,7 @@ impl Visited {
     /// The `--mem-budget` accountant, called at batch ends:
     /// while the memtables hold more logical entry bytes than the budget,
     /// seal the largest shard (ties: lowest index) to a sorted run.  The
-    /// schedule depends only on deterministic entry counts — never on worker
+    /// schedule depends only on deterministic entry counts — never on
     /// timing — and sealing never changes a lookup's answer, only where it
     /// is served from.
     pub(crate) fn maybe_seal(&mut self) {

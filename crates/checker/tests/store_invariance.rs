@@ -1,24 +1,20 @@
-//! The parallel checker's headline guarantee: exploration with 1, 2 and N
-//! workers yields **identical** `ExploreReport`s — every field, including
-//! state/edge counts, the canonical-class statistic and the peak-memory
-//! figure — and identical counterexample traces (schedules, step for step),
-//! for verified protocols, mutated (falsified) protocols, budget-limited
-//! runs, and the symmetry-quotient explorer alike.
+//! The checker's determinism guarantee across storage backends: a run on
+//! the in-memory store and a run on the spill store, with a budget tight
+//! enough to seal visited-map runs and evict state clusters, yield
+//! **identical** `ExploreReport`s — every field, including state/edge
+//! counts, the canonical-class statistic and the peak-memory figures — and
+//! identical counterexample traces (schedules, step for step), for verified
+//! protocols, mutated (falsified) protocols, budget-limited runs, and the
+//! symmetry-quotient explorer alike.
 //!
-//! A batch is split across threads only when every share is worth starting
-//! a thread for; most cells here expand small batches and therefore run
-//! inline at every worker count, admitting each successor as it is
-//! generated.  `wide_batches_fan_out_and_stay_worker_invariant` holds the
-//! runs whose batches split at two or more workers, so their multi-worker
-//! runs take the other path, a parallel expansion replayed through the
-//! same admission step: a whole wide cell, and a budget trip and a safety
-//! violation inside a split batch, where the one-worker run finishes the
-//! batch count-only.
+//! `wide_batches_and_their_stops_are_store_invariant` also pins the peak
+//! samples of two runs that stop inside a wide batch, a budget trip and a
+//! safety violation, where the rest of the batch is expanded count-only.
 
 use proptest::prelude::*;
 use rr_checker::explore::{
     check_protocol_quotient_with_stats, check_protocol_with_stats, replay_counterexample,
-    CheckOutcome, ExploreOptions, FaultBudget, MutatedProtocol, ViolationKind,
+    CheckOutcome, ExploreOptions, ExploreReport, FaultBudget, MutatedProtocol, ViolationKind,
 };
 use rr_checker::StoreKind;
 use rr_corda::{Decision, InterleavingMode, Protocol, ViewIndex};
@@ -36,95 +32,66 @@ const MODES: [InterleavingMode; 2] = [
     InterleavingMode::AsyncPhases,
 ];
 
-/// Worker counts every run is checked under: sequential, genuinely
-/// concurrent, and oversubscribed (more workers than the machine has cores
-/// — and, for small graphs, more than there are nodes to expand).  The
-/// spill-backend leg below runs each of these with a visited-map budget
-/// tight enough to seal runs to disk, so mem-vs-spill × every worker count
-/// is pinned byte-identical.
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Budget of the spill leg: small enough that the visited map seals runs
+/// to disk and the state cache evicts clusters.
+const SPILL_BUDGET: u64 = 4 << 10;
 
-/// Asserts the worker and store invariance of one check, and returns the
-/// fewest threads any multi-worker concrete run started.
-fn assert_worker_invariant<P: Protocol + Clone + Send>(
+/// Asserts the store invariance of one check, exact and quotient, and
+/// returns the exact reference report.
+fn assert_store_invariant<P: Protocol + Clone>(
     protocol: &P,
     initial: &Configuration,
     invariant: &dyn Invariant,
     base: &ExploreOptions,
     label: &str,
-) -> u64 {
-    let (reference, stats) =
-        check_protocol_with_stats(protocol, initial, invariant, &base.with_workers(1)).unwrap();
-    assert_eq!(stats.threads_started, 0, "{label}: one worker runs inline");
-    let mut fewest_started = u64::MAX;
-    for workers in &WORKER_COUNTS[1..] {
-        let (report, stats) =
-            check_protocol_with_stats(protocol, initial, invariant, &base.with_workers(*workers))
-                .unwrap();
-        assert_eq!(report, reference, "{label}: workers={workers}");
-        fewest_started = fewest_started.min(stats.threads_started);
-    }
-    // The spill backend is observationally invisible: for every worker
-    // count, a run that keeps its packed states in delta-compressed clusters
-    // on disk (with a cache budget small enough to actually evict) emits the
-    // identical report — counterexample included, since it is a field of the
-    // report compared here.
-    for workers in WORKER_COUNTS {
-        let (spilled, stats) = check_protocol_with_stats(
-            protocol,
-            initial,
-            invariant,
-            &base
-                .with_workers(workers)
-                .with_store(StoreKind::Spill)
-                .with_mem_budget(4 << 10),
-        )
-        .unwrap();
-        assert_eq!(spilled, reference, "{label}: spill workers={workers}");
-        if workers > 1 {
-            fewest_started = fewest_started.min(stats.threads_started);
-        }
-    }
-    // The quotient explorer obeys the same discipline, liveness included.
-    let quotient_reference =
-        check_protocol_quotient_with_stats(protocol, initial, invariant, &base.with_workers(1))
-            .unwrap()
-            .0;
-    for workers in &WORKER_COUNTS[1..] {
-        let report = check_protocol_quotient_with_stats(
-            protocol,
-            initial,
-            invariant,
-            &base.with_workers(*workers),
-        )
+) -> ExploreReport {
+    let spill = base
+        .with_store(StoreKind::Spill)
+        .with_mem_budget(SPILL_BUDGET);
+    let reference = check_protocol_with_stats(protocol, initial, invariant, base)
         .unwrap()
         .0;
-        assert_eq!(
-            report, quotient_reference,
-            "{label} quotient: workers={workers}"
-        );
-    }
+    // The spill backend is observationally invisible: a run that keeps its
+    // packed states in delta-compressed clusters on disk (with a cache
+    // budget small enough to actually evict) emits the identical report —
+    // counterexample included, since it is a field of the report compared
+    // here.
+    let spilled = check_protocol_with_stats(protocol, initial, invariant, &spill)
+        .unwrap()
+        .0;
+    assert_eq!(spilled, reference, "{label}: spill");
+    // The quotient explorer obeys the same discipline, liveness included.
+    let quotient_reference = check_protocol_quotient_with_stats(protocol, initial, invariant, base)
+        .unwrap()
+        .0;
+    let quotient_spilled = check_protocol_quotient_with_stats(protocol, initial, invariant, &spill)
+        .unwrap()
+        .0;
+    assert_eq!(
+        quotient_spilled, quotient_reference,
+        "{label} quotient: spill"
+    );
     // Any counterexample must replay regardless of which run produced it.
     if let Some(ce) = reference.counterexample() {
         let replay = replay_counterexample(protocol, initial, invariant, ce).unwrap();
         assert!(replay.reproduced, "{label}: {}", replay.detail);
     }
-    fewest_started
+    reference
 }
 
 #[test]
-fn verified_cells_are_worker_invariant() {
+fn verified_cells_are_store_invariant() {
     for (n, k) in [(7usize, 3usize), (8, 4)] {
         for initial in enumerate_rigid_configurations(n, k) {
             for mode in MODES {
-                assert_worker_invariant(
+                assert_store_invariant(
                     &GatheringProtocol::new(),
                     &initial,
                     &GatheringInvariant::new(),
                     &ExploreOptions::new(mode),
                     &format!("gathering ({n},{k}) {mode}"),
                 );
-                assert_worker_invariant(
+                assert_store_invariant(
                     &AlignProtocol::new(),
                     &initial,
                     &AlignmentInvariant::new(),
@@ -137,13 +104,13 @@ fn verified_cells_are_worker_invariant() {
 }
 
 #[test]
-fn searching_with_aug_state_is_worker_invariant() {
+fn searching_with_aug_state_is_store_invariant() {
     // The searching invariant exercises the auxiliary-state path (the
     // 64-bit contamination key stored per node).  SSYNC keeps the graph
     // small enough for a test; exp_modelcheck covers ASYNC.
     let initial = enumerate_rigid_configurations(11, 5).remove(0);
     let protocol = protocol_for(Task::GraphSearching, 11, 5).expect("feasible");
-    assert_worker_invariant(
+    assert_store_invariant(
         &protocol,
         &initial,
         &SearchingInvariant::new(),
@@ -153,21 +120,20 @@ fn searching_with_aug_state_is_worker_invariant() {
 }
 
 #[test]
-fn wide_batches_fan_out_and_stay_worker_invariant() {
-    // Three runs with batches of 512 nodes or more, wide enough to split:
-    // every multi-worker run expands them in parallel and replays them
-    // through admission, while the one-worker run admits inline.  Each
-    // multi-worker run must start threads and still match the one-worker
-    // report byte for byte, peak samples included.
+fn wide_batches_and_their_stops_are_store_invariant() {
+    // Three runs with batches of 512 nodes or more:
     //
     // 1. A whole gathering (13, 7) ASYNC class.
     // 2. The same class with room for 5,600 states: the budget trips while
-    //    the batch of nodes 4,417..5,285 (868 wide) admits its successors,
-    //    so the split path stops inside its replay and the one-worker run
-    //    finishes the batch count-only.
+    //    the batch of nodes 4,417..5,285 (868 wide) admits its successors.
     // 3. Align on (13, 10) ASYNC from a class three moves from C*, under
     //    the move mutant at C*: the first step onto a neighbour lies in the
     //    batch of nodes 1,431..2,104 (673 wide).
+    //
+    // After the stops in 2 and 3 the rest of the batch is expanded
+    // count-only, so that the residency samples see every successor of the
+    // batch; the pinned peaks below are those of that finish (a run that
+    // ends the batch at the stop samples less).
     let gathering = enumerate_rigid_configurations(13, 7).remove(0);
     let async_phases = ExploreOptions::new(InterleavingMode::AsyncPhases);
     let budget = async_phases.with_max_states(5_600);
@@ -178,42 +144,20 @@ fn wide_batches_fan_out_and_stay_worker_invariant() {
         MutatedProtocol::<AlignProtocol>::trigger_for(&c_star),
         Decision::Move(ViewIndex::First),
     );
-    let started = [
-        assert_worker_invariant(
-            &GatheringProtocol::new(),
-            &gathering,
-            &GatheringInvariant::new(),
-            &async_phases,
-            "gathering (13,7) async",
-        ),
-        assert_worker_invariant(
-            &GatheringProtocol::new(),
-            &gathering,
-            &GatheringInvariant::new(),
-            &budget,
-            "gathering (13,7) async, 5,600 states",
-        ),
-        assert_worker_invariant(
-            &move_mutant,
-            &align_start,
-            &AlignmentInvariant::new(),
-            &async_phases,
-            "move mutant (13,10) async",
-        ),
-    ];
-    assert!(
-        started.iter().all(|&s| s > 0),
-        "a multi-worker run never fanned out: {started:?}"
+    assert_store_invariant(
+        &GatheringProtocol::new(),
+        &gathering,
+        &GatheringInvariant::new(),
+        &async_phases,
+        "gathering (13,7) async",
     );
-    // The two stops are the ones described above.
-    let tripped = check_protocol_with_stats(
+    let tripped = assert_store_invariant(
         &GatheringProtocol::new(),
         &gathering,
         &GatheringInvariant::new(),
         &budget,
-    )
-    .unwrap()
-    .0;
+        "gathering (13,7) async, 5,600 states",
+    );
     assert_eq!(
         tripped.outcome,
         CheckOutcome::BudgetExceeded {
@@ -221,20 +165,27 @@ fn wide_batches_fan_out_and_stay_worker_invariant() {
             completed_expansions: 4_756,
         }
     );
-    let falsified = check_protocol_with_stats(
+    assert_eq!(
+        (tripped.peak_resident_nodes, tripped.peak_resident_bytes),
+        (8_728, 506_344)
+    );
+    let falsified = assert_store_invariant(
         &move_mutant,
         &align_start,
         &AlignmentInvariant::new(),
         &async_phases,
-    )
-    .unwrap()
-    .0;
+        "move mutant (13,10) async",
+    );
     let ce = falsified.counterexample().expect("the mutant collides");
     assert_eq!((ce.kind, ce.prefix.len()), (ViolationKind::Safety, 8));
+    assert_eq!(
+        (falsified.peak_resident_nodes, falsified.peak_resident_bytes),
+        (5_820, 243_448)
+    );
 }
 
 #[test]
-fn falsified_cells_yield_identical_counterexamples_across_workers() {
+fn falsified_cells_yield_identical_counterexamples_across_stores() {
     let initial = enumerate_rigid_configurations(7, 3).remove(0);
     // Liveness lasso (idle mutant) and minimal safety trace (move mutant).
     let idle_mutant = MutatedProtocol::new(
@@ -243,7 +194,7 @@ fn falsified_cells_yield_identical_counterexamples_across_workers() {
         Decision::Idle,
     );
     for mode in MODES {
-        assert_worker_invariant(
+        assert_store_invariant(
             &idle_mutant,
             &initial,
             &GatheringInvariant::new(),
@@ -258,7 +209,7 @@ fn falsified_cells_yield_identical_counterexamples_across_workers() {
         Decision::Move(ViewIndex::First),
     );
     for mode in MODES {
-        assert_worker_invariant(
+        assert_store_invariant(
             &move_mutant,
             &c_star,
             &AlignmentInvariant::new(),
@@ -269,35 +220,35 @@ fn falsified_cells_yield_identical_counterexamples_across_workers() {
 }
 
 #[test]
-fn fault_branching_exploration_is_worker_invariant() {
+fn fault_branching_exploration_is_store_invariant() {
     // Fault-choice branch points (crash edges, corrupted Looks, starvation
-    // exemptions) multiply the frontier; the merged reports must still be
-    // byte-identical for every worker count, and any counterexample they
+    // exemptions) multiply the frontier; the reports must still be
+    // byte-identical for every backend, and any counterexample they
     // produce must replay with its fault directives honoured.
     let initial = enumerate_rigid_configurations(6, 3).remove(0);
     for mode in MODES {
-        assert_worker_invariant(
+        assert_store_invariant(
             &GatheringProtocol::new(),
             &initial,
             &GatheringInvariant::new(),
             &ExploreOptions::new(mode).with_faults(FaultBudget::none().with_crashes(1)),
             &format!("one-crash gathering {mode}"),
         );
-        assert_worker_invariant(
+        assert_store_invariant(
             &GatheringProtocol::new(),
             &initial,
             &CrashTolerantGatheringInvariant::new(),
             &ExploreOptions::new(mode).with_faults(FaultBudget::none().with_crashes(1)),
             &format!("one-crash crash-tolerant gathering {mode}"),
         );
-        assert_worker_invariant(
+        assert_store_invariant(
             &GatheringProtocol::new(),
             &initial,
             &EventualGatheringInvariant::new(),
             &ExploreOptions::new(mode).with_faults(FaultBudget::none().with_corrupt_looks(1)),
             &format!("corrupt-look gathering {mode}"),
         );
-        assert_worker_invariant(
+        assert_store_invariant(
             &GatheringProtocol::new(),
             &initial,
             &GatheringInvariant::new(),
@@ -308,10 +259,10 @@ fn fault_branching_exploration_is_worker_invariant() {
 }
 
 #[test]
-fn quotient_full_check_is_worker_and_store_invariant() {
+fn quotient_full_check_is_store_invariant() {
     // The σ-threaded quotient checker (safety + liveness on the canonical
     // quotient) obeys the same discipline as the concrete checker: identical
-    // reports for every worker count and storage backend, on a verified cell
+    // reports for every storage backend, on a verified cell
     // and on a falsified one — and the falsified cell's lasso, realized over
     // concrete robots by unwinding the accumulated relabelings, replays.
     let initial = enumerate_rigid_configurations(7, 3).remove(0);
@@ -339,37 +290,22 @@ fn quotient_full_check_is_worker_and_store_invariant() {
         let ce = falsified_ref.counterexample().expect("mutant falsified");
         let replay = replay_counterexample(&idle_mutant, &initial, &invariant, ce).unwrap();
         assert!(replay.reproduced, "{mode}: {}", replay.detail);
-        for workers in WORKER_COUNTS {
-            for store in [StoreKind::Mem, StoreKind::Spill] {
-                let options = base
-                    .with_workers(workers)
-                    .with_store(store)
-                    .with_mem_budget(4 << 10);
-                let verified = check_protocol_quotient_with_stats(
-                    &GatheringProtocol::new(),
-                    &initial,
-                    &invariant,
-                    &options,
-                )
-                .unwrap()
-                .0;
-                assert_eq!(
-                    verified, verified_ref,
-                    "{mode}: workers={workers} store={store}"
-                );
-                let falsified = check_protocol_quotient_with_stats(
-                    &idle_mutant,
-                    &initial,
-                    &invariant,
-                    &options,
-                )
-                .unwrap()
-                .0;
-                assert_eq!(
-                    falsified, falsified_ref,
-                    "{mode}: workers={workers} store={store}"
-                );
-            }
+        for store in [StoreKind::Mem, StoreKind::Spill] {
+            let options = base.with_store(store).with_mem_budget(SPILL_BUDGET);
+            let verified = check_protocol_quotient_with_stats(
+                &GatheringProtocol::new(),
+                &initial,
+                &invariant,
+                &options,
+            )
+            .unwrap()
+            .0;
+            assert_eq!(verified, verified_ref, "{mode}: store={store}");
+            let falsified =
+                check_protocol_quotient_with_stats(&idle_mutant, &initial, &invariant, &options)
+                    .unwrap()
+                    .0;
+            assert_eq!(falsified, falsified_ref, "{mode}: store={store}");
         }
     }
 }
@@ -379,10 +315,11 @@ proptest! {
 
     /// Randomized sweep over the space the fixed tests cannot enumerate:
     /// random initial class, random single-entry protocol mutation (or
-    /// none), random interleaving mode, random state budget — 1, 2 and 8
-    /// workers always emit the identical report and trace.
+    /// none), random interleaving mode, random state budget — both
+    /// backends, exact and quotient, always emit the identical report and
+    /// trace.
     #[test]
-    fn random_mutants_and_budgets_are_worker_invariant(
+    fn random_mutants_and_budgets_are_store_invariant(
         class_pick in 0usize..4,
         // 0 = unmutated; 1..=12 decomposes into a (trigger class, decision)
         // single-entry table mutation.
@@ -403,7 +340,7 @@ proptest! {
         let base = ExploreOptions::new(mode).with_max_states(budget);
         let invariant = GatheringInvariant::new();
         if mutate_pick == 0 {
-            assert_worker_invariant(
+            assert_store_invariant(
                 &GatheringProtocol::new(),
                 &initial,
                 &invariant,
@@ -421,7 +358,7 @@ proptest! {
                 _ => Decision::Move(ViewIndex::Second),
             };
             let mutant = MutatedProtocol::new(GatheringProtocol::new(), trigger, replacement);
-            assert_worker_invariant(&mutant, &initial, &invariant, &base, "random mutant");
+            assert_store_invariant(&mutant, &initial, &invariant, &base, "random mutant");
         }
     }
 }

@@ -153,8 +153,8 @@ impl AugState {
 /// A task-level correctness property, checkable along every edge of the
 /// reachable state graph.
 ///
-/// `Sync` is a supertrait because the exhaustive checker shares one invariant
-/// across its worker threads; invariants are stateless descriptions (all
+/// `Sync` is a supertrait so that one invariant can be shared by searches
+/// running on several threads; invariants are stateless descriptions (all
 /// per-path state lives in [`AugState`]), so this costs implementors nothing.
 pub trait Invariant: Sync {
     /// Short name used in reports ("gathering", "searching", ...).

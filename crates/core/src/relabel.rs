@@ -14,8 +14,9 @@
 //!
 //! Determinism matters as much as correctness here: the alignment must be a
 //! pure function of the two packed states' bits (never of discovery order or
-//! worker count), because the quotient-liveness verdict and any extracted
-//! counterexample must be byte-identical across `--workers` values.  The
+//! of which thread runs the search), because the quotient-liveness verdict
+//! and any extracted counterexample must be byte-identical across storage
+//! backends and across the threads a grid runs its classes on.  The
 //! alignment goes through each state's [`rr_corda::CanonicalTransform`]: map every
 //! robot to its (canonical node index, canonical phase) cell, sort with
 //! robot id as the tie-break, and pair by rank.  Robots in identical cells
@@ -163,7 +164,7 @@ impl RobotPerm {
 /// shared canonical word; robots are sorted by (canonical node index,
 /// canonical phase, robot id) and paired by rank.  The result depends only
 /// on the two states' bits — the property the quotient-liveness pass relies
-/// on for worker-count-independent verdicts.
+/// on for verdicts that do not depend on discovery order or storage.
 ///
 /// [`CanonicalTransform`]: rr_corda::CanonicalTransform
 ///

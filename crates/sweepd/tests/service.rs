@@ -5,7 +5,8 @@
 //! resubmission is pinned in `cache_serve.rs`, a test binary of its own.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 use rr_bench::grid::{GridKind, GridSpec};
 use rr_bench::ledger;
@@ -329,4 +330,49 @@ fn client_rejects_undeclared_flags_and_missing_or_malformed_values() {
         "nothing queued"
     );
     std::fs::remove_dir_all(&spool).unwrap();
+}
+
+#[test]
+fn daemon_rejects_bad_command_lines_before_opening_a_spool() {
+    // `--spool --drain` used to take `--drain` as the spool path, create a
+    // directory of that name and serve it forever; `--poll-ms abc` failed
+    // without the usage.  Each case now prints the usage and exits 2, and
+    // leaves the working directory empty.  A daemon still running after
+    // the deadline started serving and fails the test instead of hanging
+    // it.
+    let cases: [&[&str]; 5] = [
+        &["--spool", "--drain"],
+        &["--spool"],
+        &["--spool", "spool", "--poll-ms", "abc"],
+        &["--spool", "spool", "--pol-ms", "5"],
+        &["--spool", "spool", "stray"],
+    ];
+    for (i, args) in cases.into_iter().enumerate() {
+        let cwd = tmp_dir(&format!("daemon-args-{i}"));
+        let mut child = Command::new(env!("CARGO_BIN_EXE_rr-sweepd"))
+            .args(args)
+            .current_dir(&cwd)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while child.try_wait().unwrap().is_none() {
+            if Instant::now() > deadline {
+                child.kill().unwrap();
+                panic!("rr-sweepd {args:?} still running after 30 s");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let output = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("\nusage: rr-sweepd "), "{args:?}: {stderr}");
+        assert_eq!(
+            std::fs::read_dir(&cwd).unwrap().count(),
+            0,
+            "{args:?} created a directory"
+        );
+        std::fs::remove_dir(&cwd).unwrap();
+    }
 }
