@@ -18,8 +18,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rr_corda::scheduler::FullySynchronousScheduler;
 use rr_corda::{
-    Engine, EngineOptions, LeapPlan, LookPath, MultiplicityCapability, Protocol, StepPath,
-    TraceMode, ViewOrder,
+    Engine, EngineOptions, LeapPlan, MultiplicityCapability, Protocol, StepPath, TraceMode,
+    ViewOrder,
 };
 use rr_core::gathering::GatheringProtocol;
 use rr_ring::{Configuration, Direction, Ring};
@@ -40,7 +40,6 @@ fn options(path: StepPath) -> EngineOptions {
         enforce_exclusivity: false,
         trace: TraceMode::Disabled,
         view_order: ViewOrder::CwFirst,
-        look_path: LookPath::Incremental,
         step_path: path,
     }
 }

@@ -3,33 +3,30 @@
 //! Two groups:
 //!
 //! * `engine_throughput` — scheduler-driven `Engine::step` loops on the
-//!   incremental O(k) Look pipeline vs the `LookPath::ScanBaseline`
-//!   pre-incremental O(n) pipeline, across ring/team sizes (the criterion
-//!   counterpart of the `exp_throughput` binary);
+//!   O(k) Look pipeline across ring/team sizes (the criterion counterpart
+//!   of the `exp_throughput` binary);
 //! * `look_pipeline` — the snapshot capture alone: `capture_into` on a
 //!   reused scratch snapshot (zero-allocation path) vs the allocating
-//!   `capture` wrapper vs the O(n)-walk `capture_scan` reference.
+//!   `capture` wrapper.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rr_bench::rigid_start;
 use rr_corda::protocol::GreedyGapWalker;
 use rr_corda::scheduler::RoundRobinScheduler;
 use rr_corda::{
-    Engine, EngineOptions, LookPath, MultiplicityCapability, Snapshot, StepPath, TraceMode,
-    ViewOrder,
+    Engine, EngineOptions, MultiplicityCapability, Snapshot, StepPath, TraceMode, ViewOrder,
 };
 use rr_ring::Direction;
 use std::hint::black_box;
 
 const CELLS: &[(usize, usize)] = &[(16, 4), (64, 8), (256, 8), (1024, 16)];
 
-fn workload_options(path: LookPath) -> EngineOptions {
+fn workload_options() -> EngineOptions {
     EngineOptions {
         capability: MultiplicityCapability::None,
         enforce_exclusivity: false,
         trace: TraceMode::Disabled,
         view_order: ViewOrder::CwFirst,
-        look_path: path,
         step_path: StepPath::StepBaseline,
     }
 }
@@ -39,20 +36,14 @@ fn workload_options(path: LookPath) -> EngineOptions {
 fn bench_engine_steps(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_throughput");
     for &(n, k) in CELLS {
-        for (label, path) in [
-            ("steps_incremental", LookPath::Incremental),
-            ("steps_scan_baseline", LookPath::ScanBaseline),
-        ] {
-            let mut engine =
-                Engine::new(GreedyGapWalker, rigid_start(n, k), workload_options(path))
-                    .expect("valid workload");
-            let mut scheduler = RoundRobinScheduler::new();
-            group.bench_with_input(
-                BenchmarkId::new(label, format!("n{n}_k{k}")),
-                &(),
-                move |b, ()| b.iter(|| black_box(engine.run_until(&mut scheduler, 256, |_| false))),
-            );
-        }
+        let mut engine = Engine::new(GreedyGapWalker, rigid_start(n, k), workload_options())
+            .expect("valid workload");
+        let mut scheduler = RoundRobinScheduler::new();
+        group.bench_with_input(
+            BenchmarkId::new("steps_incremental", format!("n{n}_k{k}")),
+            &(),
+            move |b, ()| b.iter(|| black_box(engine.run_until(&mut scheduler, 256, |_| false))),
+        );
     }
     group.finish();
 }
@@ -86,20 +77,6 @@ fn bench_look_pipeline(c: &mut Criterion) {
             move |b, cfg| {
                 b.iter(|| {
                     black_box(Snapshot::capture(
-                        black_box(cfg),
-                        node,
-                        MultiplicityCapability::None,
-                        Direction::Cw,
-                    ))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("capture_scan", format!("n{n}_k{k}")),
-            &config,
-            move |b, cfg| {
-                b.iter(|| {
-                    black_box(Snapshot::capture_scan(
                         black_box(cfg),
                         node,
                         MultiplicityCapability::None,

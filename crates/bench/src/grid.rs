@@ -41,7 +41,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use rr_corda::SchedulerKind;
+use rr_corda::{RobotSet, SchedulerKind};
 use rr_core::driver::TaskTargets;
 use rr_core::unified::Task;
 use serde::Serialize;
@@ -227,7 +227,7 @@ impl GridSpec {
         }
         let root_seed = get_u64("root_seed")?;
         let mut instances = Vec::new();
-        for item in get("instances")?.split(',') {
+        for item in get("instances")?.split(',').map(str::trim) {
             let (n, k) = item
                 .split_once('x')
                 .ok_or_else(|| format!("instance `{item}` is not NxK"))?;
@@ -235,6 +235,12 @@ impl GridSpec {
             let k: usize = k.parse().map_err(|e| format!("instance `{item}`: {e}"))?;
             if k == 0 || k >= n {
                 return Err(format!("instance `{item}`: need 1 <= k < n"));
+            }
+            if k > RobotSet::CAPACITY {
+                return Err(format!(
+                    "instance `{item}`: the engine runs at most {} robots",
+                    RobotSet::CAPACITY
+                ));
             }
             instances.push((n, k));
         }
@@ -248,9 +254,9 @@ impl GridSpec {
                 let task =
                     parse_task(task_name).ok_or_else(|| format!("unknown task `{task_name}`"))?;
                 let mut schedulers = Vec::new();
-                for name in get("schedulers")?.split(',') {
+                for name in get("schedulers")?.split(',').map(str::trim) {
                     schedulers.push(
-                        parse_scheduler(name.trim())
+                        parse_scheduler(name)
                             .ok_or_else(|| format!("unknown scheduler `{name}`"))?,
                     );
                 }
@@ -821,6 +827,37 @@ mod tests {
         let spec = GridSpec::parse(text).unwrap();
         assert_eq!(spec.experiment, "E3");
         assert!(spec.canonical_encoding().starts_with(GRID_MAGIC));
+    }
+
+    #[test]
+    fn parse_trims_spaces_around_list_items() {
+        let encoded = sample_spec().canonical_encoding();
+        let spaced = encoded
+            .replace("instances=8x4,10x3", "instances=8x4, 10x3 ")
+            .replace(
+                "schedulers=round-robin,ssync,async",
+                "schedulers=round-robin , ssync,  async",
+            );
+        assert_ne!(spaced, encoded);
+        let parsed = GridSpec::parse(&spaced).unwrap();
+        assert_eq!(parsed, sample_spec());
+        assert_eq!(parsed.canonical_encoding(), encoded, "same cache key");
+    }
+
+    #[test]
+    fn parse_caps_k_at_the_engine_capacity() {
+        let with = |instances: &str| {
+            format!(
+                "rr-sweepd-grid/v1\nexperiment=E\nroot_seed=1\ninstances={instances}\n\
+                 kind=align\nsample_starts=4\n"
+            )
+        };
+        assert_eq!(
+            GridSpec::parse(&with("70x64")).unwrap().instances,
+            vec![(70, 64)]
+        );
+        let err = GridSpec::parse(&with("70x65")).unwrap_err();
+        assert!(err.contains("at most 64 robots"), "{err}");
     }
 
     #[test]

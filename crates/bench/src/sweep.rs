@@ -353,15 +353,14 @@ pub struct FaultRecord {
     pub wall_nanos: u128,
 }
 
-/// One engine-throughput cell (schema `rr-sweep/v1`, experiment `E12`).
+/// One engine-throughput cell (schema `rr-sweep/v1`, experiments `E12` and
+/// `E13`).
 ///
-/// Written by `exp_throughput`: a fixed scheduler-step budget is driven
-/// through `Engine::step` twice per cell — once on the incremental O(k)
-/// Look pipeline and once on the `LookPath::ScanBaseline` pre-incremental
-/// pipeline — plus a Look/Execute micro-loop that isolates the Look phase.
-/// The two pipelines must agree on every deterministic counter and on the
-/// final configuration (`ok` is false otherwise), so the speedup figures
-/// are measured against a provably equivalent baseline.  Like
+/// Written by `exp_throughput`.  An E12 cell drives a fixed scheduler-step
+/// budget through `Engine::run` once, plus a Look/Execute micro-loop that
+/// isolates the Look phase.  An E13 cell runs a gathering endgame twice, on
+/// `StepPath::Leap` and on `StepPath::StepBaseline`, and the two runs must
+/// agree on every deterministic counter and on the final positions.  Like
 /// `states_per_sec` in [`ModelCheckRecord`], the `*_per_sec` and allocation
 /// fields are machine-dependent: they accumulate the perf trajectory in the
 /// CI artifacts and are excluded from cross-run byte comparisons.
@@ -375,37 +374,40 @@ pub struct ThroughputRecord {
     pub n: usize,
     /// Number of robots.
     pub k: usize,
-    /// Scheduler name ("round-robin", "ssync", "async").
+    /// Scheduler name ("round-robin", "ssync", "async", "fsync").
     pub scheduler: String,
     /// The derived per-cell seed the scheduler was built from.
     pub seed: u64,
-    /// Scheduler steps applied per pipeline run (the cell's budget).
+    /// Scheduler steps applied by the run (E12: the cell's budget).
     pub steps: u64,
     /// Fresh Look + Compute phases performed during the scheduler run.
     pub looks: u64,
     /// Robot moves executed during the scheduler run.
     pub moves: u64,
-    /// Scheduler steps per second on the incremental pipeline.
+    /// Scheduler steps per second (E13: of the leap run).
     pub steps_per_sec: u64,
-    /// Scheduler steps per second on the `ScanBaseline` pipeline.
+    /// E13 only: scheduler steps per second of the `StepBaseline` run of
+    /// the same cell.  0 on E12 records.
     pub baseline_steps_per_sec: u64,
-    /// Incremental / baseline steps-per-second ratio, in hundredths
-    /// (`350` = 3.5×).
+    /// E13 only: leap / step-baseline steps-per-second ratio, in hundredths
+    /// (`350` = 3.5×).  0 on E12 records.
     pub speedup_x100: u64,
     /// Looks per second in the Look/Execute micro-loop (Look phase isolated
     /// from scheduler overhead).
     pub looks_per_sec: u64,
-    /// Heap allocations per 1000 scheduler steps over the full engine loop
-    /// (includes the scheduler's step materialization); 0 when the binary's
-    /// counting allocator is not installed.
+    /// Heap allocations per 1000 scheduler steps over the full engine loop,
+    /// scheduler included; 0 when the binary's counting allocator is not
+    /// installed.
     pub allocs_per_kstep: u64,
     /// Heap allocations per 1000 steps of the Look/Execute micro-loop — the
     /// zero-allocation Look pipeline claim, measured.
     pub look_allocs_per_kstep: u64,
-    /// Whether the incremental and baseline runs agreed on every
-    /// deterministic counter and the final configuration.
+    /// E12: whether the run used its whole step budget without an engine
+    /// error.  E13: whether the leap and step-baseline runs agreed on every
+    /// deterministic counter and the final positions.
     pub ok: bool,
-    /// Failure detail (empty on success).
+    /// Failure detail (empty on success): the engine error, or the two E13
+    /// runs' counters.
     pub detail: String,
     /// Wall-clock nanoseconds for the cell (not serialized; machine
     /// dependent).

@@ -4,10 +4,10 @@
 //! schedule of the adversary; the randomized verification harnesses in
 //! [`crate::verify`] only sample that space (64 seeds per cell).  This module
 //! closes the gap for small instances: it enumerates the **complete**
-//! reachable state graph of a protocol under a
-//! [`NondeterministicScheduler`]'s branching frontier — every SSYNC
-//! activation subset, or every ASYNC Look/Move interleaving with pending
-//! moves — and checks a pluggable [`Invariant`] on it:
+//! reachable state graph of a protocol under the adversary's whole
+//! branching frontier ([`InterleavingMode`]) — every SSYNC activation
+//! subset, or every ASYNC Look/Move interleaving with pending moves — and
+//! checks a pluggable [`Invariant`] on it:
 //!
 //! * **safety** is checked on every edge (collisions raised by the engine,
 //!   plus the invariant's own edge conditions), and a breadth-first search
@@ -71,8 +71,8 @@ use std::time::Instant;
 use rr_corda::packed::SigHashBuilder;
 use rr_corda::{
     CorruptionKind, Decision, Engine, EngineOptions, EngineState, FaultModel, InterleavingMode,
-    NondeterministicScheduler, PackedState, Protocol, RobotId, RobotState, SchedulerStep, SimError,
-    Snapshot, StateSig, ViewOrder, MAX_CANONICAL_N,
+    PackedState, Protocol, RobotId, RobotSet, RobotState, SchedulerStep, SimError, Snapshot,
+    StateSig, ViewOrder, MAX_CANONICAL_N,
 };
 use rr_core::invariant::{AugState, Invariant, LivenessMode, StateView};
 use rr_core::relabel::{relabel_onto, RobotPerm, MAX_PERM_ROBOTS};
@@ -339,7 +339,7 @@ fn render_steps(steps: &[SchedulerStep]) -> String {
             SchedulerStep::Look(r) => format!("L{r}"),
             SchedulerStep::Execute(r) => format!("E{r}"),
             SchedulerStep::SsyncRound(robots) => {
-                let ids: Vec<String> = robots.iter().map(ToString::to_string).collect();
+                let ids: Vec<String> = robots.iter().map(|r| r.to_string()).collect();
                 format!("R{{{}}}", ids.join(","))
             }
         })
@@ -551,10 +551,8 @@ fn code_engine_step(code: u32) -> Option<SchedulerStep> {
     match payload & 3 {
         FAULT_LOOK => Some(SchedulerStep::Look(((payload >> 2) & 31) as usize)),
         FAULT_ROUND => {
-            let mask = payload >> 8;
-            Some(SchedulerStep::SsyncRound(
-                (0..32usize).filter(|&r| mask & (1 << r) != 0).collect(),
-            ))
+            let robots = RobotSet::from_bits(u64::from(payload >> 8));
+            Some(SchedulerStep::SsyncRound(robots))
         }
         _ => None,
     }
@@ -568,38 +566,14 @@ fn decode_step(code: u32) -> SchedulerStep {
     match code & 3 {
         STEP_LOOK => SchedulerStep::Look(payload as usize),
         STEP_EXECUTE => SchedulerStep::Execute(payload as usize),
-        _ => SchedulerStep::SsyncRound((0..32usize).filter(|&r| payload & (1 << r) != 0).collect()),
-    }
-}
-
-/// [`decode_step`] recycling `buf` as the SSYNC robot vector (the hot loop
-/// never allocates per step); return the vector with [`recycle_step`].
-fn decode_step_with(code: u32, buf: &mut Vec<usize>) -> SchedulerStep {
-    let payload = code >> 2;
-    match code & 3 {
-        STEP_LOOK => SchedulerStep::Look(payload as usize),
-        STEP_EXECUTE => SchedulerStep::Execute(payload as usize),
-        _ => {
-            let mut robots = std::mem::take(buf);
-            robots.clear();
-            robots.extend((0..32usize).filter(|&r| payload & (1 << r) != 0));
-            SchedulerStep::SsyncRound(robots)
-        }
-    }
-}
-
-/// Takes the robot vector back out of a step produced by
-/// [`decode_step_with`].
-fn recycle_step(step: SchedulerStep, buf: &mut Vec<usize>) {
-    if let SchedulerStep::SsyncRound(robots) = step {
-        *buf = robots;
+        _ => SchedulerStep::SsyncRound(RobotSet::from_bits(u64::from(payload))),
     }
 }
 
 /// The robots a coded step activates, as a bitmask — the edge label the
-/// fairness analysis is built on (equals
-/// [`NondeterministicScheduler::activation_mask`] of the decoded step; for
-/// corrupt codes, of their underlying step; crash codes activate nobody).
+/// fairness analysis is built on (the bits of
+/// [`SchedulerStep::activated`] of the decoded step; for corrupt codes, of
+/// their underlying step; crash codes activate nobody).
 fn step_activation_mask(code: u32) -> u32 {
     match code & 3 {
         STEP_SSYNC => code >> 2,
@@ -616,10 +590,11 @@ fn step_activation_mask(code: u32) -> u32 {
 }
 
 /// The branching frontier of the adversary from a state with the given
-/// per-robot pending status, as step codes, in the exact order
-/// [`NondeterministicScheduler::frontier`] produces (subset bitmask order for
-/// SSYNC, robot id order for ASYNC), with crash-stopped robots removed from
-/// every step.
+/// per-robot pending status, as step codes, in a fixed order (subset
+/// bitmask order for SSYNC, robot id order for ASYNC), with crash-stopped
+/// robots removed from every step.  This is the whole adversary at once:
+/// a protocol verified against this frontier is verified against **all**
+/// schedules of the mode, not a seed sample of them.
 fn frontier_codes(mode: InterleavingMode, robots: &[RobotState], crashed: u32, out: &mut Vec<u32>) {
     out.clear();
     let k = robots.len();
@@ -897,7 +872,6 @@ struct Worker<P> {
     engine: Engine<P>,
     before: EngineState,
     frontier: Vec<u32>,
-    ssync_buf: Vec<usize>,
     report: rr_corda::StepReport,
 }
 
@@ -960,7 +934,6 @@ fn expand_node<P: Protocol>(
         engine,
         before,
         frontier,
-        ssync_buf,
         report,
     } = worker;
     engine.restore_packed(packed);
@@ -1010,13 +983,8 @@ fn expand_node<P: Protocol>(
             });
             new_fault = fault_word(crashed, corrupts + 1);
         }
-        let step = if code & 3 == STEP_FAULT {
-            code_engine_step(code).expect("corrupt codes drive a step")
-        } else {
-            decode_step_with(code, ssync_buf)
-        };
+        let step = code_engine_step(code).expect("crash codes are handled above");
         let result = engine.step_into(&step, &mut (), report);
-        recycle_step(step, ssync_buf);
         if corruption.is_some() {
             engine.arm_fault(FaultModel::None);
         }
@@ -1323,7 +1291,6 @@ fn explore<P: Protocol + Clone>(
         engine: root_engine,
         before: root_state,
         frontier: Vec::new(),
-        ssync_buf: Vec::new(),
         report: rr_corda::StepReport::default(),
     };
 
@@ -1704,18 +1671,11 @@ fn edge_relabeling<P: Protocol>(
     to: &PackedState,
     code: u32,
 ) -> RobotPerm {
-    let Worker {
-        engine,
-        ssync_buf,
-        report,
-        ..
-    } = worker;
+    let Worker { engine, report, .. } = worker;
     engine.restore_packed(from);
-    let step = decode_step_with(code, ssync_buf);
     engine
-        .step_into(&step, &mut (), report)
+        .step_into(&decode_step(code), &mut (), report)
         .expect("stored quotient edge replays");
-    recycle_step(step, ssync_buf);
     let after = engine.pack_behavior();
     relabel_onto(&after, to).expect("quotient edge endpoints share a canonical class")
 }
@@ -2131,7 +2091,7 @@ fn replay_look_offset(step: &SchedulerStep, robot: RobotId) -> Result<u64, Strin
         SchedulerStep::Look(r) if *r == robot => Ok(0),
         SchedulerStep::SsyncRound(robots) => robots
             .iter()
-            .position(|&r| r == robot)
+            .position(|r| r == robot)
             .map(|p| p as u64)
             .ok_or_else(|| "corrupt directive names a robot outside its round".to_string()),
         _ => Err("corrupt directive does not match its step".to_string()),
@@ -2166,7 +2126,7 @@ pub fn replay_counterexample<P: Protocol + Clone>(
     let mut engine = Engine::new(protocol.clone(), initial.clone(), engine_options)?;
     let mut aug = invariant.initial_aug(initial);
     let reach_mode = invariant.liveness_mode() == LivenessMode::Reach;
-    let full_mask = (1u32 << engine.num_robots()) - 1;
+    let full_mask = RobotSet::first(engine.num_robots()).bits();
     let mut crashed: u32 = 0;
 
     // Applies the directives attached to schedule position `at`, then the
@@ -2194,7 +2154,7 @@ pub fn replay_counterexample<P: Protocol + Clone>(
                 }
             }
         }
-        if NondeterministicScheduler::activation_mask(step) & *crashed != 0 {
+        if step.activated().bits() & u64::from(*crashed) != 0 {
             if armed {
                 engine.arm_fault(FaultModel::None);
             }
@@ -2276,10 +2236,10 @@ pub fn replay_counterexample<P: Protocol + Clone>(
                     detail: "lasso entry already satisfies the target".to_string(),
                 });
             }
-            let required = full_mask & !crashed & !ce.starved;
+            let required = full_mask & !u64::from(crashed | ce.starved);
             let mut progress_seen = false;
             let mut target_seen = false;
-            let mut activated = 0u32;
+            let mut activated = 0u64;
             for (idx, step) in ce.cycle.iter().enumerate() {
                 match apply(
                     &mut engine,
@@ -2291,7 +2251,7 @@ pub fn replay_counterexample<P: Protocol + Clone>(
                     Ok((progress, target)) => {
                         progress_seen |= progress;
                         target_seen |= target;
-                        activated |= NondeterministicScheduler::activation_mask(step);
+                        activated |= step.activated().bits();
                     }
                     Err(detail) => {
                         return Ok(ReplayReport {
@@ -2302,7 +2262,7 @@ pub fn replay_counterexample<P: Protocol + Clone>(
                 }
             }
             let closes = engine.pack_behavior() == loop_behavior && aug.key_bits() == loop_aug_bits;
-            let fair = activated & required == required && activated & crashed == 0;
+            let fair = activated & required == required && activated & u64::from(crashed) == 0;
             let reproduced = closes && fair && !progress_seen && !target_seen;
             let detail = if reproduced {
                 format!(
@@ -2385,31 +2345,107 @@ mod tests {
         InterleavingMode::AsyncPhases,
     ];
 
+    /// Reference for [`frontier_codes`]: every scheduler step the adversary
+    /// may take next from `view`, materialized — each non-empty subset in
+    /// bitmask order (SSYNC), or one phase per robot in id order (ASYNC).
+    fn frontier(mode: InterleavingMode, view: &rr_corda::SchedulerView) -> Vec<SchedulerStep> {
+        let k = view.num_robots;
+        match mode {
+            InterleavingMode::SsyncSubsets => (1u32..1 << k)
+                .map(|mask| {
+                    SchedulerStep::SsyncRound((0..k).filter(|&r| mask & (1 << r) != 0).collect())
+                })
+                .collect(),
+            InterleavingMode::AsyncPhases => (0..k)
+                .map(|r| {
+                    if view.pending.contains(r) {
+                        SchedulerStep::Execute(r)
+                    } else {
+                        SchedulerStep::Look(r)
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    /// `k` robots on nodes `0..k`: the ones in `pending` with an idle action
+    /// pending, the others ready.
+    fn robots_pending(k: usize, pending: &[RobotId]) -> Vec<RobotState> {
+        (0..k)
+            .map(|r| RobotState {
+                phase: if pending.contains(&r) {
+                    rr_corda::robot::Phase::IdlePending
+                } else {
+                    rr_corda::robot::Phase::Ready
+                },
+                ..RobotState::new(r)
+            })
+            .collect()
+    }
+
     #[test]
     fn frontier_codes_match_the_nondeterministic_scheduler() {
-        // The coded frontier is the scheduler's frontier, step for step, in
+        // The coded frontier is the reference frontier, step for step, in
         // the same order — for ready robots, pending robots and both modes.
         let c = Configuration::from_gaps_at_origin(&[1, 1, 4]);
         let mut engine =
             Engine::with_default_options(rr_corda::protocol::GreedyGapWalker, c).unwrap();
         engine.step(&SchedulerStep::Look(1), &mut ()).unwrap();
         for mode in MODES {
-            let scheduler = NondeterministicScheduler::new(mode);
-            let expected = scheduler.frontier(&engine.scheduler_view());
+            let expected = frontier(mode, &engine.scheduler_view());
             let mut codes = Vec::new();
             frontier_codes(mode, engine.robots(), 0, &mut codes);
             let decoded: Vec<SchedulerStep> = codes.iter().map(|&c| decode_step(c)).collect();
             assert_eq!(decoded, expected, "mode={mode}");
             for (code, step) in codes.iter().zip(&expected) {
                 assert_eq!(
-                    step_activation_mask(*code),
-                    NondeterministicScheduler::activation_mask(step)
+                    u64::from(step_activation_mask(*code)),
+                    step.activated().bits()
                 );
-                let mut buf = Vec::new();
-                let with_buf = decode_step_with(*code, &mut buf);
-                assert_eq!(&with_buf, step);
-                recycle_step(with_buf, &mut buf);
             }
+        }
+    }
+
+    #[test]
+    fn ssync_frontier_enumerates_every_nonempty_subset() {
+        let mut codes = Vec::new();
+        frontier_codes(
+            InterleavingMode::SsyncSubsets,
+            &robots_pending(3, &[]),
+            0,
+            &mut codes,
+        );
+        assert_eq!(codes.len(), 7);
+        let mut masks: Vec<u32> = codes.iter().map(|&c| step_activation_mask(c)).collect();
+        masks.sort_unstable();
+        assert_eq!(masks, (1..=7).collect::<Vec<u32>>());
+        assert!(codes.iter().all(|&c| matches!(
+            decode_step(c),
+            SchedulerStep::SsyncRound(set) if !set.is_empty()
+        )));
+    }
+
+    #[test]
+    fn async_frontier_advances_each_robot_by_one_phase() {
+        let mut codes = Vec::new();
+        frontier_codes(
+            InterleavingMode::AsyncPhases,
+            &robots_pending(4, &[1, 3]),
+            0,
+            &mut codes,
+        );
+        let decoded: Vec<SchedulerStep> = codes.iter().map(|&c| decode_step(c)).collect();
+        assert_eq!(
+            decoded,
+            vec![
+                SchedulerStep::Look(0),
+                SchedulerStep::Execute(1),
+                SchedulerStep::Look(2),
+                SchedulerStep::Execute(3),
+            ]
+        );
+        for (r, &code) in codes.iter().enumerate() {
+            assert_eq!(step_activation_mask(code), 1 << r);
         }
     }
 
@@ -2439,34 +2475,6 @@ mod tests {
                     assert!(report.peak_resident_nodes >= report.states);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn quotient_safety_pass_agrees_and_is_smaller() {
-        let initial = enumerate_rigid_configurations(7, 3).remove(0);
-        for mode in MODES {
-            let concrete = check_protocol_with_stats(
-                &GatheringProtocol::new(),
-                &initial,
-                &GatheringInvariant::new(),
-                &ExploreOptions::new(mode),
-            )
-            .unwrap()
-            .0;
-            let quotient = check_protocol_quotient_with_stats(
-                &GatheringProtocol::new(),
-                &initial,
-                &GatheringInvariant::new(),
-                &ExploreOptions::new(mode),
-            )
-            .unwrap()
-            .0;
-            assert!(concrete.verified() && quotient.verified(), "mode={mode}");
-            // The quotient explorer's state count is exactly the number of
-            // canonical classes the concrete explorer reports.
-            assert_eq!(quotient.states, concrete.quotient_states, "mode={mode}");
-            assert!(quotient.states <= concrete.states, "mode={mode}");
         }
     }
 
@@ -2845,12 +2853,65 @@ mod tests {
     }
 
     #[test]
+    fn replay_masks_hold_more_than_32_robots() {
+        // An idle team never gathers: one full round is a fair lasso that
+        // closes at once.  With 33 robots the replay's fairness masks need
+        // more than 32 bits.
+        let mut gaps = vec![0; 33];
+        gaps[32] = 7;
+        let initial = Configuration::from_gaps_at_origin(&gaps);
+        let ce = Counterexample {
+            kind: ViolationKind::Liveness,
+            message: "idle".to_string(),
+            prefix: Vec::new(),
+            cycle: vec![SchedulerStep::SsyncRound(RobotSet::first(33))],
+            faults: Vec::new(),
+            starved: 0,
+        };
+        let replay = replay_counterexample(
+            &rr_corda::protocol::IdleProtocol,
+            &initial,
+            &GatheringInvariant::new(),
+            &ce,
+        )
+        .unwrap();
+        assert!(replay.reproduced, "{}", replay.detail);
+    }
+
+    #[test]
+    fn replay_reports_a_step_naming_no_robot() {
+        // A hand-written schedule may name a robot the engine does not have,
+        // even one beyond any robot set: the replay says so and does not
+        // panic.
+        let initial = Configuration::from_gaps_at_origin(&[1, 3]);
+        for robot in [2, RobotSet::CAPACITY + 35] {
+            let ce = Counterexample {
+                kind: ViolationKind::Safety,
+                message: "unknown robot".to_string(),
+                prefix: vec![SchedulerStep::Look(robot)],
+                cycle: Vec::new(),
+                faults: Vec::new(),
+                starved: 0,
+            };
+            let replay = replay_counterexample(
+                &rr_corda::protocol::IdleProtocol,
+                &initial,
+                &GatheringInvariant::new(),
+                &ce,
+            )
+            .unwrap();
+            assert!(replay.reproduced, "robot {robot}: {}", replay.detail);
+            assert!(replay.detail.contains("unknown robot"), "{}", replay.detail);
+        }
+    }
+
+    #[test]
     fn render_is_compact() {
         let mut ce = Counterexample {
             kind: ViolationKind::Liveness,
             message: "m".to_string(),
             prefix: vec![SchedulerStep::Look(1), SchedulerStep::Execute(1)],
-            cycle: vec![SchedulerStep::SsyncRound(vec![0, 2])],
+            cycle: vec![SchedulerStep::SsyncRound(RobotSet::from_bits(0b101))],
             faults: Vec::new(),
             starved: 0,
         };
@@ -2896,7 +2957,7 @@ mod tests {
                 assert_eq!(corrupt_code_parts(code), Some((victim, kind, offset)));
                 assert_eq!(
                     code_engine_step(code),
-                    Some(SchedulerStep::SsyncRound(vec![0, 2, 3]))
+                    Some(SchedulerStep::SsyncRound(RobotSet::from_bits(0b1101)))
                 );
                 assert_eq!(step_activation_mask(code), mask);
             }
@@ -3075,7 +3136,7 @@ mod tests {
         assert_eq!(ce.starved, 0b01);
         for step in &ce.cycle {
             assert_eq!(
-                NondeterministicScheduler::activation_mask(step) & 0b01,
+                step.activated().bits() & 0b01,
                 0,
                 "cycle must not need the starved robot: {}",
                 ce.render()

@@ -37,8 +37,8 @@ pub mod snapshot;
 pub mod trace;
 
 pub use engine::{
-    debug_step_probe, Engine, EngineOptions, EngineState, LookPath, MoveRecord, RunOutcome,
-    RunReport, StepPath, StepReport, ViewOrder,
+    debug_step_probe, Engine, EngineOptions, EngineState, MoveRecord, RunOutcome, RunReport,
+    StepPath, StepReport, ViewOrder,
 };
 pub use error::SimError;
 pub use fault::{CorruptionKind, FaultEvent, FaultModel};
@@ -46,10 +46,10 @@ pub use leap::{LeapPlan, LeapRecord};
 pub use monitor::{Monitor, MoveLog};
 pub use packed::{CanonicalTransform, PackedState, StateSig, MAX_CANONICAL_N, SIG_WORDS};
 pub use protocol::{Decision, Protocol, ViewIndex};
-pub use robot::{RobotId, RobotState};
+pub use robot::{RobotId, RobotSet, RobotState};
 pub use scheduler::{
-    BoundedUnfairScheduler, InterleavingMode, NondeterministicScheduler, Scheduler, SchedulerKind,
-    SchedulerStep, SchedulerView,
+    BoundedUnfairScheduler, InterleavingMode, Scheduler, SchedulerKind, SchedulerStep,
+    SchedulerView,
 };
 pub use snapshot::{MultiplicityCapability, Snapshot};
 pub use trace::{Event, Trace, TraceMode};

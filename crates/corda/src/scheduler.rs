@@ -27,32 +27,49 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::robot::RobotId;
+use crate::robot::{RobotId, RobotSet};
 
 /// Scheduler-facing summary of the simulator state.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerView {
     /// Global step counter.
     pub step: u64,
-    /// For each robot, whether it has any pending action (move or idle).
-    pub pending: Vec<bool>,
-    /// For each robot, whether it has a pending *move*.
-    pub pending_moves: Vec<bool>,
+    /// The robots with a pending action (move or idle).
+    pub pending: RobotSet,
     /// Number of robots.
     pub num_robots: usize,
 }
 
 /// One scheduling decision.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerStep {
-    /// The listed robots all Look + Compute on the current configuration and
-    /// then all execute their action (a semi-synchronous round; with a single
-    /// robot this is an atomic Look–Compute–Move cycle).
-    SsyncRound(Vec<RobotId>),
+    /// The robots in the set all Look + Compute on the current configuration
+    /// and then all execute their action, both in ascending id order (a
+    /// semi-synchronous round; with a single robot this is an atomic
+    /// Look–Compute–Move cycle).
+    SsyncRound(RobotSet),
     /// The robot performs only its Look + Compute phases.
     Look(RobotId),
     /// The robot executes its pending action (if any).
     Execute(RobotId),
+}
+
+impl SchedulerStep {
+    /// The robots the step activates, in any phase — the edge label the
+    /// model checker's fairness analysis is built on.  A `Look` or
+    /// `Execute` of an id at or above [`RobotSet::CAPACITY`] activates no
+    /// robot: no engine has one (stepping it is a
+    /// [`SimError::UnknownRobot`](crate::error::SimError::UnknownRobot)).
+    #[must_use]
+    pub fn activated(&self) -> RobotSet {
+        match *self {
+            SchedulerStep::SsyncRound(robots) => robots,
+            SchedulerStep::Look(r) | SchedulerStep::Execute(r) if r < RobotSet::CAPACITY => {
+                RobotSet::single(r)
+            }
+            SchedulerStep::Look(_) | SchedulerStep::Execute(_) => RobotSet::EMPTY,
+        }
+    }
 }
 
 /// The adversary: decides which robots do what, when.
@@ -81,7 +98,7 @@ pub struct FullySynchronousScheduler;
 
 impl Scheduler for FullySynchronousScheduler {
     fn next(&mut self, view: &SchedulerView) -> SchedulerStep {
-        SchedulerStep::SsyncRound((0..view.num_robots).collect())
+        SchedulerStep::SsyncRound(RobotSet::first(view.num_robots))
     }
 
     fn name(&self) -> &str {
@@ -114,7 +131,7 @@ impl Scheduler for SemiSynchronousScheduler {
     fn next(&mut self, view: &SchedulerView) -> SchedulerStep {
         let k = view.num_robots;
         loop {
-            let subset: Vec<RobotId> = (0..k).filter(|_| self.rng.gen_bool(0.5)).collect();
+            let subset: RobotSet = (0..k).filter(|_| self.rng.gen_bool(0.5)).collect();
             if !subset.is_empty() {
                 return SchedulerStep::SsyncRound(subset);
             }
@@ -145,7 +162,7 @@ impl Scheduler for RoundRobinScheduler {
     fn next(&mut self, view: &SchedulerView) -> SchedulerStep {
         let r = self.next % view.num_robots.max(1);
         self.next = (r + 1) % view.num_robots.max(1);
-        SchedulerStep::SsyncRound(vec![r])
+        SchedulerStep::SsyncRound(RobotSet::single(r))
     }
 
     fn name(&self) -> &str {
@@ -208,7 +225,7 @@ impl Scheduler for AsynchronousScheduler {
         // Otherwise pick a random robot and advance whatever phase it is in.
         let r = self.rng.gen_range(0..k);
         self.ages[r] = view.step;
-        if view.pending[r] {
+        if view.pending.contains(r) {
             SchedulerStep::Execute(r)
         } else {
             SchedulerStep::Look(r)
@@ -243,7 +260,7 @@ fn most_overdue(
         if skip(r) {
             continue;
         }
-        let (best, limit): (&mut Option<RobotId>, u64) = if view.pending[r] {
+        let (best, limit): (&mut Option<RobotId>, u64) = if view.pending.contains(r) {
             (&mut pending, window)
         } else {
             (&mut silent, silent_window)
@@ -352,7 +369,7 @@ impl Scheduler for BoundedUnfairScheduler {
             self.rng.gen_range(0..k)
         };
         self.ages[r] = view.step;
-        if view.pending[r] {
+        if view.pending.contains(r) {
             SchedulerStep::Execute(r)
         } else {
             SchedulerStep::Look(r)
@@ -364,8 +381,8 @@ impl Scheduler for BoundedUnfairScheduler {
     }
 }
 
-/// Which space of adversarial interleavings a [`NondeterministicScheduler`]
-/// branches over.
+/// Which space of adversarial interleavings the exhaustive checker
+/// (`rr_checker::explore`) branches over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum InterleavingMode {
     /// Semi-synchronous rounds: every non-empty subset of robots performs a
@@ -394,80 +411,6 @@ impl InterleavingMode {
 impl std::fmt::Display for InterleavingMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// The *whole* adversary at once: instead of sampling one schedule (like the
-/// randomized schedulers above), exposes the complete branching frontier —
-/// every scheduler step the adversary could take next from a given state.
-///
-/// This is what turns the engine into a model-checking transition relation:
-/// the exhaustive checker (`rr_checker::explore`) saves the engine state,
-/// applies each frontier step in turn, and restores.  A protocol verified
-/// against this frontier is verified against **all** schedules of the mode,
-/// not a seed sample of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NondeterministicScheduler {
-    mode: InterleavingMode,
-}
-
-impl NondeterministicScheduler {
-    /// Creates the scheduler for the given interleaving mode.
-    #[must_use]
-    pub fn new(mode: InterleavingMode) -> Self {
-        NondeterministicScheduler { mode }
-    }
-
-    /// The interleaving mode.
-    #[must_use]
-    pub fn mode(&self) -> InterleavingMode {
-        self.mode
-    }
-
-    /// All scheduler steps the adversary may take next from `view`, in a
-    /// deterministic order (subset bitmask order for SSYNC, robot id order
-    /// for ASYNC).  Never empty for a system with at least one robot.
-    ///
-    /// # Panics
-    ///
-    /// Panics in SSYNC mode for more than 20 robots (the subset frontier is
-    /// exponential in `k`; exhaustive exploration is for small instances).
-    #[must_use]
-    pub fn frontier(&self, view: &SchedulerView) -> Vec<SchedulerStep> {
-        let k = view.num_robots;
-        match self.mode {
-            InterleavingMode::SsyncSubsets => {
-                assert!(k <= 20, "SSYNC subset frontier is exponential in k");
-                (1u32..1 << k)
-                    .map(|mask| {
-                        SchedulerStep::SsyncRound(
-                            (0..k).filter(|&r| mask & (1 << r) != 0).collect(),
-                        )
-                    })
-                    .collect()
-            }
-            InterleavingMode::AsyncPhases => (0..k)
-                .map(|r| {
-                    if view.pending[r] {
-                        SchedulerStep::Execute(r)
-                    } else {
-                        SchedulerStep::Look(r)
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    /// The robots a frontier step activates, as a bitmask — the edge label
-    /// the model checker's fairness analysis is built on.
-    #[must_use]
-    pub fn activation_mask(step: &SchedulerStep) -> u32 {
-        match step {
-            SchedulerStep::SsyncRound(robots) => {
-                robots.iter().fold(0u32, |m, &r| m | 1 << (r as u32 % 32))
-            }
-            SchedulerStep::Look(r) | SchedulerStep::Execute(r) => 1 << (*r as u32 % 32),
-        }
     }
 }
 
@@ -526,7 +469,7 @@ impl Scheduler for ScriptedScheduler {
                 return self.fallback_round_robin.next(view);
             }
         }
-        let step = self.script[self.position].clone();
+        let step = self.script[self.position];
         self.position += 1;
         step
     }
@@ -600,11 +543,10 @@ impl std::fmt::Display for SchedulerKind {
 mod tests {
     use super::*;
 
-    fn view(k: usize, pending: &[bool]) -> SchedulerView {
+    fn view(k: usize, pending: &[RobotId]) -> SchedulerView {
         SchedulerView {
             step: 0,
-            pending: pending.to_vec(),
-            pending_moves: pending.to_vec(),
+            pending: pending.iter().copied().collect(),
             num_robots: k,
         }
     }
@@ -612,8 +554,8 @@ mod tests {
     #[test]
     fn fsync_activates_everyone() {
         let mut s = FullySynchronousScheduler;
-        let step = s.next(&view(4, &[false; 4]));
-        assert_eq!(step, SchedulerStep::SsyncRound(vec![0, 1, 2, 3]));
+        let step = s.next(&view(4, &[]));
+        assert_eq!(step, SchedulerStep::SsyncRound(RobotSet::from_bits(0b1111)));
         assert_eq!(s.name(), "fsync");
     }
 
@@ -622,7 +564,7 @@ mod tests {
         let mut s = SemiSynchronousScheduler::seeded(3);
         let mut sizes = std::collections::HashSet::new();
         for _ in 0..50 {
-            match s.next(&view(5, &[false; 5])) {
+            match s.next(&view(5, &[])) {
                 SchedulerStep::SsyncRound(set) => {
                     assert!(!set.is_empty());
                     assert!(set.len() <= 5);
@@ -638,8 +580,8 @@ mod tests {
     fn round_robin_cycles_through_robots() {
         let mut s = RoundRobinScheduler::new();
         let ids: Vec<_> = (0..6)
-            .map(|_| match s.next(&view(3, &[false; 3])) {
-                SchedulerStep::SsyncRound(v) => v[0],
+            .map(|_| match s.next(&view(3, &[])) {
+                SchedulerStep::SsyncRound(set) if set.len() == 1 => set.iter().next().unwrap(),
                 other => panic!("unexpected step {other:?}"),
             })
             .collect();
@@ -650,7 +592,7 @@ mod tests {
     fn async_scheduler_executes_pending_and_looks_otherwise() {
         let mut s = AsynchronousScheduler::seeded(9);
         for _ in 0..100 {
-            match s.next(&view(4, &[false, true, false, true])) {
+            match s.next(&view(4, &[1, 3])) {
                 SchedulerStep::Execute(r) => assert!(r == 1 || r == 3),
                 SchedulerStep::Look(r) => assert!(r == 0 || r == 2),
                 other => panic!("unexpected step {other:?}"),
@@ -664,9 +606,7 @@ mod tests {
         // Robot 2 has been pending since step 0; by step >= 4 it must be flushed.
         let v = SchedulerView {
             step: 100,
-            pending: vec![false, false, true],
-            pending_moves: vec![false, false, true],
-            num_robots: 3,
+            ..view(3, &[2])
         };
         // First call initializes ages at step 100; simulate later call.
         let _ = s.next(&v);
@@ -682,9 +622,7 @@ mod tests {
         for step in 0..500 {
             let v = SchedulerView {
                 step,
-                pending: vec![false, true, false],
-                pending_moves: vec![false, true, false],
-                num_robots: 3,
+                ..view(3, &[1])
             };
             match s.next(&v) {
                 SchedulerStep::Look(r) | SchedulerStep::Execute(r) => {
@@ -701,9 +639,7 @@ mod tests {
         for step in 0..200 {
             let v = SchedulerView {
                 step,
-                pending: vec![false, true, false],
-                pending_moves: vec![false, true, false],
-                num_robots: 3,
+                ..view(3, &[1])
             };
             match s.next(&v) {
                 SchedulerStep::Look(r) | SchedulerStep::Execute(r) => {
@@ -725,43 +661,9 @@ mod tests {
     #[test]
     fn bounded_unfair_with_one_robot_cannot_starve() {
         let mut s = BoundedUnfairScheduler::seeded(3, 0, u64::MAX);
-        match s.next(&view(1, &[false])) {
+        match s.next(&view(1, &[])) {
             SchedulerStep::Look(0) => {}
             other => panic!("unexpected step {other:?}"),
-        }
-    }
-
-    #[test]
-    fn ssync_frontier_enumerates_every_nonempty_subset() {
-        let s = NondeterministicScheduler::new(InterleavingMode::SsyncSubsets);
-        let frontier = s.frontier(&view(3, &[false; 3]));
-        assert_eq!(frontier.len(), 7);
-        let mut masks: Vec<u32> = frontier
-            .iter()
-            .map(NondeterministicScheduler::activation_mask)
-            .collect();
-        masks.sort_unstable();
-        assert_eq!(masks, (1..=7).collect::<Vec<u32>>());
-        assert!(frontier
-            .iter()
-            .all(|f| matches!(f, SchedulerStep::SsyncRound(v) if !v.is_empty())));
-    }
-
-    #[test]
-    fn async_frontier_advances_each_robot_by_one_phase() {
-        let s = NondeterministicScheduler::new(InterleavingMode::AsyncPhases);
-        let frontier = s.frontier(&view(4, &[false, true, false, true]));
-        assert_eq!(
-            frontier,
-            vec![
-                SchedulerStep::Look(0),
-                SchedulerStep::Execute(1),
-                SchedulerStep::Look(2),
-                SchedulerStep::Execute(3),
-            ]
-        );
-        for (r, step) in frontier.iter().enumerate() {
-            assert_eq!(NondeterministicScheduler::activation_mask(step), 1 << r);
         }
     }
 
@@ -776,10 +678,10 @@ mod tests {
         let script = vec![
             SchedulerStep::Look(0),
             SchedulerStep::Execute(0),
-            SchedulerStep::SsyncRound(vec![1]),
+            SchedulerStep::SsyncRound(RobotSet::single(1)),
         ];
         let mut s = ScriptedScheduler::looping(script.clone());
-        let v = view(2, &[false, false]);
+        let v = view(2, &[]);
         for i in 0..9 {
             assert_eq!(s.next(&v), script[i % 3]);
         }
@@ -789,11 +691,11 @@ mod tests {
     fn scripted_scheduler_falls_back_to_round_robin() {
         let script = vec![SchedulerStep::Look(1)];
         let mut s = ScriptedScheduler::then_round_robin(script);
-        let v = view(2, &[false, false]);
+        let v = view(2, &[]);
         assert_eq!(s.next(&v), SchedulerStep::Look(1));
         assert!(s.script_exhausted());
-        assert_eq!(s.next(&v), SchedulerStep::SsyncRound(vec![0]));
-        assert_eq!(s.next(&v), SchedulerStep::SsyncRound(vec![1]));
+        assert_eq!(s.next(&v), SchedulerStep::SsyncRound(RobotSet::single(0)));
+        assert_eq!(s.next(&v), SchedulerStep::SsyncRound(RobotSet::single(1)));
     }
 
     #[test]

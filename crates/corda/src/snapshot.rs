@@ -109,59 +109,6 @@ impl Snapshot {
         }
     }
 
-    /// Reference implementation of [`Snapshot::capture`]: the
-    /// pre-incremental pipeline — O(n) ring walks per view
-    /// ([`Configuration::view_from_scan`]) and an O(n·k) empty-node re-walk
-    /// for the `Global` flags, two heap allocations per Look.  Kept for
-    /// equivalence tests and as the live baseline the engine's
-    /// `LookPath::ScanBaseline` option (and with it the E12 throughput
-    /// experiment) measures the incremental pipeline against.
-    #[must_use]
-    pub fn capture_scan(
-        config: &Configuration,
-        node: NodeId,
-        capability: MultiplicityCapability,
-        first_direction: Direction,
-    ) -> Self {
-        let d0 = first_direction;
-        let d1 = first_direction.opposite();
-        let views = [
-            config.view_from_scan(node, d0),
-            config.view_from_scan(node, d1),
-        ];
-        let on_multiplicity = match capability {
-            MultiplicityCapability::None => None,
-            MultiplicityCapability::Local | MultiplicityCapability::Global => {
-                Some(config.is_multiplicity(node))
-            }
-        };
-        let global_multiplicities = match capability {
-            MultiplicityCapability::Global => {
-                // Walk the occupied nodes in the order of views[0].
-                let mut flags = Vec::with_capacity(views[0].len());
-                let mut cur = node;
-                flags.push(config.is_multiplicity(cur));
-                for _ in 1..views[0].len() {
-                    // advance to next occupied node in direction d0
-                    loop {
-                        cur = config.ring().neighbor(cur, d0);
-                        if config.is_occupied(cur) {
-                            break;
-                        }
-                    }
-                    flags.push(config.is_multiplicity(cur));
-                }
-                Some(flags)
-            }
-            _ => None,
-        };
-        Snapshot {
-            views,
-            on_multiplicity,
-            global_multiplicities,
-        }
-    }
-
     /// Applies one bounded sensor corruption to a captured snapshot: the
     /// fault-injection hook behind
     /// [`FaultModel::CorruptLook`](crate::fault::FaultModel::CorruptLook).
@@ -231,6 +178,10 @@ impl Snapshot {
 mod tests {
     use super::*;
     use rr_ring::Ring;
+
+    // The O(n)-scan reference `capture_scan`; test-only, shared with
+    // `tests/look_reference.rs`.
+    include!("../tests/common/scan_snapshot.rs");
 
     fn cfg(gaps: &[usize]) -> Configuration {
         Configuration::from_gaps_at_origin(gaps)
@@ -313,7 +264,7 @@ mod tests {
             for node in c.occupied_nodes() {
                 for dir in Direction::BOTH {
                     let fresh = Snapshot::capture(&c, node, capability, dir);
-                    let scan = Snapshot::capture_scan(&c, node, capability, dir);
+                    let scan = capture_scan(&c, node, capability, dir);
                     scratch.capture_into(&c, node, capability, dir);
                     assert_eq!(fresh, scan, "node={node} capability={capability:?}");
                     assert_eq!(scratch, scan, "node={node} capability={capability:?}");

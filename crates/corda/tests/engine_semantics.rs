@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 use rr_corda::scheduler::AsynchronousScheduler;
 use rr_corda::{
-    Decision, Engine, EngineOptions, MoveLog, Protocol, Scheduler, SchedulerStep, Snapshot,
-    ViewIndex,
+    Decision, Engine, EngineOptions, MoveLog, Protocol, RobotSet, Scheduler, SchedulerStep,
+    Snapshot, ViewIndex,
 };
 use rr_ring::{Configuration, Direction, Ring};
 
@@ -127,7 +127,7 @@ proptest! {
         let (expected_after, expected_moves) = reference_ssync_round(&config, &positions, &robots);
 
         let report = engine
-            .step(&SchedulerStep::SsyncRound(robots), &mut ())
+            .step(&SchedulerStep::SsyncRound(RobotSet::first(robots.len())), &mut ())
             .expect("drift never fails");
         prop_assert_eq!(engine.configuration(), &expected_after);
         let got: Vec<(usize, usize, usize)> =
@@ -154,7 +154,7 @@ proptest! {
             // Keep robot 0 frozen so only its pending state is at stake.
             let step = match step {
                 SchedulerStep::SsyncRound(rs) => {
-                    let rs: Vec<usize> = rs.into_iter().filter(|&r| r != 0).collect();
+                    let rs = rs.without(0);
                     if rs.is_empty() { continue; }
                     SchedulerStep::SsyncRound(rs)
                 }
@@ -166,7 +166,7 @@ proptest! {
         // ... and when robot 0 is finally activated, it executes the decision
         // it computed at the very beginning.
         let report = engine
-            .step(&SchedulerStep::SsyncRound(vec![0]), &mut ())
+            .step(&SchedulerStep::SsyncRound(RobotSet::single(0)), &mut ())
             .expect("drift never fails");
         prop_assert_eq!(report.looks, 0, "pending robot must not re-look");
         if was_pending {
@@ -191,7 +191,7 @@ fn ssync_round_is_snapshot_atomic() {
     let (expected_after, expected_moves) =
         reference_ssync_round(&config, &engine.positions(), &[0, 1]);
     let report = engine
-        .step(&SchedulerStep::SsyncRound(vec![0, 1]), &mut ())
+        .step(&SchedulerStep::SsyncRound(RobotSet::first(2)), &mut ())
         .unwrap();
     assert_eq!(report.moves.len(), 2);
     assert_eq!(engine.configuration(), &expected_after);

@@ -16,7 +16,8 @@
 use rr_corda::protocol::GreedyGapWalker;
 use rr_corda::scheduler::AsynchronousScheduler;
 use rr_corda::{
-    BoundedUnfairScheduler, Engine, EngineOptions, Scheduler, SchedulerStep, SchedulerView,
+    BoundedUnfairScheduler, Engine, EngineOptions, RobotSet, Scheduler, SchedulerStep,
+    SchedulerView,
 };
 use rr_ring::Configuration;
 
@@ -24,27 +25,29 @@ use rr_ring::Configuration;
 /// mirrors the engine's bookkeeping (one step-counter tick per Look and per
 /// Execute), returning the emitted steps.
 fn drive_synthetic<S: Scheduler>(scheduler: &mut S, k: usize, ops: usize) -> Vec<SchedulerStep> {
-    let mut pending = vec![false; k];
+    let mut pending = RobotSet::EMPTY;
     let mut out = Vec::with_capacity(ops);
     for step in 0..ops as u64 {
         let view = SchedulerView {
             step,
-            pending: pending.clone(),
-            pending_moves: pending.clone(),
+            pending,
             num_robots: k,
         };
         let s = scheduler.next(&view);
-        match &s {
+        match s {
             SchedulerStep::Look(r) => {
-                assert!(!pending[*r], "scheduler asked a pending robot to look");
-                pending[*r] = true;
+                assert!(
+                    !pending.contains(r),
+                    "scheduler asked a pending robot to look"
+                );
+                pending.insert(r);
             }
             SchedulerStep::Execute(r) => {
                 assert!(
-                    pending[*r],
+                    pending.contains(r),
                     "scheduler executed a robot with nothing pending"
                 );
-                pending[*r] = false;
+                pending = pending.without(r);
             }
             SchedulerStep::SsyncRound(_) => panic!("the async scheduler never emits rounds"),
         }

@@ -14,8 +14,8 @@ use proptest::prelude::*;
 use rr_corda::protocol::GreedyGapWalker;
 use rr_corda::scheduler::FullySynchronousScheduler;
 use rr_corda::{
-    CorruptionKind, Engine, EngineOptions, Event, FaultModel, SchedulerStep, SimError, StepPath,
-    StepReport, ViewOrder,
+    CorruptionKind, Engine, EngineOptions, Event, FaultModel, RobotSet, SchedulerStep, SimError,
+    StepPath, StepReport, ViewOrder,
 };
 use rr_ring::Configuration;
 
@@ -36,15 +36,9 @@ fn step_for(k: usize, kind: u8, a: usize, b: usize) -> SchedulerStep {
     match kind % 5 {
         0 => SchedulerStep::Look(a),
         1 => SchedulerStep::Execute(a),
-        2 => SchedulerStep::SsyncRound(vec![a]),
-        3 => {
-            let mut round = vec![a];
-            if b != a {
-                round.push(b);
-            }
-            SchedulerStep::SsyncRound(round)
-        }
-        _ => SchedulerStep::SsyncRound((0..k).collect()),
+        2 => SchedulerStep::SsyncRound(RobotSet::single(a)),
+        3 => SchedulerStep::SsyncRound([a, b].into_iter().collect()),
+        _ => SchedulerStep::SsyncRound(RobotSet::first(k)),
     }
 }
 
@@ -173,11 +167,11 @@ proptest! {
             let step = step_for(k, kind, a, b);
             let crashed_result = crashed.step(&step, &mut ());
             let survivor_step = match &step {
-                SchedulerStep::SsyncRound(robots) => Some(SchedulerStep::SsyncRound(
-                    robots.iter().copied().filter(|&r| r != victim).collect(),
-                )),
+                SchedulerStep::SsyncRound(robots) => {
+                    Some(SchedulerStep::SsyncRound(robots.without(victim)))
+                }
                 SchedulerStep::Look(r) | SchedulerStep::Execute(r) if *r == victim => None,
-                other => Some(other.clone()),
+                other => Some(*other),
             };
             let filtered_result = match survivor_step {
                 Some(s) => filtered.step(&s, &mut ()).map(Some),
@@ -270,17 +264,17 @@ fn crash_freezes_the_victim_and_notes_once() {
         after_step: 2,
     });
 
-    let full: Vec<usize> = (0..3).collect();
+    let full = RobotSet::first(3);
     for _ in 0..2 {
         engine
-            .step(&SchedulerStep::SsyncRound(full.clone()), &mut ())
+            .step(&SchedulerStep::SsyncRound(full), &mut ())
             .unwrap();
     }
     let frozen_at = engine.positions()[0];
     let saved = engine.save_state();
     for _ in 0..6 {
         engine
-            .step(&SchedulerStep::SsyncRound(full.clone()), &mut ())
+            .step(&SchedulerStep::SsyncRound(full), &mut ())
             .unwrap();
     }
     assert_eq!(engine.positions()[0], frozen_at, "victim moved after crash");
@@ -309,7 +303,7 @@ fn crash_freezes_the_victim_and_notes_once() {
     );
     for _ in 0..4 {
         engine
-            .step(&SchedulerStep::SsyncRound(full.clone()), &mut ())
+            .step(&SchedulerStep::SsyncRound(full), &mut ())
             .unwrap();
     }
     assert_eq!(engine.positions()[0], frozen_at, "crash lost after restore");
@@ -329,10 +323,10 @@ fn corrupt_look_fires_exactly_once_at_its_ordinal() {
     for kind in CorruptionKind::ALL {
         let mut engine = Engine::new(GreedyGapWalker, config.clone(), options).unwrap();
         engine.arm_fault(FaultModel::CorruptLook { look: 2, kind });
-        let full: Vec<usize> = (0..3).collect();
+        let full = RobotSet::first(3);
         for _ in 0..4 {
             engine
-                .step(&SchedulerStep::SsyncRound(full.clone()), &mut ())
+                .step(&SchedulerStep::SsyncRound(full), &mut ())
                 .unwrap();
         }
         assert!(engine.look_count() >= 3, "run too short to fire the fault");

@@ -10,7 +10,9 @@
 use proptest::prelude::*;
 use rr_corda::protocol::GreedyGapWalker;
 use rr_corda::scheduler::FullySynchronousScheduler;
-use rr_corda::{Engine, EngineOptions, SchedulerStep, SimError, StepPath, StepReport, ViewOrder};
+use rr_corda::{
+    Engine, EngineOptions, RobotSet, SchedulerStep, SimError, StepPath, StepReport, ViewOrder,
+};
 use rr_ring::Configuration;
 
 /// A random gap word for `k` robots (k inferred from the vector length) with
@@ -32,15 +34,9 @@ fn step_for(k: usize, kind: u8, a: usize, b: usize) -> SchedulerStep {
     match kind % 5 {
         0 => SchedulerStep::Look(a),
         1 => SchedulerStep::Execute(a),
-        2 => SchedulerStep::SsyncRound(vec![a]),
-        3 => {
-            let mut round = vec![a];
-            if b != a {
-                round.push(b);
-            }
-            SchedulerStep::SsyncRound(round)
-        }
-        _ => SchedulerStep::SsyncRound((0..k).collect()),
+        2 => SchedulerStep::SsyncRound(RobotSet::single(a)),
+        3 => SchedulerStep::SsyncRound([a, b].into_iter().collect()),
+        _ => SchedulerStep::SsyncRound(RobotSet::first(k)),
     }
 }
 
@@ -143,11 +139,11 @@ proptest! {
         let mut base = Engine::new(GreedyGapWalker, config.clone(), options).unwrap();
 
         let k = config.num_robots();
-        let full: Vec<usize> = (0..k).collect();
+        let full = RobotSet::first(k);
         let mut aborted = false;
         for _ in 0..warmup_rounds {
-            let a = leap.step(&SchedulerStep::SsyncRound(full.clone()), &mut ());
-            let b = base.step(&SchedulerStep::SsyncRound(full.clone()), &mut ());
+            let a = leap.step(&SchedulerStep::SsyncRound(full), &mut ());
+            let b = base.step(&SchedulerStep::SsyncRound(full), &mut ());
             prop_assert_eq!(&a, &b, "warmup rounds must agree");
             if a.is_err() {
                 // e.g. an exclusivity violation: both engines must have
@@ -167,7 +163,7 @@ proptest! {
             prop_assert_eq!(jumped, 0, "leap(0) must be a no-op");
         }
         for _ in 0..jumped {
-            base.step(&SchedulerStep::SsyncRound(full.clone()), &mut ()).unwrap();
+            base.step(&SchedulerStep::SsyncRound(full), &mut ()).unwrap();
         }
         assert_engines_equal(&leap, &base);
 
@@ -201,7 +197,7 @@ fn leap_lengths_zero_and_one() {
         Some(1),
         "lone walker leaps one round"
     );
-    base.step(&SchedulerStep::SsyncRound(vec![0]), &mut ())
+    base.step(&SchedulerStep::SsyncRound(RobotSet::single(0)), &mut ())
         .unwrap();
     assert_eq!(leap.positions(), base.positions());
     assert_eq!(leap.step_count(), base.step_count());
@@ -212,7 +208,7 @@ fn leap_lengths_zero_and_one() {
     let report = leap.run_until(&mut FullySynchronousScheduler, 6, |_| false);
     assert!(report.steps > 0);
     for _ in 0..report.steps {
-        base.step(&SchedulerStep::SsyncRound(vec![0]), &mut ())
+        base.step(&SchedulerStep::SsyncRound(RobotSet::single(0)), &mut ())
             .unwrap();
     }
     assert_eq!(leap.positions(), base.positions());

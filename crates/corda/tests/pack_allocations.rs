@@ -1,11 +1,11 @@
 //! Packing a state whose bit stream fits the inline words allocates nothing:
 //! `Engine::pack_behavior`, which is what the model checker stores for every
 //! discovered state, and `Engine::pack_state` of a shallow state.  Nor does
-//! a step of `Engine::run` under the asynchronous scheduler: the run loop
-//! keeps its scheduler view and step report for the whole run.  A counting
-//! global allocator, enabled only around the calls under test and only on
-//! the calling thread, pins both.  This is a test binary of its own, so
-//! that no other test shares the allocator.
+//! a step of `Engine::run` under any scheduler: scheduler views and steps
+//! are `Copy`, and the run loop keeps its step report for the whole run.  A
+//! counting global allocator, enabled only around the calls under test and
+//! only on the calling thread, pins both.  This is a test binary of its
+//! own, so that no other test shares the allocator.
 
 // The counting allocator is the one purposeful use of `unsafe` here: it
 // forwards to `System` verbatim and only bumps a counter.
@@ -16,10 +16,9 @@ use std::cell::Cell;
 
 use rr_corda::packed::INLINE_WORDS;
 use rr_corda::protocol::GreedyGapWalker;
-use rr_corda::scheduler::AsynchronousScheduler;
 use rr_corda::{
-    Engine, EngineOptions, LookPath, MultiplicityCapability, SchedulerStep, StepPath, TraceMode,
-    ViewOrder,
+    Engine, EngineOptions, MultiplicityCapability, RobotSet, SchedulerKind, SchedulerStep,
+    StepPath, TraceMode, ViewOrder,
 };
 use rr_ring::Configuration;
 
@@ -89,7 +88,7 @@ fn packing_inline_sized_states_allocates_nothing() {
         SchedulerStep::Look(0),
         SchedulerStep::Look(2),
         SchedulerStep::Execute(0),
-        SchedulerStep::SsyncRound(vec![1, 3]),
+        SchedulerStep::SsyncRound(RobotSet::from_bits(0b1010)),
     ] {
         engine.step(&step, &mut ()).unwrap();
     }
@@ -113,7 +112,7 @@ fn packing_inline_sized_states_allocates_nothing() {
 }
 
 #[test]
-fn an_async_run_allocates_the_same_for_any_number_of_steps() {
+fn every_scheduler_allocates_the_same_for_any_number_of_steps() {
     // The engine-throughput workload (E12): the greedy walker keeps every
     // robot moving, with exclusivity off and no trace.
     let options = EngineOptions {
@@ -121,23 +120,33 @@ fn an_async_run_allocates_the_same_for_any_number_of_steps() {
         enforce_exclusivity: false,
         trace: TraceMode::Disabled,
         view_order: ViewOrder::CwFirst,
-        look_path: LookPath::Incremental,
         step_path: StepPath::StepBaseline,
     };
     let initial = Configuration::from_gaps_at_origin(&[0, 1, 3, 2, 0, 4, 1, 5]);
-    let run_allocations = |steps: u64| {
-        let mut engine = Engine::new(GreedyGapWalker, initial.clone(), options).unwrap();
-        let mut scheduler = AsynchronousScheduler::seeded(7);
-        let (allocs, report) =
-            allocations_of(|| engine.run_until(&mut scheduler, steps, |_| false));
-        assert_eq!(report.steps, steps);
-        assert!(report.moves > steps / 4, "the walkers stalled: {report:?}");
-        allocs
-    };
-    let short = run_allocations(1_000);
-    let long = run_allocations(10_000);
-    assert_eq!(
-        short, long,
-        "Engine::run allocated per step: {short} allocations for 1,000 steps, {long} for 10,000"
-    );
+    for kind in [
+        SchedulerKind::RoundRobin,
+        SchedulerKind::SemiSynchronous,
+        SchedulerKind::Asynchronous,
+        SchedulerKind::FullySynchronous,
+    ] {
+        let run_allocations = |steps: u64| {
+            let mut engine = Engine::new(GreedyGapWalker, initial.clone(), options).unwrap();
+            let (allocs, report) = allocations_of(|| {
+                kind.with(7, |scheduler| engine.run_until(scheduler, steps, |_| false))
+            });
+            assert_eq!(report.steps, steps, "{kind}");
+            assert!(
+                report.moves > steps / 4,
+                "{kind}: the walkers stalled: {report:?}"
+            );
+            allocs
+        };
+        let short = run_allocations(1_000);
+        let long = run_allocations(10_000);
+        assert_eq!(
+            short, long,
+            "Engine::run under {kind} allocated per step: \
+             {short} allocations for 1,000 steps, {long} for 10,000"
+        );
+    }
 }

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use rr_corda::protocol::GreedyGapWalker;
 use rr_corda::robot::Phase;
-use rr_corda::{Engine, EngineOptions, EngineState, SchedulerStep};
+use rr_corda::{Engine, EngineOptions, EngineState, RobotSet, SchedulerStep};
 use rr_ring::{Configuration, Direction, View};
 
 include!("common/reference_keys.rs");
@@ -31,14 +31,8 @@ fn step_for(k: usize, kind: u8, a: usize, b: usize) -> SchedulerStep {
     match kind % 4 {
         0 => SchedulerStep::Look(a),
         1 => SchedulerStep::Execute(a),
-        2 => SchedulerStep::SsyncRound(vec![a]),
-        _ => {
-            let mut round = vec![a];
-            if b != a {
-                round.push(b);
-            }
-            SchedulerStep::SsyncRound(round)
-        }
+        2 => SchedulerStep::SsyncRound(RobotSet::single(a)),
+        _ => SchedulerStep::SsyncRound([a, b].into_iter().collect()),
     }
 }
 

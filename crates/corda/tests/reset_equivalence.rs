@@ -6,7 +6,9 @@
 
 use proptest::prelude::*;
 use rr_corda::protocol::GreedyGapWalker;
-use rr_corda::{Engine, EngineOptions, SchedulerStep, SimError, StepPath, StepReport, ViewOrder};
+use rr_corda::{
+    Engine, EngineOptions, RobotSet, SchedulerStep, SimError, StepPath, StepReport, ViewOrder,
+};
 use rr_ring::Configuration;
 
 /// A random gap word for `k` robots (k inferred from the vector length) with
@@ -27,14 +29,8 @@ fn step_for(k: usize, kind: u8, a: usize, b: usize) -> SchedulerStep {
     match kind % 4 {
         0 => SchedulerStep::Look(a),
         1 => SchedulerStep::Execute(a),
-        2 => SchedulerStep::SsyncRound(vec![a]),
-        _ => {
-            let mut round = vec![a];
-            if b != a {
-                round.push(b);
-            }
-            SchedulerStep::SsyncRound(round)
-        }
+        2 => SchedulerStep::SsyncRound(RobotSet::single(a)),
+        _ => SchedulerStep::SsyncRound([a, b].into_iter().collect()),
     }
 }
 
@@ -125,7 +121,7 @@ proptest! {
 
     /// `reset` must discard the round-leaping decision memo.  The memo's key
     /// is the configuration, but its *value* also depends on the options
-    /// (view order, capability, Look path) the decisions were computed under;
+    /// (view order, capability) the decisions were computed under;
     /// a memo that survived a reset onto different options would replay
     /// decisions from the wrong policy.  Here the warmup runs in Leap mode
     /// under one view order, the engine is reset onto the *mirrored* view

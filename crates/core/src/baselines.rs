@@ -128,7 +128,7 @@ impl Protocol for NaiveAligner {
 mod tests {
     use super::*;
     use rr_corda::scheduler::RoundRobinScheduler;
-    use rr_corda::{Engine, MultiplicityCapability, Scheduler, SchedulerStep};
+    use rr_corda::{Engine, MultiplicityCapability, RobotSet, Scheduler, SchedulerStep};
     use rr_ring::{symmetry, Configuration, Direction};
     use rr_search::{Contamination, ExplorationTracker};
 
@@ -170,7 +170,7 @@ mod tests {
         let mut reached_diametral = false;
         for _ in 0..100 {
             for rec in sim
-                .step(&SchedulerStep::SsyncRound(vec![1]), &mut ())
+                .step(&SchedulerStep::SsyncRound(RobotSet::single(1)), &mut ())
                 .unwrap()
                 .moves
             {
@@ -197,7 +197,7 @@ mod tests {
         let mut sim = Engine::with_default_options(TwoRobotSlide, initial).unwrap();
         for r in 0..sim.num_robots() {
             assert!(!sim
-                .step(&SchedulerStep::SsyncRound(vec![r]), &mut ())
+                .step(&SchedulerStep::SsyncRound(RobotSet::single(r)), &mut ())
                 .unwrap()
                 .moved());
         }

@@ -221,7 +221,7 @@ mod tests {
     use super::*;
     use rr_corda::packed::{PHASE_IDLE, PHASE_READY};
     use rr_corda::protocol::GreedyGapWalker;
-    use rr_corda::{Engine, EngineOptions, SchedulerStep};
+    use rr_corda::{Engine, EngineOptions, RobotSet, SchedulerStep};
     use rr_ring::Configuration;
 
     #[test]
@@ -283,7 +283,7 @@ mod tests {
         // Advance `b` by a full fair round and back so its robots hold the
         // same configuration but were *relabeled* by the dynamics; fall back
         // to the raw rotation check if the protocol moved them.
-        let _ = b.step(&SchedulerStep::SsyncRound(vec![0, 1, 2]), &mut ());
+        let _ = b.step(&SchedulerStep::SsyncRound(RobotSet::first(3)), &mut ());
         let pa = a.pack_behavior();
         let pb = b.pack_behavior();
         if pa.canonical_sig() == pb.canonical_sig() {

@@ -700,34 +700,6 @@ impl Configuration {
         }
     }
 
-    /// Reference implementation of [`Configuration::view_from`]: the
-    /// pre-incremental O(n) walk around the ring, closing a gap at every
-    /// occupied node met.  Kept for equivalence tests and as the
-    /// `LookPath::ScanBaseline` pipeline the engine throughput experiment
-    /// (E12) measures its speedup against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not occupied.
-    #[must_use]
-    pub fn view_from_scan(&self, v: NodeId, dir: Direction) -> View {
-        assert!(self.is_occupied(v), "view requested at empty node {v}");
-        let mut gaps = Vec::new();
-        let mut g = 0usize;
-        let mut cur = self.ring.neighbor(v, dir);
-        while cur != v {
-            if self.is_occupied(cur) {
-                gaps.push(g);
-                g = 0;
-            } else {
-                g += 1;
-            }
-            cur = self.ring.neighbor(cur, dir);
-        }
-        gaps.push(g);
-        View::new(gaps)
-    }
-
     /// All views of the configuration: for each occupied node, both directions.
     #[must_use]
     pub fn all_views(&self) -> Vec<(NodeId, Direction, View)> {
@@ -817,6 +789,10 @@ impl std::fmt::Display for Configuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The O(n)-scan reference `view_from_scan`; test-only, shared with
+    // `tests/config_incremental.rs`.
+    include!("../tests/common/view_scan.rs");
 
     fn ring(n: usize) -> Ring {
         Ring::new(n)
@@ -971,10 +947,10 @@ mod tests {
         assert_eq!(c.is_exclusive(), fresh.is_exclusive());
         for v in c.occupied_nodes() {
             for dir in Direction::BOTH {
-                assert_eq!(c.view_from(v, dir), c.view_from_scan(v, dir), "v={v}");
+                assert_eq!(c.view_from(v, dir), view_from_scan(c, v, dir), "v={v}");
                 let mut reused = View::new(vec![99; 7]);
                 c.view_from_into(v, dir, &mut reused);
-                assert_eq!(reused, c.view_from_scan(v, dir), "reused buffer, v={v}");
+                assert_eq!(reused, view_from_scan(c, v, dir), "reused buffer, v={v}");
             }
         }
     }

@@ -13,7 +13,9 @@
 
 use proptest::prelude::*;
 use rr_ring::config::ConfigError;
-use rr_ring::{Configuration, Direction, Ring, View};
+use rr_ring::{Configuration, Direction, NodeId, Ring, View};
+
+include!("common/view_scan.rs");
 
 /// Degenerate-occupancy contracts the leap certificates lean on:
 /// a single occupied node is its own cw/ccw successor, its occupancy cycle
@@ -88,7 +90,7 @@ fn assert_matches_fresh(c: &Configuration, counts: &[u32]) {
     let mut reused = View::new(Vec::new());
     for v in c.occupied_nodes() {
         for dir in Direction::BOTH {
-            let scan = c.view_from_scan(v, dir);
+            let scan = view_from_scan(c, v, dir);
             assert_eq!(c.view_from(v, dir), scan, "view_from at v={v}");
             c.view_from_into(v, dir, &mut reused);
             assert_eq!(reused, scan, "view_from_into at v={v}");

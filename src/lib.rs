@@ -64,7 +64,7 @@ pub mod prelude {
         SemiSynchronousScheduler,
     };
     pub use rr_corda::{
-        Decision, Engine, EngineOptions, LookPath, Monitor, MultiplicityCapability, Protocol,
+        Decision, Engine, EngineOptions, Monitor, MultiplicityCapability, Protocol, RobotSet,
         Scheduler, SchedulerStep, Snapshot, StepReport, TraceMode, ViewIndex,
     };
     pub use rr_core::align::{run_to_c_star, AlignProtocol};
