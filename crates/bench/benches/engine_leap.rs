@@ -18,8 +18,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rr_corda::scheduler::FullySynchronousScheduler;
 use rr_corda::{
-    Engine, EngineOptions, LeapPlan, MultiplicityCapability, Protocol, StepPath, TraceMode,
-    ViewOrder,
+    Engine, EngineOptions, LeapPlan, MultiplicityCapability, Protocol, StepPath, ViewOrder,
 };
 use rr_core::gathering::GatheringProtocol;
 use rr_ring::{Configuration, Direction, Ring};
@@ -38,7 +37,6 @@ fn options(path: StepPath) -> EngineOptions {
     EngineOptions {
         capability: MultiplicityCapability::Local,
         enforce_exclusivity: false,
-        trace: TraceMode::Disabled,
         view_order: ViewOrder::CwFirst,
         step_path: path,
     }

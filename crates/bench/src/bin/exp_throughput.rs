@@ -53,7 +53,7 @@ use rr_bench::sweep::{exit_if_failed, write_json_records, ExpArgs, ThroughputRec
 use rr_corda::protocol::GreedyGapWalker;
 use rr_corda::{
     Engine, EngineOptions, MultiplicityCapability, RunOutcome, SchedulerKind, SchedulerStep,
-    StepPath, StepReport, TraceMode, ViewOrder,
+    StepPath, StepReport, ViewOrder,
 };
 use rr_core::gathering::GatheringProtocol;
 use rr_ring::{Configuration, NodeId, Ring};
@@ -120,7 +120,6 @@ fn workload_options() -> EngineOptions {
     EngineOptions {
         capability: MultiplicityCapability::None,
         enforce_exclusivity: false,
-        trace: TraceMode::Disabled,
         view_order: ViewOrder::CwFirst,
         step_path: StepPath::StepBaseline,
     }
@@ -256,7 +255,6 @@ fn leap_options(path: StepPath) -> EngineOptions {
     EngineOptions {
         capability: MultiplicityCapability::Local,
         enforce_exclusivity: false,
-        trace: TraceMode::Disabled,
         view_order: ViewOrder::CwFirst,
         step_path: path,
     }

@@ -887,13 +887,14 @@ fn declared_flags(usage: &str) -> impl Iterator<Item = (&str, bool)> {
 /// Splits a command line by the flags `usage` declares — `[--name]` is a
 /// switch, `[--name <placeholder>]` takes a value — into the positional
 /// arguments in order and each flag with its value.  A value is the next
-/// argument, which must not start with `--`.  Every command-line parser of
-/// the workspace accepts flags by this rule.
+/// argument, which must not start with `--`; a flag may be given at most
+/// once.  Every command-line parser of the workspace accepts flags by this
+/// rule.
 ///
 /// # Errors
 ///
-/// Returns the message for a flag `usage` does not declare or a flag
-/// missing its value.
+/// Returns the message for a flag `usage` does not declare, a flag missing
+/// its value, or a flag given twice.
 #[allow(clippy::type_complexity)]
 pub fn split_args(
     args: impl Iterator<Item = String>,
@@ -910,6 +911,9 @@ pub fn split_args(
         let Some((name, takes_value)) = declared_flags(usage).find(|&(name, _)| name == arg) else {
             return Err(format!("unknown argument {arg:?}"));
         };
+        if flags.iter().any(|&(given, _)| given == name) {
+            return Err(format!("{name} given twice"));
+        }
         let value = if takes_value {
             let value = args.next_if(|value| !value.starts_with("--"));
             Some(value.ok_or_else(|| format!("{name} requires a value"))?)
@@ -951,7 +955,8 @@ impl ExpArgs {
     /// # Errors
     ///
     /// Returns the message for an argument `usage` does not declare, a
-    /// flag missing its value, or a `--seed` that is not a `u64`.
+    /// flag missing its value or given twice, or a `--seed` that is not a
+    /// `u64`.
     pub fn from_args(
         args: impl Iterator<Item = String>,
         default_seed: u64,
@@ -1255,17 +1260,45 @@ usage: exp_test [--quick] [--json <path>] [--seed <u64>] [--sequential]
 
     #[test]
     fn exp_args_reject_undeclared_flags_and_missing_or_malformed_values() {
-        let cases: [(&[&str], &str); 6] = [
+        let cases: [(&[&str], &str); 9] = [
             (&["--worker", "4"], "unknown argument \"--worker\""),
             (&["--quick", "stray"], "unknown argument \"stray\""),
             (&["--json"], "--json requires a value"),
             (&["--max-n", "--quick"], "--max-n requires a value"),
             (&["--seed", "abc"], "--seed takes a u64, got \"abc\""),
             (&["--seed", "-1"], "--seed takes a u64, got \"-1\""),
+            (&["--seed", "1", "--seed", "2"], "--seed given twice"),
+            (
+                &["--quick", "--max-n", "9", "--quick"],
+                "--quick given twice",
+            ),
+            (&["--max-n", "9", "--max-n", "9"], "--max-n given twice"),
         ];
         for (args, message) in cases {
             assert_eq!(parse_args(args).unwrap_err(), message, "{args:?}");
         }
+    }
+
+    #[test]
+    fn split_args_rejects_a_flag_given_twice_but_not_a_repeated_positional() {
+        let usage = "usage: tool <file>... [--seed <u64>] [--quick]";
+        let split = |args: &[&str]| split_args(args.iter().map(ToString::to_string), usage);
+        let (positional, flags) = split(&["a", "a", "--seed", "3", "--quick"]).unwrap();
+        assert_eq!(positional, ["a", "a"]);
+        assert_eq!(
+            flags,
+            [("--seed", Some("3".to_string())), ("--quick", None)]
+        );
+        for args in [
+            &["--seed", "1", "--seed", "2"][..],
+            &["--seed", "1", "a", "--seed", "1"],
+        ] {
+            assert_eq!(split(args).unwrap_err(), "--seed given twice", "{args:?}");
+        }
+        assert_eq!(
+            split(&["--quick", "--quick"]).unwrap_err(),
+            "--quick given twice"
+        );
     }
 
     #[test]

@@ -22,7 +22,6 @@ use crate::protocol::{Decision, Protocol, ViewIndex};
 use crate::robot::{Phase, RobotId, RobotSet, RobotState};
 use crate::scheduler::{Scheduler, SchedulerStep, SchedulerView};
 use crate::snapshot::{MultiplicityCapability, Snapshot};
-use crate::trace::{Event, Trace, TraceMode};
 
 /// Process-wide count of engine advancements (debug builds only).
 #[cfg(debug_assertions)]
@@ -96,9 +95,6 @@ pub struct EngineOptions {
     /// Whether a move onto an occupied node is a fatal error (true for the
     /// exclusive tasks, false for gathering).
     pub enforce_exclusivity: bool,
-    /// Whether to record an event [`Trace`] (disabled by default: hot loops
-    /// skip event construction entirely).
-    pub trace: TraceMode,
     /// Snapshot view ordering policy.
     pub view_order: ViewOrder,
     /// Stepping strategy (baseline round-by-round by default).
@@ -110,7 +106,6 @@ impl Default for EngineOptions {
         EngineOptions {
             capability: MultiplicityCapability::None,
             enforce_exclusivity: true,
-            trace: TraceMode::Disabled,
             view_order: ViewOrder::CwFirst,
             step_path: StepPath::StepBaseline,
         }
@@ -127,13 +122,6 @@ impl EngineOptions {
             enforce_exclusivity: protocol.requires_exclusivity(),
             ..EngineOptions::default()
         }
-    }
-
-    /// Enables trace recording.
-    #[must_use]
-    pub fn with_trace(mut self) -> Self {
-        self.trace = TraceMode::Recording;
-        self
     }
 
     /// Sets the view ordering policy.
@@ -216,7 +204,7 @@ impl RunReport {
 
 /// A saved execution state of an [`Engine`]: the configuration, the per-robot
 /// bookkeeping and the step counters — everything [`Engine::step`] reads or
-/// writes except the protocol, the options and the trace.
+/// writes except the protocol, the options and the armed fault.
 ///
 /// Produced by [`Engine::save_state`] and consumed by
 /// [`Engine::restore_state`]; this is the branch-and-bound primitive the
@@ -272,7 +260,7 @@ impl EngineState {
 /// Soundness: an oblivious protocol's decision is a pure function of the
 /// robot's [`Snapshot`], and for a *fixed* view-order policy and capability
 /// the snapshot is a pure function of `(configuration, node)` — so caching
-/// the decision changes nothing observable (counters, trace events, monitor
+/// the decision changes nothing observable (counters, reports and monitor
 /// hooks all fire identically).  The exhaustive model checker, which
 /// revisits the same configurations along vast numbers of interleavings, is
 /// the intended customer.  The memo stays valid across
@@ -411,26 +399,12 @@ impl LeapState {
     }
 }
 
-/// Engine-side state of the fault-injection layer: the armed model plus the
-/// once-only bookkeeping for the crash event.  Default-constructed it is
-/// [`FaultModel::None`], and the stepping pipeline's only extra cost is one
-/// discriminant check per scheduler step — the fault-free engine stays
-/// byte-identical to the pre-fault engine (pinned by
-/// `crates/corda/tests/fault_lockstep.rs`).
-#[derive(Debug, Clone, Default)]
-struct FaultState {
-    /// The armed fault schedule.
-    model: FaultModel,
-    /// Whether the crash-stop fault already emitted its once-only
-    /// [`Event::FaultCrash`] / [`Monitor::on_fault`] notification.
-    crash_fired: bool,
-}
-
 /// The Look–Compute–Move execution engine.
 ///
-/// One `Engine` owns one run: the protocol, the evolving configuration, the
-/// per-robot bookkeeping (pending decisions, cycle counts) and the optional
-/// event trace.  It is advanced exclusively through [`Engine::step`].
+/// One `Engine` owns one run: the protocol, the evolving configuration and
+/// the per-robot bookkeeping (pending decisions, cycle counts).  It is
+/// advanced exclusively through [`Engine::step`]; a run is observed through
+/// a [`Monitor`].
 #[derive(Debug, Clone)]
 pub struct Engine<P> {
     protocol: P,
@@ -438,7 +412,6 @@ pub struct Engine<P> {
     config: Configuration,
     robots: Vec<RobotState>,
     options: EngineOptions,
-    trace: Trace,
     memo: LookMemo,
     /// Engine-owned scratch snapshot the Look pipeline fills in place:
     /// after warm-up, the snapshot capture on the memo-miss path
@@ -447,8 +420,12 @@ pub struct Engine<P> {
     scratch: Snapshot,
     /// Round-leaping state (only consulted in [`StepPath::Leap`] mode).
     leap: LeapState,
-    /// Fault-injection state ([`FaultModel::None`] unless armed).
-    fault: FaultState,
+    /// The armed fault schedule ([`FaultModel::None`] unless armed).
+    fault: FaultModel,
+    /// The step report [`Engine::run`] refills on every step, kept across
+    /// runs and [`Engine::reset`] so a recycled engine's run allocates
+    /// nothing once the report has grown.
+    report: StepReport,
     step: u64,
     moves: u64,
     looks: u64,
@@ -472,11 +449,11 @@ impl<P: Protocol> Engine<P> {
             config: initial,
             robots,
             options,
-            trace: Trace::for_mode(options.trace),
             memo: LookMemo::default(),
             scratch: Snapshot::empty(),
             leap: LeapState::default(),
-            fault: FaultState::default(),
+            fault: FaultModel::None,
+            report: StepReport::default(),
             step: 0,
             moves: 0,
             looks: 0,
@@ -491,20 +468,19 @@ impl<P: Protocol> Engine<P> {
     /// protocol and the options) and is cleared by [`Engine::reset`].
     /// Arming any fault also invalidates the round-leap certificate, and
     /// [`Engine::leap`]/the `SsyncRound` fast path refuse to serve while a
-    /// fault is armed — a crash mid-horizon would falsify the memoized
-    /// velocities, so faulted runs always take the baseline
-    /// Look–Compute–Move pipeline (the `leap × fault` regression tests pin
+    /// fault is armed — a corrupted Look mid-horizon would falsify the
+    /// memoized velocities, so faulted runs always take the baseline
+    /// Look–Compute–Move pipeline (the `leap × fault` regression test pins
     /// the fallback).
     pub fn arm_fault(&mut self, model: FaultModel) {
-        self.fault.model = model;
-        self.fault.crash_fired = false;
+        self.fault = model;
         self.leap.invalidate();
     }
 
     /// The currently armed fault schedule ([`FaultModel::None`] by default).
     #[must_use]
     pub fn fault_model(&self) -> FaultModel {
-        self.fault.model
+        self.fault
     }
 
     /// Enables the Look-decision memo: identical observable behaviour,
@@ -567,7 +543,7 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Rewinds this engine to a fresh run of `protocol` from `initial`,
-    /// reusing the robot vector, trace buffer and configuration storage of
+    /// reusing the robot vector, run report and configuration storage of
     /// the previous run.
     ///
     /// Semantically identical to replacing the engine with
@@ -586,7 +562,6 @@ impl<P: Protocol> Engine<P> {
         self.config.clone_from(initial);
         self.protocol = protocol;
         self.options = options;
-        self.trace.reset(options.trace);
         // Memoized decisions are *not* carried over: the memo key is the
         // `(configuration, node)` pair but the memoized value also depends
         // on the protocol, the capability and the view order, all of which
@@ -598,7 +573,7 @@ impl<P: Protocol> Engine<P> {
         self.leap.invalidate();
         // Fault schedules are per-run adversaries: a recycled engine starts
         // fault-free, like a fresh one (callers re-arm per run).
-        self.fault = FaultState::default();
+        self.fault = FaultModel::None;
         self.step = 0;
         self.moves = 0;
         self.looks = 0;
@@ -608,11 +583,10 @@ impl<P: Protocol> Engine<P> {
     /// Saves the current execution state (configuration, robot bookkeeping,
     /// step counters) for a later [`Engine::restore_state`].
     ///
-    /// The protocol, the options and the trace are **not** part of the saved
-    /// state: a save/restore pair brackets a speculative excursion of the
-    /// *same* run, which is exactly what an exhaustive state-space search
-    /// needs (the trace, if any, keeps accumulating across excursions and is
-    /// normally disabled there).
+    /// The protocol, the options and the armed fault are **not** part of
+    /// the saved state: a save/restore pair brackets a speculative excursion
+    /// of the *same* run, which is exactly what an exhaustive state-space
+    /// search needs.
     #[must_use]
     pub fn save_state(&self) -> EngineState {
         EngineState {
@@ -846,12 +820,6 @@ impl<P: Protocol> Engine<P> {
         self.looks
     }
 
-    /// The recorded trace (empty unless trace recording was enabled).
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Engine options.
     #[must_use]
     pub fn options(&self) -> &EngineOptions {
@@ -929,29 +897,15 @@ impl<P: Protocol> Engine<P> {
     /// resulting pending action.  If the robot already has a pending action
     /// the call leaves it untouched: the CORDA model never lets a robot look
     /// twice without completing its cycle in between.  Returns whether a
-    /// fresh Look was performed and the (possibly pre-existing) decision.
+    /// fresh Look was performed.
     fn look_compute<M: Monitor + ?Sized>(
         &mut self,
         robot: RobotId,
         monitor: &mut M,
-    ) -> Result<(bool, Decision), SimError> {
+    ) -> Result<bool, SimError> {
         self.check_robot(robot)?;
         if self.robots[robot].has_pending() {
-            // Already computed: report the pending decision without re-looking.
-            let decision = match self.robots[robot].phase {
-                Phase::MovePending { target } => {
-                    let dir =
-                        if self.ring.neighbor(self.robots[robot].node, Direction::Cw) == target {
-                            ViewIndex::First
-                        } else {
-                            ViewIndex::Second
-                        };
-                    Decision::Move(dir)
-                }
-                Phase::IdlePending => Decision::Idle,
-                Phase::Ready => unreachable!("has_pending() checked"),
-            };
-            return Ok((false, decision));
+            return Ok(false);
         }
         let node = self.robots[robot].node;
         let first_dir = self.first_direction();
@@ -959,7 +913,7 @@ impl<P: Protocol> Engine<P> {
         // by its global look ordinal).  The memo is bypassed — neither read
         // nor written — because its key is `(configuration, node)` only,
         // which is unsound in both directions for a snapshot that lies.
-        let corruption = self.fault.model.corruption_at(self.looks);
+        let corruption = self.fault.corruption_at(self.looks);
         let key = if self.memo.enabled && corruption.is_none() {
             memo_key(&self.config, node)
         } else {
@@ -1011,13 +965,6 @@ impl<P: Protocol> Engine<P> {
             }
         }
         if let Some(kind) = corruption {
-            if self.trace.is_recording() {
-                self.trace.push(Event::FaultCorruption {
-                    robot,
-                    step: self.step,
-                    kind,
-                });
-            }
             monitor.on_fault(
                 &FaultEvent::CorruptedLook {
                     robot,
@@ -1027,15 +974,8 @@ impl<P: Protocol> Engine<P> {
                 &self.config,
             );
         }
-        if self.trace.is_recording() {
-            self.trace.push(Event::Looked {
-                robot,
-                step: self.step,
-                decided_to_move: decision.is_move(),
-            });
-        }
         monitor.on_look(robot, decision, &self.config);
-        Ok((true, decision))
+        Ok(true)
     }
 
     /// Move phase of one robot (pipeline stage, private).
@@ -1049,12 +989,6 @@ impl<P: Protocol> Engine<P> {
                 self.step += 1;
                 self.robots[robot].phase = Phase::Ready;
                 self.robots[robot].cycles += 1;
-                if self.trace.is_recording() {
-                    self.trace.push(Event::StayedIdle {
-                        robot,
-                        step: self.step,
-                    });
-                }
                 report.idles += 1;
                 Ok(())
             }
@@ -1077,21 +1011,12 @@ impl<P: Protocol> Engine<P> {
                 self.robots[robot].phase = Phase::Ready;
                 self.robots[robot].cycles += 1;
                 self.robots[robot].moves += 1;
-                let record = MoveRecord {
+                report.moves.push(MoveRecord {
                     robot,
                     from,
                     to: target,
                     step: self.step,
-                };
-                if self.trace.is_recording() {
-                    self.trace.push(Event::Moved {
-                        robot,
-                        from,
-                        to: target,
-                        step: self.step,
-                    });
-                }
-                report.moves.push(record);
+                });
                 Ok(())
             }
         }
@@ -1157,22 +1082,22 @@ impl<P: Protocol> Engine<P> {
     /// activated robot's decision from the cached certificate instead of
     /// materializing a snapshot, then runs the ordinary execute pipeline.
     ///
-    /// Observably identical to the baseline round — same counters, trace
-    /// events, monitor calls, reports and errors — because only the
-    /// Look+Compute *derivation* is memoized; everything downstream is the
-    /// shared code.  Returns `Ok(false)` when the certificate does not cover
-    /// this round and the caller must take the baseline path.
+    /// Observably identical to the baseline round — same counters, monitor
+    /// calls, reports and errors — because only the Look+Compute
+    /// *derivation* is memoized; everything downstream is the shared code.
+    /// Returns `Ok(false)` when the certificate does not cover this round
+    /// and the caller must take the baseline path.
     fn try_leap_fast_round<M: Monitor + ?Sized>(
         &mut self,
         robots: RobotSet,
         monitor: &mut M,
         report: &mut StepReport,
     ) -> Result<bool, SimError> {
-        // Leap certificates are not fault-aware: a crash or a corrupted Look
-        // mid-horizon would falsify the memoized per-node velocities.  While
-        // any fault is armed the fast path declines and the caller single
-        // steps (identical outcomes, pinned by the leap × fault tests).
-        if self.fault.model.is_armed() {
+        // Leap certificates are not fault-aware: a corrupted Look mid-horizon
+        // would falsify the memoized per-node velocities.  While any fault
+        // is armed the fast path declines and the caller single steps
+        // (identical outcomes, pinned by the leap × fault test).
+        if self.fault.is_armed() {
             return Ok(false);
         }
         if self.leap.dirty {
@@ -1225,13 +1150,6 @@ impl<P: Protocol> Engine<P> {
                     self.robots[r].phase = Phase::MovePending { target };
                 }
             }
-            if self.trace.is_recording() {
-                self.trace.push(Event::Looked {
-                    robot: r,
-                    step: self.step,
-                    decided_to_move: decision.is_move(),
-                });
-            }
             monitor.on_look(r, decision, &self.config);
             report.looks += 1;
         }
@@ -1255,9 +1173,9 @@ impl<P: Protocol> Engine<P> {
 
     /// Applies as many full synchronous rounds as the leap certificate
     /// covers (capped at `max_rounds`) in one closed-form batch: counters,
-    /// robot states and the occupancy index are advanced arithmetically, a
-    /// single [`Event::Leaped`] stands in for the per-robot events, and the
-    /// monitor receives one aggregate [`Monitor::on_leap`] callback.
+    /// robot states and the occupancy index are advanced arithmetically, and
+    /// the monitor receives one aggregate [`Monitor::on_leap`] callback in
+    /// place of the per-robot hooks.
     ///
     /// Counter parity with fully-synchronous stepping is exact (`k` looks
     /// and `k` executes per round, i.e. `2k` global steps), so a leaping run
@@ -1273,7 +1191,7 @@ impl<P: Protocol> Engine<P> {
         // Certificates are computed against a fault-free future: refuse to
         // serve while any fault is armed (the run loop falls back to
         // single-stepping, which applies the fault semantics per step).
-        if self.fault.model.is_armed() {
+        if self.fault.is_armed() {
             return None;
         }
         if self.leap.dirty {
@@ -1318,13 +1236,6 @@ impl<P: Protocol> Engine<P> {
             !self.options.enforce_exclusivity || self.config.is_exclusive(),
             "leap certificate produced a non-exclusive configuration"
         );
-        if self.trace.is_recording() {
-            self.trace.push(Event::Leaped {
-                rounds,
-                moves,
-                step: self.step,
-            });
-        }
         monitor.on_leap(
             &LeapRecord {
                 rounds,
@@ -1384,96 +1295,13 @@ impl<P: Protocol> Engine<P> {
         report.moves.clear();
         report.looks = 0;
         report.idles = 0;
-        // Crash-stop semantics: once the global step counter reaches the
-        // scheduled crash step (evaluated at scheduler-step entry), every
-        // activation of the victim is suppressed — the scheduler does not
-        // know, the engine filters.  `FaultModel::None` costs exactly this
-        // one discriminant check.
-        if let FaultModel::Crash {
-            robot: victim,
-            after_step,
-        } = self.fault.model
-        {
-            if self.step >= after_step && Self::step_activates(step, victim) {
-                return self.step_into_crashed(step, victim, monitor, report);
-            }
-        }
-        self.step_into_inner(step, monitor, report)
-    }
-
-    /// Whether `step` activates `robot` (in any phase).
-    fn step_activates(step: &SchedulerStep, robot: RobotId) -> bool {
-        match step {
-            SchedulerStep::SsyncRound(robots) => robots.contains(robot),
-            SchedulerStep::Look(r) | SchedulerStep::Execute(r) => *r == robot,
-        }
-    }
-
-    /// Emits the once-only crash notification (trace event + monitor hook)
-    /// the first time an activation of the crashed robot is suppressed.
-    fn note_crash<M: Monitor + ?Sized>(&mut self, victim: RobotId, monitor: &mut M) {
-        if self.fault.crash_fired {
-            return;
-        }
-        self.fault.crash_fired = true;
-        if self.trace.is_recording() {
-            self.trace.push(Event::FaultCrash {
-                robot: victim,
-                step: self.step,
-            });
-        }
-        monitor.on_fault(
-            &FaultEvent::Crashed {
-                robot: victim,
-                step: self.step,
-            },
-            &self.config,
-        );
-    }
-
-    /// [`Engine::step_into`] for a step that activates the crashed robot:
-    /// the victim is filtered out of rounds and its solo steps become
-    /// no-ops (its pending action, if any, stays frozen forever).
-    fn step_into_crashed<M: Monitor + ?Sized>(
-        &mut self,
-        step: &SchedulerStep,
-        victim: RobotId,
-        monitor: &mut M,
-        report: &mut StepReport,
-    ) -> Result<(), SimError> {
-        self.check_robot(victim)?;
-        self.note_crash(victim, monitor);
-        match step {
-            SchedulerStep::SsyncRound(robots) => self.step_into_inner(
-                &SchedulerStep::SsyncRound(robots.without(victim)),
-                monitor,
-                report,
-            ),
-            SchedulerStep::Look(_) | SchedulerStep::Execute(_) => {
-                // The whole step addressed the crashed robot: nothing
-                // happens, but the scheduler step still completes and
-                // observers see it (with an empty report).
-                monitor.on_step(report, &self.config);
-                Ok(())
-            }
-        }
-    }
-
-    /// The fault-free stepping pipeline shared by [`Engine::step_into`] and
-    /// the crash filter (which re-enters it with the victim removed).
-    fn step_into_inner<M: Monitor + ?Sized>(
-        &mut self,
-        step: &SchedulerStep,
-        monitor: &mut M,
-        report: &mut StepReport,
-    ) -> Result<(), SimError> {
         match step {
             SchedulerStep::SsyncRound(robots) => {
                 let fast = self.options.step_path == StepPath::Leap
                     && self.try_leap_fast_round(*robots, monitor, report)?;
                 if !fast {
                     for r in robots.iter() {
-                        if self.look_compute(r, monitor)?.0 {
+                        if self.look_compute(r, monitor)? {
                             report.looks += 1;
                         }
                     }
@@ -1486,7 +1314,7 @@ impl<P: Protocol> Engine<P> {
                 }
             }
             SchedulerStep::Look(robot) => {
-                if self.look_compute(*robot, monitor)?.0 {
+                if self.look_compute(*robot, monitor)? {
                     report.looks += 1;
                 }
             }
@@ -1512,9 +1340,10 @@ impl<P: Protocol> Engine<P> {
     /// over observed properties ("three clearings demonstrated") as well as
     /// over engine state ("configuration gathered").
     ///
-    /// The loop keeps one [`StepReport`] for the whole run and refills it on
-    /// every step; scheduler views and steps are `Copy`, so a step
-    /// allocates nothing under any scheduler once the report has grown.
+    /// The loop refills one engine-owned [`StepReport`] on every step, kept
+    /// across runs and [`Engine::reset`]; scheduler views and steps are
+    /// `Copy`, so a step allocates nothing under any scheduler once the
+    /// report has grown.
     pub fn run<S, M, F>(
         &mut self,
         scheduler: &mut S,
@@ -1529,21 +1358,13 @@ impl<P: Protocol> Engine<P> {
     {
         let mut steps = 0u64;
         let moves_before = self.moves;
-        let mut report = StepReport::default();
-        loop {
+        let mut report = std::mem::take(&mut self.report);
+        let outcome = loop {
             if stop(self, monitor) {
-                return RunReport {
-                    outcome: RunOutcome::ConditionMet,
-                    steps,
-                    moves: self.moves - moves_before,
-                };
+                break RunOutcome::ConditionMet;
             }
             if steps >= max_scheduler_steps {
-                return RunReport {
-                    outcome: RunOutcome::StepBudgetExhausted,
-                    steps,
-                    moves: self.moves - moves_before,
-                };
+                break RunOutcome::StepBudgetExhausted;
             }
             // Round-uniform schedulers issue full SSYNC rounds regardless of
             // the view, so certified rounds can be applied as one batch.  A
@@ -1558,13 +1379,15 @@ impl<P: Protocol> Engine<P> {
             }
             let step = scheduler.next(&self.scheduler_view());
             if let Err(e) = self.step_into(&step, monitor, &mut report) {
-                return RunReport {
-                    outcome: RunOutcome::Failed(e),
-                    steps,
-                    moves: self.moves - moves_before,
-                };
+                break RunOutcome::Failed(e);
             }
             steps += 1;
+        };
+        self.report = report;
+        RunReport {
+            outcome,
+            steps,
+            moves: self.moves - moves_before,
         }
     }
 
@@ -1581,7 +1404,6 @@ impl<P: Protocol> Engine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::MoveLog;
     use crate::protocol::{GreedyGapWalker, IdleProtocol};
     use crate::scheduler::RoundRobinScheduler;
     use rr_ring::{Configuration, View};
@@ -1589,6 +1411,10 @@ mod tests {
     // The reference `exact_key`/`canonical_key` the signatures are pinned
     // against; test-only, shared with `tests/packed_roundtrip.rs`.
     include!("../tests/common/reference_keys.rs");
+
+    // The recording monitor the run comparisons observe through; shared
+    // with the integration suites.
+    include!("../tests/common/event_log.rs");
 
     fn cfg(gaps: &[usize]) -> Configuration {
         Configuration::from_gaps_at_origin(gaps)
@@ -1670,23 +1496,33 @@ mod tests {
     #[test]
     fn greedy_walker_moves_and_is_traced() {
         let c = cfg(&[3, 4]); // two robots, gaps 3 and 4 on a 9-ring
-        let options = EngineOptions::for_protocol(&GreedyGapWalker).with_trace();
-        let mut engine = Engine::new(GreedyGapWalker, c, options).unwrap();
-        let report = engine.step(&cycle(0), &mut ()).unwrap();
+        let mut engine = Engine::with_default_options(GreedyGapWalker, c).unwrap();
+        let mut log = EventLog::default();
+        let report = engine.step(&cycle(0), &mut log).unwrap();
         assert_eq!(report.moves.len(), 1);
         assert_eq!(report.moves[0].robot, 0);
         assert_eq!(engine.move_count(), 1);
-        assert_eq!(engine.trace().len(), 2); // Looked + Moved
-        assert_eq!(engine.trace().moves().count(), 1);
+        assert_eq!(
+            log.hooks,
+            [
+                Hook::Look {
+                    robot: 0,
+                    decision: Decision::Move(ViewIndex::Second)
+                },
+                Hook::Move(report.moves[0]),
+                Hook::Step(report),
+            ]
+        );
     }
 
     #[test]
     fn monitor_hooks_fire_during_step() {
         let c = cfg(&[3, 4]);
         let mut engine = Engine::with_default_options(GreedyGapWalker, c).unwrap();
-        let mut log = MoveLog::default();
+        let mut log = EventLog::default();
         let report = engine.step(&cycle(0), &mut log).unwrap();
-        assert_eq!(log.moves, report.moves);
+        let moves: Vec<Hook> = report.moves.iter().copied().map(Hook::Move).collect();
+        assert_eq!(log.hooks[1..=moves.len()], moves);
     }
 
     #[test]
@@ -1796,7 +1632,7 @@ mod tests {
         // and check it behaves exactly like a freshly constructed one.
         let first = cfg(&[0, 1, 2, 5]);
         let second = cfg(&[3, 4]);
-        let options = EngineOptions::for_protocol(&GreedyGapWalker).with_trace();
+        let options = EngineOptions::for_protocol(&GreedyGapWalker);
         let mut recycled = Engine::new(GreedyGapWalker, first, options).unwrap();
         let mut sched = RoundRobinScheduler::new();
         recycled.run_until(&mut sched, 40, |_| false);
@@ -1807,18 +1643,16 @@ mod tests {
         assert_eq!(recycled.step_count(), 0);
         assert_eq!(recycled.move_count(), 0);
         assert_eq!(recycled.look_count(), 0);
-        assert!(recycled.trace().is_empty());
         assert!(recycled.robots().iter().all(|r| r.cycles == 0));
 
         let mut fresh = Engine::new(GreedyGapWalker, second, options).unwrap();
-        let mut s1 = RoundRobinScheduler::new();
-        let mut s2 = RoundRobinScheduler::new();
-        let r1 = recycled.run_until(&mut s1, 25, |_| false);
-        let r2 = fresh.run_until(&mut s2, 25, |_| false);
+        let (mut log1, mut log2) = (EventLog::default(), EventLog::default());
+        let r1 = recycled.run(&mut RoundRobinScheduler::new(), &mut log1, 25, |_, _| false);
+        let r2 = fresh.run(&mut RoundRobinScheduler::new(), &mut log2, 25, |_, _| false);
         assert_eq!(r1, r2);
         assert_eq!(recycled.configuration(), fresh.configuration());
         assert_eq!(recycled.positions(), fresh.positions());
-        assert_eq!(recycled.trace().events(), fresh.trace().events());
+        assert_eq!(log1, log2);
     }
 
     #[test]
@@ -1858,12 +1692,16 @@ mod tests {
         let c = cfg(&[0, 1, 2, 5]);
         let mut engine = Engine::with_default_options(GreedyGapWalker, c).unwrap();
         let mut sched = RoundRobinScheduler::new();
-        let mut log = MoveLog::default();
-        let report = engine.run(&mut sched, &mut log, 1000, |_, log: &MoveLog| {
-            log.moves.len() >= 3
-        });
+        let mut log = EventLog::default();
+        let moves = |log: &EventLog| {
+            log.hooks
+                .iter()
+                .filter(|hook| matches!(hook, Hook::Move(_)))
+                .count()
+        };
+        let report = engine.run(&mut sched, &mut log, 1000, |_, log| moves(log) >= 3);
         assert!(report.succeeded());
-        assert_eq!(log.moves.len(), 3);
+        assert_eq!(moves(&log), 3);
         assert_eq!(engine.move_count(), 3);
     }
 
@@ -2087,17 +1925,26 @@ mod tests {
     }
 
     /// Drives two engines in lockstep through the same schedule and requires
-    /// identical reports, counters, configurations and traces.
+    /// identical reports, counters, configurations and monitor hooks.
     fn assert_lockstep_equal<P: Protocol + Clone>(mut a: Engine<P>, mut b: Engine<P>, steps: u64) {
-        let mut sched_a = RoundRobinScheduler::new();
-        let mut sched_b = RoundRobinScheduler::new();
-        let ra = a.run_until(&mut sched_a, steps, |_| false);
-        let rb = b.run_until(&mut sched_b, steps, |_| false);
+        let (mut log_a, mut log_b) = (EventLog::default(), EventLog::default());
+        let ra = a.run(
+            &mut RoundRobinScheduler::new(),
+            &mut log_a,
+            steps,
+            |_, _| false,
+        );
+        let rb = b.run(
+            &mut RoundRobinScheduler::new(),
+            &mut log_b,
+            steps,
+            |_, _| false,
+        );
         assert_eq!(ra, rb);
         assert_eq!(a.configuration(), b.configuration());
         assert_eq!(a.positions(), b.positions());
         assert_eq!(a.look_count(), b.look_count());
-        assert_eq!(a.trace().events(), b.trace().events());
+        assert_eq!(log_a, log_b);
     }
 
     #[test]
@@ -2105,8 +1952,8 @@ mod tests {
         // Full-activation SSYNC rounds issued through `step` exercise the
         // certified fast path directly (the `run` loop would route a
         // round-uniform scheduler to the batched leap instead).  Every
-        // observable — reports, configurations, counters, trace — must be
-        // byte-identical to the baseline pipeline.
+        // observable — reports, configurations, counters, monitor hooks —
+        // must be identical to the baseline pipeline.
         for gaps in [
             &[0usize, 1, 2, 5][..],
             &[1, 1, 4],
@@ -2114,21 +1961,22 @@ mod tests {
             &[2, 2, 2],
         ] {
             let c = cfg(gaps);
-            let base_opts = EngineOptions::for_protocol(&GreedyGapWalker).with_trace();
+            let base_opts = EngineOptions::for_protocol(&GreedyGapWalker);
             let leap_opts = base_opts.with_step_path(StepPath::Leap);
             let mut base = Engine::new(GreedyGapWalker, c.clone(), base_opts).unwrap();
             let mut leap = Engine::new(GreedyGapWalker, c, leap_opts).unwrap();
+            let (mut base_log, mut leap_log) = (EventLog::default(), EventLog::default());
             let round = SchedulerStep::SsyncRound(RobotSet::first(base.num_robots()));
             for _ in 0..60 {
-                let rb = base.step(&round, &mut ()).unwrap();
-                let rl = leap.step(&round, &mut ()).unwrap();
+                let rb = base.step(&round, &mut base_log).unwrap();
+                let rl = leap.step(&round, &mut leap_log).unwrap();
                 assert_eq!(rb, rl);
                 assert_eq!(base.configuration(), leap.configuration());
                 assert_eq!(base.positions(), leap.positions());
             }
             assert_eq!(base.look_count(), leap.look_count());
             assert_eq!(base.step_count(), leap.step_count());
-            assert_eq!(base.trace().events(), leap.trace().events());
+            assert_eq!(base_log, leap_log);
         }
     }
 
@@ -2138,7 +1986,7 @@ mod tests {
         // others decline to the baseline path — either way nothing may
         // change observably.
         let c = cfg(&[0, 1, 2, 5]);
-        let base = EngineOptions::for_protocol(&GreedyGapWalker).with_trace();
+        let base = EngineOptions::for_protocol(&GreedyGapWalker);
         let leap = base.with_step_path(StepPath::Leap);
         assert_lockstep_equal(
             Engine::new(GreedyGapWalker, c.clone(), base).unwrap(),
@@ -2176,67 +2024,35 @@ mod tests {
 
     #[test]
     fn batched_leap_emits_one_summary_event_and_aggregate_callback() {
-        use crate::leap::LeapRecord;
         use crate::scheduler::FullySynchronousScheduler;
 
-        #[derive(Default)]
-        struct LeapLog {
-            records: Vec<LeapRecord>,
-        }
-        impl Monitor for LeapLog {
-            fn on_leap(&mut self, record: &LeapRecord, _after: &Configuration) {
-                self.records.push(*record);
+        let c = cfg(&[0, 1, 2, 5]);
+        let opts = EngineOptions::for_protocol(&GreedyGapWalker).with_step_path(StepPath::Leap);
+        let mut engine = Engine::new(GreedyGapWalker, c, opts).unwrap();
+        let mut log = EventLog::default();
+        engine.run(&mut FullySynchronousScheduler, &mut log, 64, |_, _| false);
+        let k = engine.positions().len() as u64;
+        let (mut leaps, mut looks) = (0, 0);
+        for hook in &log.hooks {
+            match hook {
+                Hook::Leap {
+                    rounds,
+                    looks: leaped,
+                    ..
+                } => {
+                    assert!(*rounds >= 1);
+                    assert_eq!(*leaped, k * rounds);
+                    leaps += 1;
+                    looks += leaped;
+                }
+                Hook::Look { .. } => looks += 1,
+                _ => {}
             }
         }
-
-        let c = cfg(&[0, 1, 2, 5]);
-        let opts = EngineOptions::for_protocol(&GreedyGapWalker)
-            .with_trace()
-            .with_step_path(StepPath::Leap);
-        let mut engine = Engine::new(GreedyGapWalker, c, opts).unwrap();
-        let mut log = LeapLog::default();
-        engine.run(&mut FullySynchronousScheduler, &mut log, 64, |_, _| false);
-        assert!(!log.records.is_empty(), "no leap was taken");
-        let k = engine.positions().len() as u64;
-        for record in &log.records {
-            assert!(record.rounds >= 1);
-            assert_eq!(record.looks, k * record.rounds);
-        }
-        // Each aggregate callback has a matching summary trace event.
-        let leaped: Vec<_> = engine
-            .trace()
-            .events()
-            .iter()
-            .filter(|e| matches!(e, Event::Leaped { .. }))
-            .collect();
-        assert_eq!(leaped.len(), log.records.len());
-    }
-
-    #[test]
-    fn disabled_trace_mode_changes_nothing_but_the_trace() {
-        // TraceMode::Disabled skips event construction in the hot loops;
-        // every other observable of the run must be byte-identical, and
-        // Recording mode still produces the full event sequence.
-        let c = cfg(&[0, 1, 2, 5]);
-        let recording = EngineOptions::for_protocol(&GreedyGapWalker).with_trace();
-        assert_eq!(recording.trace, TraceMode::Recording);
-        let disabled = EngineOptions::for_protocol(&GreedyGapWalker);
-        assert_eq!(disabled.trace, TraceMode::Disabled);
-
-        let mut with_trace = Engine::new(GreedyGapWalker, c.clone(), recording).unwrap();
-        let mut without = Engine::new(GreedyGapWalker, c, disabled).unwrap();
-        let mut sched_a = RoundRobinScheduler::new();
-        let mut sched_b = RoundRobinScheduler::new();
-        let ra = with_trace.run_until(&mut sched_a, 120, |_| false);
-        let rb = without.run_until(&mut sched_b, 120, |_| false);
-        assert_eq!(ra, rb);
-        assert_eq!(with_trace.configuration(), without.configuration());
-        assert_eq!(with_trace.step_count(), without.step_count());
-        assert_eq!(with_trace.look_count(), without.look_count());
-        // Recording mode logged one event per completed phase; disabled
-        // mode logged none.
-        assert_eq!(with_trace.trace().len() as u64, with_trace.step_count());
-        assert!(without.trace().is_empty());
+        assert!(leaps > 0, "no leap was taken");
+        // Each leap's one aggregate callback stands in for the per-robot
+        // Look hooks of its rounds.
+        assert_eq!(looks, engine.look_count());
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //!
 //! * **per-step fast path** — while the plan is valid, `Engine::step` skips
 //!   the Look/Compute pipeline and replays the planned decision through the
-//!   ordinary move executor.  Counters, trace events, monitor callbacks and
+//!   ordinary move executor.  Counters, reports, monitor callbacks and
 //!   error behaviour are *identical by construction* to baseline stepping,
 //!   under every scheduler;
 //! * **batched leap** — under a round-uniform scheduler
 //!   ([`Scheduler::is_round_uniform`](crate::scheduler::Scheduler)),
 //!   `Engine::leap` applies `L ≤ horizon` whole rounds as one closed-form
-//!   update of the occupancy index, emitting a single
-//!   [`Event::Leaped`](crate::trace::Event) and one
-//!   [`Monitor::on_leap`](crate::monitor::Monitor) aggregate callback.
+//!   update of the occupancy index, emitting one
+//!   [`Monitor::on_leap`](crate::monitor::Monitor) aggregate callback in
+//!   place of the per-robot hooks.
 //!
 //! ### Certificate contract
 //!

@@ -34,7 +34,6 @@ pub mod protocol;
 pub mod robot;
 pub mod scheduler;
 pub mod snapshot;
-pub mod trace;
 
 pub use engine::{
     debug_step_probe, Engine, EngineOptions, EngineState, MoveRecord, RunOutcome, RunReport,
@@ -43,7 +42,7 @@ pub use engine::{
 pub use error::SimError;
 pub use fault::{CorruptionKind, FaultEvent, FaultModel};
 pub use leap::{LeapPlan, LeapRecord};
-pub use monitor::{Monitor, MoveLog};
+pub use monitor::Monitor;
 pub use packed::{CanonicalTransform, PackedState, StateSig, MAX_CANONICAL_N, SIG_WORDS};
 pub use protocol::{Decision, Protocol, ViewIndex};
 pub use robot::{RobotId, RobotSet, RobotState};
@@ -52,7 +51,6 @@ pub use scheduler::{
     SchedulerView,
 };
 pub use snapshot::{MultiplicityCapability, Snapshot};
-pub use trace::{Event, Trace, TraceMode};
 
 /// The engine's **semantic** version, stamped into every `rr-sweep/v1`
 /// report header and folded into the sweep service's content-addressed

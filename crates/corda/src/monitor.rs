@@ -5,7 +5,7 @@
 //! completed scheduler step — and accumulates whatever the caller wants to
 //! know about a run (contamination state, exploration coverage, gathering
 //! status, statistics).  Monitors never influence the execution; they only
-//! observe it.
+//! observe it, and they are the engine's only observation path.
 //!
 //! Monitors compose structurally: `()` is the null monitor, `&mut M` and
 //! tuples of monitors are monitors, so a driver can bolt several observers
@@ -57,10 +57,10 @@ pub trait Monitor {
     }
 
     /// Called when an armed [`FaultModel`](crate::fault::FaultModel) takes
-    /// observable effect: once when a crash-stop fault first suppresses an
-    /// activation, and once per corrupted Look (before the corrupted
-    /// decision's `on_look`).  `config` is the configuration at the moment
-    /// the fault fired.  Never called while `FaultModel::None` is armed.
+    /// observable effect: once per corrupted Look, immediately before the
+    /// corrupted decision's `on_look`.  `config` is the configuration at the
+    /// moment the fault fired.  Never called while `FaultModel::None` is
+    /// armed.
     fn on_fault(&mut self, event: &FaultEvent, config: &Configuration) {
         let _ = (event, config);
     }
@@ -123,19 +123,6 @@ tuple_monitors! {
     (A: 0, B: 1, C: 2, D: 3)
 }
 
-/// A monitor that records every move; handy in tests and small tools.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MoveLog {
-    /// The observed move records, in execution order.
-    pub moves: Vec<MoveRecord>,
-}
-
-impl Monitor for MoveLog {
-    fn on_move(&mut self, record: &MoveRecord, _after: &Configuration) {
-        self.moves.push(*record);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,24 +164,5 @@ mod tests {
         pair.on_step(&report, &config);
         assert_eq!((pair.0.looks, pair.0.moves, pair.0.steps), (1, 1, 1));
         assert_eq!((pair.1.looks, pair.1.moves, pair.1.steps), (1, 1, 1));
-    }
-
-    #[test]
-    fn move_log_records_in_order() {
-        let config = Configuration::from_gaps_at_origin(&[1, 2]);
-        let mut log = MoveLog::default();
-        for step in 1..=3 {
-            log.on_move(
-                &MoveRecord {
-                    robot: 0,
-                    from: 0,
-                    to: 1,
-                    step,
-                },
-                &config,
-            );
-        }
-        assert_eq!(log.moves.len(), 3);
-        assert!(log.moves.windows(2).all(|w| w[0].step < w[1].step));
     }
 }

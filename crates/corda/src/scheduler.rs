@@ -272,9 +272,8 @@ fn most_overdue(
     (pending, silent)
 }
 
-/// The bounded-unfair fault adversary
-/// ([`FaultModel::BoundedUnfair`](crate::fault::FaultModel::BoundedUnfair)):
-/// behaves like [`AsynchronousScheduler`], except one *victim* robot is
+/// The bounded-unfair fault adversary: behaves like
+/// [`AsynchronousScheduler`], except one *victim* robot is
 /// withheld for the first `budget` scheduler steps (`u64::MAX`: forever).
 ///
 /// While the budget lasts, the victim is excluded from the forced-fairness

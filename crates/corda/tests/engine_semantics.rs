@@ -2,7 +2,7 @@
 //!
 //! * **determinism** — a run is a pure function of (initial configuration,
 //!   protocol, scheduler stream): same seed + same scheduler ⇒ identical
-//!   trace, identical final configuration;
+//!   monitor hooks, identical final configuration;
 //! * **SSYNC equivalence** — `Engine::step(SsyncRound(..))` implements
 //!   exactly the look-all-then-move-all semantics the `ssync_round` entry
 //!   point had before the engine refactor, including the CORDA rule that a
@@ -12,10 +12,12 @@
 use proptest::prelude::*;
 use rr_corda::scheduler::AsynchronousScheduler;
 use rr_corda::{
-    Decision, Engine, EngineOptions, MoveLog, Protocol, RobotSet, Scheduler, SchedulerStep,
-    Snapshot, ViewIndex,
+    Decision, Engine, FaultEvent, LeapRecord, Monitor, MoveRecord, Protocol, RobotId, RobotSet,
+    Scheduler, SchedulerStep, Snapshot, StepReport, ViewIndex,
 };
 use rr_ring::{Configuration, Direction, Ring};
+
+include!("common/event_log.rs");
 
 /// The non-trivial deterministic test protocol shared with the invariants
 /// suite: move towards the larger adjacent gap when the gaps differ.
@@ -93,28 +95,23 @@ fn reference_ssync_round(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Same seed + same scheduler ⇒ identical trace and final configuration.
+    /// Same seed + same scheduler ⇒ identical monitor hooks and final
+    /// configuration.
     #[test]
     fn runs_are_deterministic_per_seed(config in config_strategy(), seed in 0u64..1_000) {
         let mut outcomes = Vec::new();
         for _ in 0..2 {
-            let options = EngineOptions::for_protocol(&DriftProtocol).with_trace();
-            let mut engine = Engine::new(DriftProtocol, config.clone(), options).expect("valid");
+            let mut engine = Engine::with_default_options(DriftProtocol, config.clone()).expect("valid");
             let mut scheduler = AsynchronousScheduler::seeded(seed);
-            let mut log = MoveLog::default();
+            let mut log = EventLog::default();
             for _ in 0..150 {
                 let step = scheduler.next(&engine.scheduler_view());
                 engine.step(&step, &mut log).expect("drift never fails");
             }
-            outcomes.push((
-                engine.trace().events().to_vec(),
-                engine.configuration().clone(),
-                log.moves,
-            ));
+            outcomes.push((log, engine.configuration().clone()));
         }
-        prop_assert_eq!(&outcomes[0].0, &outcomes[1].0, "traces differ");
+        prop_assert_eq!(&outcomes[0].0, &outcomes[1].0, "monitor hooks differ");
         prop_assert_eq!(&outcomes[0].1, &outcomes[1].1, "final configurations differ");
-        prop_assert_eq!(&outcomes[0].2, &outcomes[1].2, "observed moves differ");
     }
 
     /// A full SSYNC round through `Engine::step` equals the reference

@@ -3,21 +3,23 @@
 //! The contract that makes faults safe to thread through the engine's hot
 //! paths: an engine with [`FaultModel::None`] armed is **byte-identical** to
 //! an engine that never heard of faults — same `StepReport` streams, same
-//! errors, same counters, same trace events, same `rr-sweep/v1` JSON bytes.
+//! errors, same counters, same monitor hooks, same `rr-sweep/v1` JSON bytes.
 //! These tests mirror the `leap_lockstep` harness (arbitrary configurations
 //! × arbitrary activation scripts) and add the deterministic fault pins:
-//! crash-stop ≡ "the victim was never scheduled", corrupted Looks fire
-//! exactly once, and `Engine::leap` refuses to serve while a fault is armed,
-//! falling back to single-stepping with identical outcomes.
+//! corrupted Looks fire exactly once, and `Engine::leap` refuses to serve
+//! while a fault is armed, falling back to single-stepping with identical
+//! outcomes.
 
 use proptest::prelude::*;
 use rr_corda::protocol::GreedyGapWalker;
 use rr_corda::scheduler::FullySynchronousScheduler;
 use rr_corda::{
-    CorruptionKind, Engine, EngineOptions, Event, FaultModel, RobotSet, SchedulerStep, SimError,
-    StepPath, StepReport, ViewOrder,
+    CorruptionKind, Decision, Engine, EngineOptions, FaultEvent, FaultModel, LeapRecord, Monitor,
+    MoveRecord, RobotId, RobotSet, SchedulerStep, SimError, StepPath, StepReport, ViewOrder,
 };
 use rr_ring::Configuration;
+
+include!("common/event_log.rs");
 
 /// A random gap word for `k` robots with a positive total gap, so the ring
 /// is never full (same strategy as `leap_lockstep`).
@@ -48,12 +50,13 @@ fn script() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
 
 fn drive(
     engine: &mut Engine<GreedyGapWalker>,
+    log: &mut EventLog,
     k: usize,
     script: &[(u8, usize, usize)],
 ) -> (Vec<StepReport>, Option<SimError>) {
     let mut reports = Vec::new();
     for &(kind, a, b) in script {
-        match engine.step(&step_for(k, kind, a, b), &mut ()) {
+        match engine.step(&step_for(k, kind, a, b), log) {
             Ok(report) => reports.push(report),
             Err(e) => return (reports, Some(e)),
         }
@@ -73,11 +76,10 @@ fn assert_engines_equal(a: &Engine<GreedyGapWalker>, b: &Engine<GreedyGapWalker>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Satellite 1: `FaultModel::None` is a perfect no-op.  Over arbitrary
-    /// starts and scripts, an engine that armed (and re-armed) `None`
-    /// produces byte-identical reports, errors, counters, trace events and
-    /// serialized `rr-sweep/v1` JSON to an engine the fault API never
-    /// touched.
+    /// `FaultModel::None` is a perfect no-op.  Over arbitrary starts and
+    /// scripts, an engine that armed (and re-armed) `None` produces
+    /// byte-identical reports, errors, counters, monitor hooks and
+    /// serialized JSON to an engine the fault API never touched.
     #[test]
     fn none_fault_is_byte_identical_to_the_plain_engine(
         gaps in gap_word(),
@@ -90,31 +92,30 @@ proptest! {
             _ => ViewOrder::Alternating,
         };
         let config = Configuration::from_gaps_at_origin(&gaps);
-        let options = EngineOptions::for_protocol(&GreedyGapWalker)
-            .with_trace()
-            .with_view_order(order);
+        let options = EngineOptions::for_protocol(&GreedyGapWalker).with_view_order(order);
         let mut armed = Engine::new(GreedyGapWalker, config.clone(), options).unwrap();
         armed.arm_fault(FaultModel::None);
         let mut plain = Engine::new(GreedyGapWalker, config.clone(), options).unwrap();
+        let (mut armed_log, mut plain_log) = (EventLog::default(), EventLog::default());
 
         let k = config.num_robots();
         // Re-arm None mid-run too: arming must not perturb execution state.
         let (head, tail) = main.split_at(main.len() / 2);
-        let (armed_head, armed_err_head) = drive(&mut armed, k, head);
+        let (armed_head, armed_err_head) = drive(&mut armed, &mut armed_log, k, head);
         armed.arm_fault(FaultModel::None);
-        let (plain_head, plain_err_head) = drive(&mut plain, k, head);
+        let (plain_head, plain_err_head) = drive(&mut plain, &mut plain_log, k, head);
         prop_assert_eq!(armed_head, plain_head);
         prop_assert_eq!(&armed_err_head, &plain_err_head);
         if armed_err_head.is_none() {
-            let (armed_tail, armed_err) = drive(&mut armed, k, tail);
-            let (plain_tail, plain_err) = drive(&mut plain, k, tail);
+            let (armed_tail, armed_err) = drive(&mut armed, &mut armed_log, k, tail);
+            let (plain_tail, plain_err) = drive(&mut plain, &mut plain_log, k, tail);
             prop_assert_eq!(armed_tail, plain_tail);
             prop_assert_eq!(armed_err, plain_err);
         }
         assert_engines_equal(&armed, &plain);
-        prop_assert_eq!(armed.trace().events(), plain.trace().events());
-        let a = serde_json::to_string(armed.trace().events()).unwrap();
-        let b = serde_json::to_string(plain.trace().events()).unwrap();
+        let a = serde_json::to_string(&armed_log.hooks).unwrap();
+        let b = serde_json::to_string(&plain_log.hooks).unwrap();
+        prop_assert_eq!(armed_log, plain_log);
         prop_assert_eq!(a, b);
     }
 
@@ -128,81 +129,35 @@ proptest! {
         main in script(),
     ) {
         let config = Configuration::from_gaps_at_origin(&gaps);
-        let options = EngineOptions::for_protocol(&GreedyGapWalker).with_trace();
+        let options = EngineOptions::for_protocol(&GreedyGapWalker);
         let mut armed = Engine::new(GreedyGapWalker, config.clone(), options).unwrap();
         armed.arm_fault(FaultModel::CorruptLook {
             look: u64::MAX,
             kind: CorruptionKind::ALL[kind_sel],
         });
         let mut plain = Engine::new(GreedyGapWalker, config.clone(), options).unwrap();
+        let (mut armed_log, mut plain_log) = (EventLog::default(), EventLog::default());
 
         let k = config.num_robots();
-        let (armed_reports, armed_err) = drive(&mut armed, k, &main);
-        let (plain_reports, plain_err) = drive(&mut plain, k, &main);
+        let (armed_reports, armed_err) = drive(&mut armed, &mut armed_log, k, &main);
+        let (plain_reports, plain_err) = drive(&mut plain, &mut plain_log, k, &main);
         prop_assert_eq!(armed_reports, plain_reports);
         prop_assert_eq!(armed_err, plain_err);
         assert_engines_equal(&armed, &plain);
-        prop_assert_eq!(armed.trace().events(), plain.trace().events());
-    }
-
-    /// Crash-stop semantics, as a lockstep property: an engine with
-    /// `Crash { robot, after_step: 0 }` driven by any script reaches exactly
-    /// the configuration of a plain engine driven by the same script with
-    /// every activation of the victim deleted.
-    #[test]
-    fn crash_equals_never_scheduling_the_victim(
-        gaps in gap_word(),
-        victim_sel in 0usize..8,
-        main in script(),
-    ) {
-        let config = Configuration::from_gaps_at_origin(&gaps);
-        let k = config.num_robots();
-        let victim = victim_sel % k;
-        let options = EngineOptions::for_protocol(&GreedyGapWalker);
-        let mut crashed = Engine::new(GreedyGapWalker, config.clone(), options).unwrap();
-        crashed.arm_fault(FaultModel::Crash { robot: victim, after_step: 0 });
-        let mut filtered = Engine::new(GreedyGapWalker, config.clone(), options).unwrap();
-
-        for &(kind, a, b) in &main {
-            let step = step_for(k, kind, a, b);
-            let crashed_result = crashed.step(&step, &mut ());
-            let survivor_step = match &step {
-                SchedulerStep::SsyncRound(robots) => {
-                    Some(SchedulerStep::SsyncRound(robots.without(victim)))
-                }
-                SchedulerStep::Look(r) | SchedulerStep::Execute(r) if *r == victim => None,
-                other => Some(*other),
-            };
-            let filtered_result = match survivor_step {
-                Some(s) => filtered.step(&s, &mut ()).map(Some),
-                // The victim's solo activation is suppressed: a no-op step.
-                None => Ok(None),
-            };
-            match (&crashed_result, &filtered_result) {
-                (Ok(_), Ok(_)) => {}
-                (Err(a), Err(b)) => {
-                    prop_assert_eq!(a, b);
-                    break;
-                }
-                _ => prop_assert!(false, "one engine failed, the other did not"),
-            }
-            prop_assert_eq!(crashed.configuration(), filtered.configuration());
-            prop_assert_eq!(crashed.move_count(), filtered.move_count());
-            prop_assert_eq!(crashed.look_count(), filtered.look_count());
-        }
+        prop_assert_eq!(armed_log, plain_log);
     }
 }
 
-/// Satellite 2: `Engine::leap` refuses to serve while a fault is armed, and
-/// the scheduler-driven run loop falls back to single-stepping with outcomes
-/// identical to a baseline engine under the same crash schedule.
+/// `Engine::leap` refuses to serve while a fault is armed, and the
+/// scheduler-driven run loop falls back to single-stepping with outcomes
+/// identical to a baseline engine under the same scheduled corruption.
 #[test]
-fn leap_declines_across_a_scheduled_crash_and_falls_back_to_stepping() {
+fn leap_declines_while_a_fault_is_armed_and_falls_back_to_stepping() {
     let config = Configuration::from_gaps_at_origin(&[1, 2, 5]);
     let options = EngineOptions::for_protocol(&GreedyGapWalker);
-    let fault = FaultModel::Crash {
-        robot: 1,
-        after_step: 3,
+    let fault = FaultModel::CorruptLook {
+        look: 4,
+        kind: CorruptionKind::PhantomMultiplicity,
     };
 
     let mut leap = Engine::new(
@@ -230,8 +185,9 @@ fn leap_declines_across_a_scheduled_crash_and_falls_back_to_stepping() {
         "leap must refuse while a fault is armed"
     );
 
-    // Force the leaping run loop across the scheduled crash: it must fall
-    // back to single-stepping and agree with the baseline path exactly.
+    // Force the leaping run loop across the scheduled corruption: it must
+    // fall back to single-stepping and agree with the baseline path
+    // exactly, the fault's one `on_fault` hook included.
     let mut base = Engine::new(
         GreedyGapWalker,
         config.clone(),
@@ -239,102 +195,60 @@ fn leap_declines_across_a_scheduled_crash_and_falls_back_to_stepping() {
     )
     .unwrap();
     base.arm_fault(fault);
-    let leap_report = leap.run_until(&mut FullySynchronousScheduler, 12, |_| false);
-    let base_report = base.run_until(&mut FullySynchronousScheduler, 12, |_| false);
+    let (mut leap_log, mut base_log) = (EventLog::default(), EventLog::default());
+    let leap_report = leap.run(&mut FullySynchronousScheduler, &mut leap_log, 12, |_, _| {
+        false
+    });
+    let base_report = base.run(&mut FullySynchronousScheduler, &mut base_log, 12, |_, _| {
+        false
+    });
     assert_eq!(leap_report, base_report);
     assert_engines_equal(&leap, &base);
+    assert_eq!(leap_log, base_log);
+    let faults = leap_log
+        .hooks
+        .iter()
+        .filter(|hook| matches!(hook, Hook::Fault(_)))
+        .count();
+    assert_eq!(faults, 1, "the scheduled corruption fired once");
     assert_eq!(
         leap.leap(1, &mut ()),
         None,
         "the fault stays armed after the run"
     );
-}
-
-/// Crash-stop behavioral pin: the victim freezes at the crash step, the
-/// once-only `FaultCrash` notification fires at its first suppressed
-/// activation, and the fault survives a save/restore excursion (it is
-/// configuration, not execution state) but not a `reset`.
-#[test]
-fn crash_freezes_the_victim_and_notes_once() {
-    let config = Configuration::from_gaps_at_origin(&[1, 2, 5]);
-    let options = EngineOptions::for_protocol(&GreedyGapWalker).with_trace();
-    let mut engine = Engine::new(GreedyGapWalker, config.clone(), options).unwrap();
-    engine.arm_fault(FaultModel::Crash {
-        robot: 0,
-        after_step: 2,
-    });
-
-    let full = RobotSet::first(3);
-    for _ in 0..2 {
-        engine
-            .step(&SchedulerStep::SsyncRound(full), &mut ())
-            .unwrap();
-    }
-    let frozen_at = engine.positions()[0];
-    let saved = engine.save_state();
-    for _ in 0..6 {
-        engine
-            .step(&SchedulerStep::SsyncRound(full), &mut ())
-            .unwrap();
-    }
-    assert_eq!(engine.positions()[0], frozen_at, "victim moved after crash");
-    let crash_events: Vec<&Event> = engine
-        .trace()
-        .events()
-        .iter()
-        .filter(|e| matches!(e, Event::FaultCrash { .. }))
-        .collect();
-    assert_eq!(crash_events.len(), 1, "crash must be noted exactly once");
-    assert!(
-        matches!(crash_events[0], Event::FaultCrash { robot: 0, step } if *step >= 2),
-        "unexpected crash note: {:?}",
-        crash_events[0]
-    );
-
     // The fault model survives a state excursion (like the protocol and the
-    // options do) …
-    engine.restore_state(&saved);
-    assert_eq!(
-        engine.fault_model(),
-        FaultModel::Crash {
-            robot: 0,
-            after_step: 2
-        }
-    );
-    for _ in 0..4 {
-        engine
-            .step(&SchedulerStep::SsyncRound(full), &mut ())
-            .unwrap();
-    }
-    assert_eq!(engine.positions()[0], frozen_at, "crash lost after restore");
-
-    // … and is cleared by reset: a recycled engine starts fault-free.
-    engine.reset(GreedyGapWalker, &config, options).unwrap();
-    assert_eq!(engine.fault_model(), FaultModel::None);
+    // options do) and is cleared by reset: a recycled engine starts
+    // fault-free.
+    let saved = leap.save_state();
+    leap.restore_state(&saved);
+    assert_eq!(leap.fault_model(), fault);
+    leap.reset(GreedyGapWalker, &config, options).unwrap();
+    assert_eq!(leap.fault_model(), FaultModel::None);
 }
 
 /// Corruption behavioral pin: the corrupted Look is identified by its global
-/// look ordinal, fires exactly once (trace event before the `Looked` event),
-/// and all other Looks stay truthful.
+/// look ordinal, fires exactly once (its `on_fault` hook immediately before
+/// that robot's `on_look`), and all other Looks stay truthful.
 #[test]
 fn corrupt_look_fires_exactly_once_at_its_ordinal() {
     let config = Configuration::from_gaps_at_origin(&[1, 2, 5]);
-    let options = EngineOptions::for_protocol(&GreedyGapWalker).with_trace();
+    let options = EngineOptions::for_protocol(&GreedyGapWalker);
     for kind in CorruptionKind::ALL {
         let mut engine = Engine::new(GreedyGapWalker, config.clone(), options).unwrap();
         engine.arm_fault(FaultModel::CorruptLook { look: 2, kind });
+        let mut log = EventLog::default();
         let full = RobotSet::first(3);
         for _ in 0..4 {
             engine
-                .step(&SchedulerStep::SsyncRound(full), &mut ())
+                .step(&SchedulerStep::SsyncRound(full), &mut log)
                 .unwrap();
         }
         assert!(engine.look_count() >= 3, "run too short to fire the fault");
-        let events = engine.trace().events();
+        let events = &log.hooks;
         let corruptions: Vec<usize> = events
             .iter()
             .enumerate()
-            .filter_map(|(i, e)| matches!(e, Event::FaultCorruption { .. }).then_some(i))
+            .filter_map(|(i, e)| matches!(e, Hook::Fault(_)).then_some(i))
             .collect();
         assert_eq!(
             corruptions.len(),
@@ -346,14 +260,14 @@ fn corrupt_look_fires_exactly_once_at_its_ordinal() {
         // SSYNC rounds Look in robot order: global look ordinal 2 belongs to
         // robot 2 of the first round.
         assert!(
-            matches!(events[at], Event::FaultCorruption { robot: 2, kind: k, .. } if k == kind),
+            matches!(events[at], Hook::Fault(FaultEvent::CorruptedLook { robot: 2, kind: k, .. }) if k == kind),
             "{}: unexpected corruption event: {:?}",
             kind.name(),
             events[at]
         );
         assert!(
-            matches!(events[at + 1], Event::Looked { robot: 2, .. }),
-            "{}: corruption must precede its Looked event",
+            matches!(events[at + 1], Hook::Look { robot: 2, .. }),
+            "{}: corruption must immediately precede its Look",
             kind.name()
         );
     }

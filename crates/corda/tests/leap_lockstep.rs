@@ -2,8 +2,8 @@
 //! arbitrary starting configurations and arbitrary activation scripts (bare
 //! Looks, bare Executes, partial and full SSYNC rounds — including the
 //! interleavings that create and collapse multiplicities mid-plan), the
-//! leaping engine produces **byte-identical** `StepReport` streams, traces,
-//! counters and final states.  The leap certificate is an optimisation
+//! leaping engine produces **byte-identical** `StepReport` streams, monitor
+//! hooks, counters and final states.  The leap certificate is an optimisation
 //! contract, never a semantic one: whenever it cannot reproduce stepping
 //! exactly it must decline, and these tests are the enforcement.
 
@@ -11,9 +11,12 @@ use proptest::prelude::*;
 use rr_corda::protocol::GreedyGapWalker;
 use rr_corda::scheduler::FullySynchronousScheduler;
 use rr_corda::{
-    Engine, EngineOptions, RobotSet, SchedulerStep, SimError, StepPath, StepReport, ViewOrder,
+    Decision, Engine, EngineOptions, FaultEvent, LeapRecord, Monitor, MoveRecord, RobotId,
+    RobotSet, SchedulerStep, SimError, StepPath, StepReport, ViewOrder,
 };
 use rr_ring::Configuration;
+
+include!("common/event_log.rs");
 
 /// A random gap word for `k` robots (k inferred from the vector length) with
 /// a positive total gap, so the ring is never full.
@@ -48,12 +51,13 @@ fn script() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
 /// first error, which aborts the run exactly like a batch job would abort).
 fn drive(
     engine: &mut Engine<GreedyGapWalker>,
+    log: &mut EventLog,
     k: usize,
     script: &[(u8, usize, usize)],
 ) -> (Vec<StepReport>, Option<SimError>) {
     let mut reports = Vec::new();
     for &(kind, a, b) in script {
-        match engine.step(&step_for(k, kind, a, b), &mut ()) {
+        match engine.step(&step_for(k, kind, a, b), log) {
             Ok(report) => reports.push(report),
             Err(e) => return (reports, Some(e)),
         }
@@ -75,7 +79,8 @@ proptest! {
 
     /// The fast-round memo path: under arbitrary scripts (partial rounds,
     /// pending robots, multiplicity creation and collapse), a Leap engine and
-    /// a StepBaseline engine emit the same reports, errors and trace bytes.
+    /// a StepBaseline engine emit the same reports, errors and monitor-hook
+    /// bytes.
     #[test]
     fn leap_equals_baseline_over_arbitrary_scripts(
         gaps in gap_word(),
@@ -88,9 +93,7 @@ proptest! {
             _ => ViewOrder::Alternating,
         };
         let config = Configuration::from_gaps_at_origin(&gaps);
-        let base_options = EngineOptions::for_protocol(&GreedyGapWalker)
-            .with_trace()
-            .with_view_order(order);
+        let base_options = EngineOptions::for_protocol(&GreedyGapWalker).with_view_order(order);
         let mut leap = Engine::new(
             GreedyGapWalker,
             config.clone(),
@@ -105,15 +108,16 @@ proptest! {
         .unwrap();
 
         let k = config.num_robots();
-        let (leap_reports, leap_err) = drive(&mut leap, k, &main);
-        let (base_reports, base_err) = drive(&mut base, k, &main);
+        let (mut leap_log, mut base_log) = (EventLog::default(), EventLog::default());
+        let (leap_reports, leap_err) = drive(&mut leap, &mut leap_log, k, &main);
+        let (base_reports, base_err) = drive(&mut base, &mut base_log, k, &main);
 
         prop_assert_eq!(leap_reports, base_reports);
         prop_assert_eq!(leap_err, base_err);
         assert_engines_equal(&leap, &base);
-        prop_assert_eq!(leap.trace().events(), base.trace().events());
-        let a = serde_json::to_string(leap.trace().events()).unwrap();
-        let b = serde_json::to_string(base.trace().events()).unwrap();
+        let a = serde_json::to_string(&leap_log.hooks).unwrap();
+        let b = serde_json::to_string(&base_log.hooks).unwrap();
+        prop_assert_eq!(leap_log, base_log);
         prop_assert_eq!(a, b);
     }
 
@@ -168,10 +172,12 @@ proptest! {
         assert_engines_equal(&leap, &base);
 
         // The engines must still agree on everything after the jump.
-        let (leap_reports, leap_err) = drive(&mut leap, k, &tail);
-        let (base_reports, base_err) = drive(&mut base, k, &tail);
+        let (mut leap_log, mut base_log) = (EventLog::default(), EventLog::default());
+        let (leap_reports, leap_err) = drive(&mut leap, &mut leap_log, k, &tail);
+        let (base_reports, base_err) = drive(&mut base, &mut base_log, k, &tail);
         prop_assert_eq!(leap_reports, base_reports);
         prop_assert_eq!(leap_err, base_err);
+        prop_assert_eq!(leap_log, base_log);
         assert_engines_equal(&leap, &base);
     }
 }

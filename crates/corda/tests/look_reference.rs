@@ -12,8 +12,7 @@
 use proptest::prelude::*;
 use rr_corda::protocol::GreedyGapWalker;
 use rr_corda::{
-    Engine, EngineOptions, MultiplicityCapability, SchedulerKind, Snapshot, StepPath, TraceMode,
-    ViewOrder,
+    Engine, EngineOptions, MultiplicityCapability, SchedulerKind, Snapshot, StepPath, ViewOrder,
 };
 use rr_ring::{Configuration, Direction, NodeId, Ring, View};
 
@@ -66,7 +65,6 @@ proptest! {
         let options = EngineOptions {
             capability: MultiplicityCapability::None,
             enforce_exclusivity: false,
-            trace: TraceMode::Disabled,
             view_order: ViewOrder::CwFirst,
             step_path: StepPath::StepBaseline,
         };

@@ -18,7 +18,7 @@ use rr_corda::packed::INLINE_WORDS;
 use rr_corda::protocol::GreedyGapWalker;
 use rr_corda::{
     Engine, EngineOptions, MultiplicityCapability, RobotSet, SchedulerKind, SchedulerStep,
-    StepPath, TraceMode, ViewOrder,
+    StepPath, ViewOrder,
 };
 use rr_ring::Configuration;
 
@@ -118,7 +118,6 @@ fn every_scheduler_allocates_the_same_for_any_number_of_steps() {
     let options = EngineOptions {
         capability: MultiplicityCapability::None,
         enforce_exclusivity: false,
-        trace: TraceMode::Disabled,
         view_order: ViewOrder::CwFirst,
         step_path: StepPath::StepBaseline,
     };

@@ -1,15 +1,18 @@
 //! Property test pinning `Engine::reset` ≡ fresh `Engine::new`: over random
-//! step sequences, the recycled engine produces **byte-identical** traces and
-//! `StepReport` streams (and identical errors, positions, and counters) to a
+//! step sequences, the recycled engine produces **byte-identical** monitor
+//! hooks and `StepReport` streams (and identical errors, positions, and counters) to a
 //! freshly constructed engine.  The batch workers (`BatchRunner`) and every
 //! sweep built on them rely on exactly this equivalence.
 
 use proptest::prelude::*;
 use rr_corda::protocol::GreedyGapWalker;
 use rr_corda::{
-    Engine, EngineOptions, RobotSet, SchedulerStep, SimError, StepPath, StepReport, ViewOrder,
+    Decision, Engine, EngineOptions, FaultEvent, LeapRecord, Monitor, MoveRecord, RobotId,
+    RobotSet, SchedulerStep, SimError, StepPath, StepReport, ViewOrder,
 };
 use rr_ring::Configuration;
+
+include!("common/event_log.rs");
 
 /// A random gap word for `k` robots (k inferred from the vector length) with
 /// a positive total gap, so the ring is never full.
@@ -42,12 +45,13 @@ fn script() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
 /// first error, which aborts the run exactly like a batch job would abort).
 fn drive(
     engine: &mut Engine<GreedyGapWalker>,
+    log: &mut EventLog,
     k: usize,
     script: &[(u8, usize, usize)],
 ) -> (Vec<StepReport>, Option<SimError>) {
     let mut reports = Vec::new();
     for &(kind, a, b) in script {
-        match engine.step(&step_for(k, kind, a, b), &mut ()) {
+        match engine.step(&step_for(k, kind, a, b), log) {
             Ok(report) => reports.push(report),
             Err(e) => return (reports, Some(e)),
         }
@@ -60,7 +64,7 @@ proptest! {
 
     /// A recycled engine (run on one instance, then `reset` onto another) is
     /// indistinguishable from a fresh engine on the second instance: same
-    /// `StepReport` stream, same trace bytes, same final state.
+    /// `StepReport` stream, same monitor-hook bytes, same final state.
     #[test]
     fn reset_engine_equals_fresh_engine(
         first in gap_word(),
@@ -70,18 +74,19 @@ proptest! {
     ) {
         let first = Configuration::from_gaps_at_origin(&first);
         let second = Configuration::from_gaps_at_origin(&second);
-        let options = EngineOptions::for_protocol(&GreedyGapWalker).with_trace();
+        let options = EngineOptions::for_protocol(&GreedyGapWalker);
 
         // Recycled: run the warmup script on the first instance, then reset.
         let mut recycled = Engine::new(GreedyGapWalker, first.clone(), options).unwrap();
-        let _ = drive(&mut recycled, first.num_robots(), &warmup);
+        let _ = drive(&mut recycled, &mut EventLog::default(), first.num_robots(), &warmup);
         recycled.reset(GreedyGapWalker, &second, options).unwrap();
 
         let mut fresh = Engine::new(GreedyGapWalker, second.clone(), options).unwrap();
 
         let k = second.num_robots();
-        let (recycled_reports, recycled_err) = drive(&mut recycled, k, &main);
-        let (fresh_reports, fresh_err) = drive(&mut fresh, k, &main);
+        let (mut recycled_log, mut fresh_log) = (EventLog::default(), EventLog::default());
+        let (recycled_reports, recycled_err) = drive(&mut recycled, &mut recycled_log, k, &main);
+        let (fresh_reports, fresh_err) = drive(&mut fresh, &mut fresh_log, k, &main);
 
         prop_assert_eq!(recycled_reports, fresh_reports);
         prop_assert_eq!(recycled_err, fresh_err);
@@ -91,11 +96,11 @@ proptest! {
         prop_assert_eq!(recycled.step_count(), fresh.step_count());
         prop_assert_eq!(recycled.move_count(), fresh.move_count());
         prop_assert_eq!(recycled.look_count(), fresh.look_count());
-        // Byte-identical traces (serialized through the same serde path the
-        // sweep records use).
-        prop_assert_eq!(recycled.trace().events(), fresh.trace().events());
-        let a = serde_json::to_string(recycled.trace().events()).unwrap();
-        let b = serde_json::to_string(fresh.trace().events()).unwrap();
+        // Byte-identical monitor hooks (serialized through the same serde
+        // path the sweep records use).
+        let a = serde_json::to_string(&recycled_log.hooks).unwrap();
+        let b = serde_json::to_string(&fresh_log.hooks).unwrap();
+        prop_assert_eq!(recycled_log, fresh_log);
         prop_assert_eq!(a, b);
     }
 
@@ -107,16 +112,16 @@ proptest! {
         main in script(),
     ) {
         let config = Configuration::from_gaps_at_origin(&gaps);
-        let options = EngineOptions::for_protocol(&GreedyGapWalker).with_trace();
+        let options = EngineOptions::for_protocol(&GreedyGapWalker);
         let mut engine = Engine::new(GreedyGapWalker, config.clone(), options).unwrap();
         let k = config.num_robots();
 
-        let first = drive(&mut engine, k, &main);
-        let first_trace = engine.trace().events().to_vec();
+        let (mut first_log, mut second_log) = (EventLog::default(), EventLog::default());
+        let first = drive(&mut engine, &mut first_log, k, &main);
         engine.reset(GreedyGapWalker, &config, options).unwrap();
-        let second = drive(&mut engine, k, &main);
+        let second = drive(&mut engine, &mut second_log, k, &main);
         prop_assert_eq!(first, second);
-        prop_assert_eq!(first_trace, engine.trace().events().to_vec());
+        prop_assert_eq!(first_log, second_log);
     }
 
     /// `reset` must discard the round-leaping decision memo.  The memo's key
@@ -126,7 +131,7 @@ proptest! {
     /// decisions from the wrong policy.  Here the warmup runs in Leap mode
     /// under one view order, the engine is reset onto the *mirrored* view
     /// order (still Leap mode), and the recycled engine must match a fresh
-    /// engine step for step — trace bytes included.
+    /// engine step for step — monitor hooks included.
     #[test]
     fn reset_discards_the_leap_memo(
         first in gap_word(),
@@ -137,20 +142,20 @@ proptest! {
         let first = Configuration::from_gaps_at_origin(&first);
         let second = Configuration::from_gaps_at_origin(&second);
         let warm_options = EngineOptions::for_protocol(&GreedyGapWalker)
-            .with_trace()
             .with_view_order(ViewOrder::CwFirst)
             .with_step_path(StepPath::Leap);
         let main_options = warm_options.with_view_order(ViewOrder::CcwFirst);
 
         let mut recycled = Engine::new(GreedyGapWalker, first.clone(), warm_options).unwrap();
-        let _ = drive(&mut recycled, first.num_robots(), &warmup);
+        let _ = drive(&mut recycled, &mut EventLog::default(), first.num_robots(), &warmup);
         recycled.reset(GreedyGapWalker, &second, main_options).unwrap();
 
         let mut fresh = Engine::new(GreedyGapWalker, second.clone(), main_options).unwrap();
 
         let k = second.num_robots();
-        let (recycled_reports, recycled_err) = drive(&mut recycled, k, &main);
-        let (fresh_reports, fresh_err) = drive(&mut fresh, k, &main);
+        let (mut recycled_log, mut fresh_log) = (EventLog::default(), EventLog::default());
+        let (recycled_reports, recycled_err) = drive(&mut recycled, &mut recycled_log, k, &main);
+        let (fresh_reports, fresh_err) = drive(&mut fresh, &mut fresh_log, k, &main);
 
         prop_assert_eq!(recycled_reports, fresh_reports);
         prop_assert_eq!(recycled_err, fresh_err);
@@ -159,6 +164,6 @@ proptest! {
         prop_assert_eq!(recycled.step_count(), fresh.step_count());
         prop_assert_eq!(recycled.move_count(), fresh.move_count());
         prop_assert_eq!(recycled.look_count(), fresh.look_count());
-        prop_assert_eq!(recycled.trace().events(), fresh.trace().events());
+        prop_assert_eq!(recycled_log, fresh_log);
     }
 }

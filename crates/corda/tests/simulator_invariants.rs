@@ -1,22 +1,24 @@
 //! Property-based and randomized invariants of the Look–Compute–Move
 //! simulator: robot conservation, position/configuration consistency,
-//! scheduler well-formedness and trace faithfulness.
+//! scheduler well-formedness and monitor faithfulness.
 
 use proptest::prelude::*;
 use rr_corda::scheduler::{
     AsynchronousScheduler, FullySynchronousScheduler, RoundRobinScheduler, SemiSynchronousScheduler,
 };
 use rr_corda::{
-    Decision, Engine, EngineOptions, Event, Protocol, RobotSet, Scheduler, SchedulerStep, Snapshot,
-    ViewIndex,
+    Decision, Engine, EngineOptions, FaultEvent, LeapRecord, Monitor, MoveRecord, Protocol,
+    RobotId, RobotSet, Scheduler, SchedulerStep, Snapshot, StepReport, ViewIndex,
 };
 use rr_ring::{Configuration, Ring};
+
+include!("common/event_log.rs");
 
 /// A deterministic but non-trivial test protocol: robots move towards their
 /// larger adjacent gap whenever the gaps differ.  Under the asynchronous
 /// scheduler a pending move may land on a node that became occupied in the
 /// meantime, so the protocol does not declare the exclusivity requirement and
-/// the invariants below are about conservation and trace faithfulness only.
+/// the invariants below are about conservation and monitor faithfulness only.
 #[derive(Debug, Clone, Copy)]
 struct DriftProtocol;
 
@@ -57,19 +59,21 @@ fn config_strategy() -> impl Strategy<Value = Configuration> {
     })
 }
 
+/// Runs `steps` scheduler steps, returning the engine and the log of its
+/// monitor hooks.
 fn run_with<S: Scheduler>(
     config: &Configuration,
     mut scheduler: S,
     steps: u64,
-) -> Engine<DriftProtocol> {
-    let options = EngineOptions::for_protocol(&DriftProtocol).with_trace();
-    let mut sim = Engine::new(DriftProtocol, config.clone(), options).expect("valid");
+) -> (Engine<DriftProtocol>, EventLog) {
+    let mut sim = Engine::with_default_options(DriftProtocol, config.clone()).expect("valid");
+    let mut log = EventLog::default();
     for _ in 0..steps {
         let step = scheduler.next(&sim.scheduler_view());
-        sim.step(&step, &mut ())
+        sim.step(&step, &mut log)
             .expect("exclusivity is not enforced for the drift protocol");
     }
-    sim
+    (sim, log)
 }
 
 proptest! {
@@ -81,7 +85,7 @@ proptest! {
     fn robots_are_conserved(config in config_strategy(), seed in 0u64..1_000) {
         let k = config.num_robots();
         for variant in 0..4usize {
-            let sim = match variant {
+            let (sim, _) = match variant {
                 0 => run_with(&config, RoundRobinScheduler::new(), 60),
                 1 => run_with(&config, FullySynchronousScheduler, 30),
                 2 => run_with(&config, SemiSynchronousScheduler::seeded(seed), 40),
@@ -100,30 +104,34 @@ proptest! {
         }
     }
 
-    /// The trace replays to the final configuration: applying the recorded
-    /// moves to the initial configuration yields the simulator's end state.
+    /// The observed moves replay to the final configuration: applying the
+    /// moves the monitor saw to the initial configuration yields the
+    /// simulator's end state.
     #[test]
     fn trace_replays_to_final_configuration(config in config_strategy(), seed in 0u64..1_000) {
-        let sim = run_with(&config, AsynchronousScheduler::seeded(seed), 120);
+        let (sim, log) = run_with(&config, AsynchronousScheduler::seeded(seed), 120);
         let mut replay = config.clone();
-        for (_, from, to) in sim.trace().moves() {
-            replay.move_robot(from, to).expect("trace moves are legal");
+        let mut moves = 0u64;
+        for hook in &log.hooks {
+            if let Hook::Move(record) = hook {
+                replay.move_robot(record.from, record.to).expect("observed moves are legal");
+                moves += 1;
+            }
         }
         prop_assert_eq!(&replay, sim.configuration());
-        // Move events in the trace match the simulator's move counter.
-        prop_assert_eq!(sim.trace().moves().count() as u64, sim.move_count());
+        // The observed moves match the simulator's move counter.
+        prop_assert_eq!(moves, sim.move_count());
     }
 
     /// Every Look is eventually followed by at most one Move/Idle completion
     /// per robot (cycle accounting), and cycles never exceed looks.
     #[test]
     fn cycle_accounting(config in config_strategy(), seed in 0u64..1_000) {
-        let sim = run_with(&config, AsynchronousScheduler::seeded(seed), 100);
-        let looks = sim
-            .trace()
-            .events()
+        let (sim, log) = run_with(&config, AsynchronousScheduler::seeded(seed), 100);
+        let looks = log
+            .hooks
             .iter()
-            .filter(|e| matches!(e, Event::Looked { .. }))
+            .filter(|hook| matches!(hook, Hook::Look { .. }))
             .count() as u64;
         let completions: u64 = sim.robots().iter().map(|r| r.cycles).sum();
         prop_assert!(completions <= looks);
@@ -161,8 +169,7 @@ proptest! {
 fn alternating_view_order_flips_snapshot_orientation() {
     let config = Configuration::from_gaps_at_origin(&[1, 2, 4]);
     let options = EngineOptions::for_protocol(&DriftProtocol)
-        .with_view_order(rr_corda::ViewOrder::Alternating)
-        .with_trace();
+        .with_view_order(rr_corda::ViewOrder::Alternating);
     let mut sim = Engine::new(DriftProtocol, config, options).unwrap();
     // Two consecutive looks by the same robot id on a frozen configuration
     // would alternate orientation; here we simply check the run stays valid.

@@ -4,11 +4,9 @@
 //! simulator, hook up its observers through a `RefCell`, run, unpack the
 //! statistics).  This module replaces them with two functions:
 //!
-//! * [`drive_with`] (and its pre-built-monitor shim [`drive`]) — the single
-//!   engine-driving loop: construct an [`Engine`] with the
-//!   options declared by the protocol, build the observer from the
-//!   constructed engine, run under a scheduler, and surface simulation
-//!   failures as errors;
+//! * [`drive`] — the single engine-driving loop: construct an [`Engine`]
+//!   with the options declared by the protocol, run it under a scheduler
+//!   with an observer, and surface simulation failures as errors;
 //! * [`run_task`] — the task-level driver: given a [`Task`] and a protocol it
 //!   picks the right monitor and stop condition and returns per-task
 //!   statistics.  The public wrappers `run_searching`, `run_gathering` and
@@ -32,47 +30,18 @@ use crate::unified::{protocol_for, Task, UnifiedProtocol};
 /// The single engine-driving loop shared by every harness in this crate.
 ///
 /// Builds an [`Engine`] for `protocol` (options from the protocol's own
-/// declaration), builds the observer from the *constructed* engine via
-/// `monitor_from` (so monitors that need the engine's robot-id → node
-/// assignment get it from the single source of truth), then runs under
-/// `scheduler` for at most `max_scheduler_steps` scheduler steps, stopping
-/// early when `stop` holds.  A failed simulation (exclusivity violation,
-/// invalid move) is returned as `Err`; budget exhaustion is not an error —
-/// inspect the returned [`RunReport`].
-pub fn drive_with<P, S, M, G, F>(
-    protocol: P,
-    initial: &Configuration,
-    scheduler: &mut S,
-    monitor_from: G,
-    max_scheduler_steps: u64,
-    stop: F,
-) -> Result<(Engine<P>, M, RunReport), SimError>
-where
-    P: Protocol,
-    S: Scheduler + ?Sized,
-    M: Monitor,
-    G: FnOnce(&Engine<P>) -> M,
-    F: FnMut(&Engine<P>, &M) -> bool,
-{
-    let options = EngineOptions::for_protocol(&protocol);
-    let mut engine = Engine::new(protocol, initial.clone(), options)?;
-    let mut monitor = monitor_from(&engine);
-    let report = engine.run(scheduler, &mut monitor, max_scheduler_steps, stop);
-    if let RunOutcome::Failed(e) = report.outcome {
-        return Err(e);
-    }
-    Ok((engine, monitor, report))
-}
-
-/// [`drive_with`] for a pre-built monitor (the common case when the observer
-/// does not depend on the engine's robot-id assignment).
+/// declaration), then runs it under `scheduler` with `monitor` observing,
+/// for at most `max_scheduler_steps` scheduler steps, stopping early when
+/// `stop` holds.  A failed simulation (exclusivity violation, invalid move)
+/// is returned as `Err`; budget exhaustion is not an error — inspect the
+/// returned [`RunReport`].
 pub fn drive<P, S, M, F>(
     protocol: P,
     initial: &Configuration,
     scheduler: &mut S,
     monitor: &mut M,
     max_scheduler_steps: u64,
-    mut stop: F,
+    stop: F,
 ) -> Result<(Engine<P>, RunReport), SimError>
 where
     P: Protocol,
@@ -80,14 +49,12 @@ where
     M: Monitor + ?Sized,
     F: FnMut(&Engine<P>, &M) -> bool,
 {
-    let (engine, _, report) = drive_with(
-        protocol,
-        initial,
-        scheduler,
-        |_| monitor,
-        max_scheduler_steps,
-        move |engine, m: &&mut M| stop(engine, &**m),
-    )?;
+    let options = EngineOptions::for_protocol(&protocol);
+    let mut engine = Engine::new(protocol, initial.clone(), options)?;
+    let report = engine.run(scheduler, monitor, max_scheduler_steps, stop);
+    if let RunOutcome::Failed(e) = report.outcome {
+        return Err(e);
+    }
     Ok((engine, report))
 }
 
@@ -365,10 +332,10 @@ pub struct BatchOutcome {
 
 /// Runs [`BatchJob`]s back to back while reusing **one** engine allocation:
 /// the robot vector, configuration storage (including its incremental
-/// occupancy index), Look-scratch snapshot and trace buffer are recycled via
-/// [`Engine::reset`] between jobs — so across a whole batch the Look phase
-/// stays on the zero-allocation O(k) pipeline (engines own their scratch;
-/// nothing needs threading through here).  Sweep runners hold one
+/// occupancy index), Look-scratch snapshot and run-loop step report are
+/// recycled via [`Engine::reset`] between jobs — so across a whole batch the
+/// Look phase stays on the zero-allocation O(k) pipeline (engines own their
+/// scratch; nothing needs threading through here).  Sweep runners hold one
 /// `BatchRunner` per worker.
 #[derive(Debug, Default)]
 pub struct BatchRunner {
@@ -446,27 +413,6 @@ mod tests {
 
     fn cfg(gaps: &[usize]) -> Configuration {
         Configuration::from_gaps_at_origin(gaps)
-    }
-
-    #[test]
-    fn drive_with_builds_the_monitor_from_the_constructed_engine() {
-        use rr_corda::protocol::GreedyGapWalker;
-        use rr_search::PositionTracker;
-        let c = cfg(&[0, 2, 1, 0, 4]);
-        let mut sched = RoundRobinScheduler::new();
-        let (engine, tracker, report) = drive_with(
-            GreedyGapWalker,
-            &c,
-            &mut sched,
-            |engine| PositionTracker::new(&engine.positions()),
-            50,
-            |_, _: &PositionTracker| false,
-        )
-        .unwrap();
-        assert_eq!(report.steps, 50);
-        // The tracker followed the run from the engine's own initial
-        // assignment, so it ends in sync with the engine.
-        assert_eq!(tracker.positions(), engine.positions());
     }
 
     #[test]

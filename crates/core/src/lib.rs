@@ -50,7 +50,7 @@ pub mod unified;
 pub use align::AlignProtocol;
 pub use clearing::RingClearingProtocol;
 pub use driver::{
-    drive, drive_with, run_dispatched, run_task, TaskError, TaskRunReport, TaskStats, TaskTargets,
+    drive, run_dispatched, run_task, TaskError, TaskRunReport, TaskStats, TaskTargets,
 };
 pub use feasibility::{searching_feasibility, Feasibility, ImpossibilityReason};
 pub use gathering::GatheringProtocol;

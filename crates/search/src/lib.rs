@@ -27,4 +27,4 @@ pub mod monitor;
 
 pub use contamination::{occupied_mask, Contamination};
 pub use exploration::ExplorationTracker;
-pub use monitor::{FaultLog, GatheringMonitor, PositionTracker, SearchMonitors};
+pub use monitor::{GatheringMonitor, SearchMonitors};

@@ -6,7 +6,7 @@
 //! and the gathering status are updated, and the number of times each
 //! perpetual property has been achieved is counted.
 
-use rr_corda::{FaultEvent, LeapRecord, Monitor, MoveRecord, RobotId};
+use rr_corda::{LeapRecord, Monitor, MoveRecord};
 use rr_ring::{Configuration, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -206,131 +206,10 @@ impl Monitor for GatheringMonitor {
     }
 }
 
-/// Records the faults an engine's armed
-/// [`FaultModel`](rr_corda::FaultModel) actually inflicted on a run: which
-/// robots crashed (as a bitmask, matching the checker's per-path crashed
-/// word), how many Looks were corrupted, and when the first fault fired.
-///
-/// Composes in monitor tuples like every other observer here, so a sweep
-/// cell can pair it with [`SearchMonitors`] or [`GatheringMonitor`] to
-/// attribute a degraded outcome to the fault that caused it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub struct FaultLog {
-    crashed_mask: u32,
-    corrupted_looks: u64,
-    first_fault_step: Option<u64>,
-}
-
-impl FaultLog {
-    /// Creates an empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        FaultLog::default()
-    }
-
-    /// Bitmask of crashed robot ids (bit `r` set ⇔ robot `r` crash-stopped).
-    #[must_use]
-    pub fn crashed_mask(&self) -> u32 {
-        self.crashed_mask
-    }
-
-    /// Whether `robot` crash-stopped during the run.
-    #[must_use]
-    pub fn is_crashed(&self, robot: RobotId) -> bool {
-        robot < 32 && self.crashed_mask & (1 << robot) != 0
-    }
-
-    /// Number of robots that crash-stopped.
-    #[must_use]
-    pub fn crashes(&self) -> u32 {
-        self.crashed_mask.count_ones()
-    }
-
-    /// Number of corrupted Looks observed.
-    #[must_use]
-    pub fn corrupted_looks(&self) -> u64 {
-        self.corrupted_looks
-    }
-
-    /// Global step of the first fault, if any fired.
-    #[must_use]
-    pub fn first_fault_step(&self) -> Option<u64> {
-        self.first_fault_step
-    }
-
-    /// Whether any fault took observable effect.
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.crashed_mask != 0 || self.corrupted_looks != 0
-    }
-}
-
-impl Monitor for FaultLog {
-    fn on_fault(&mut self, event: &FaultEvent, _config: &Configuration) {
-        let step = match event {
-            FaultEvent::Crashed { robot, step } => {
-                if *robot < 32 {
-                    self.crashed_mask |= 1 << *robot;
-                }
-                *step
-            }
-            FaultEvent::CorruptedLook { step, .. } => {
-                self.corrupted_looks += 1;
-                *step
-            }
-        };
-        if self.first_fault_step.is_none() {
-            self.first_fault_step = Some(step);
-        }
-    }
-}
-
-/// Convenience: positions vector (robot id → node) maintained incrementally
-/// from move records; useful when a monitor needs robot positions but the
-/// simulator is owned elsewhere.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PositionTracker {
-    positions: Vec<NodeId>,
-}
-
-impl PositionTracker {
-    /// Creates the tracker from initial positions (indexed by robot id).
-    #[must_use]
-    pub fn new(initial_positions: &[NodeId]) -> Self {
-        PositionTracker {
-            positions: initial_positions.to_vec(),
-        }
-    }
-
-    /// Applies a move record.
-    pub fn observe(&mut self, record: &MoveRecord) {
-        if record.robot < self.positions.len() {
-            self.positions[record.robot] = record.to;
-        }
-    }
-
-    /// Current position of `robot`.
-    #[must_use]
-    pub fn position(&self, robot: RobotId) -> NodeId {
-        self.positions[robot]
-    }
-
-    /// All positions, indexed by robot id.
-    #[must_use]
-    pub fn positions(&self) -> &[NodeId] {
-        &self.positions
-    }
-}
-
-impl Monitor for PositionTracker {
-    fn on_move(&mut self, record: &MoveRecord, _after: &Configuration) {
-        self.observe(record);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rr_corda::RobotId;
     use rr_ring::Ring;
 
     fn record(robot: RobotId, from: NodeId, to: NodeId) -> MoveRecord {
@@ -408,44 +287,5 @@ mod tests {
         assert_eq!(g.gathered_at(), Some(3));
         assert_eq!(g.moves_observed(), 3);
         assert!(!g.broke_gathering());
-    }
-
-    #[test]
-    fn fault_log_attributes_crashes_and_corruptions() {
-        use rr_corda::CorruptionKind;
-        let ring = Ring::new(5);
-        let c = Configuration::new_exclusive(ring, &[0, 2]).unwrap();
-        let mut log = FaultLog::new();
-        assert!(!log.any());
-        log.on_fault(&FaultEvent::Crashed { robot: 1, step: 4 }, &c);
-        log.on_fault(
-            &FaultEvent::CorruptedLook {
-                robot: 0,
-                step: 9,
-                kind: CorruptionKind::PhantomMultiplicity,
-            },
-            &c,
-        );
-        // A crash is noted once by the engine; a second note for the same
-        // robot is idempotent on the mask either way.
-        log.on_fault(&FaultEvent::Crashed { robot: 1, step: 6 }, &c);
-        assert!(log.any());
-        assert_eq!(log.crashed_mask(), 0b10);
-        assert!(log.is_crashed(1));
-        assert!(!log.is_crashed(0));
-        assert_eq!(log.crashes(), 1);
-        assert_eq!(log.corrupted_looks(), 1);
-        assert_eq!(log.first_fault_step(), Some(4));
-    }
-
-    #[test]
-    fn position_tracker_follows_moves() {
-        let mut p = PositionTracker::new(&[0, 4]);
-        p.observe(&record(1, 4, 5));
-        p.observe(&record(0, 0, 1));
-        p.observe(&record(7, 0, 3)); // unknown robot: ignored
-        assert_eq!(p.position(0), 1);
-        assert_eq!(p.position(1), 5);
-        assert_eq!(p.positions(), &[1, 5]);
     }
 }

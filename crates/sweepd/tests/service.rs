@@ -307,12 +307,18 @@ fn client_rejects_undeclared_flags_and_missing_or_malformed_values() {
     // exits 2 before touching a spool.
     let spool = tmp_dir("client-flags");
     let spool_arg = spool.to_str().unwrap();
-    let cases: [&[&str]; 5] = [
+    let cases: [&[&str]; 8] = [
         &["grid", "e4", "--quik"],
         &["grid", "e4", "--quick", "--seed"],
         &["grid", "e4", "--quick", "--sead", "7"],
         &["grid", "e4", "--seed", "abc"],
         &["--spool", spool_arg, "submit", "grid.txt", "--quick"],
+        // A repeated flag used to run with one of its values silently.
+        &["grid", "e4", "--seed", "1", "--seed", "2"],
+        &["grid", "e4", "--quick", "--quick"],
+        &[
+            "--spool", spool_arg, "submit", "--preset", "e4", "--preset", "e6",
+        ],
     ];
     for args in cases {
         let output = Command::new(env!("CARGO_BIN_EXE_rr-sweep"))
@@ -340,12 +346,14 @@ fn daemon_rejects_bad_command_lines_before_opening_a_spool() {
     // leaves the working directory empty.  A daemon still running after
     // the deadline started serving and fails the test instead of hanging
     // it.
-    let cases: [&[&str]; 5] = [
+    let cases: [&[&str]; 7] = [
         &["--spool", "--drain"],
         &["--spool"],
         &["--spool", "spool", "--poll-ms", "abc"],
         &["--spool", "spool", "--pol-ms", "5"],
         &["--spool", "spool", "stray"],
+        &["--spool", "spool", "--spool", "other"],
+        &["--spool", "spool", "--drain", "--drain"],
     ];
     for (i, args) in cases.into_iter().enumerate() {
         let cwd = tmp_dir(&format!("daemon-args-{i}"));

@@ -65,7 +65,7 @@ pub mod prelude {
     };
     pub use rr_corda::{
         Decision, Engine, EngineOptions, Monitor, MultiplicityCapability, Protocol, RobotSet,
-        Scheduler, SchedulerStep, Snapshot, StepReport, TraceMode, ViewIndex,
+        Scheduler, SchedulerStep, Snapshot, StepReport, ViewIndex,
     };
     pub use rr_core::align::{run_to_c_star, AlignProtocol};
     pub use rr_core::clearing::{run_searching, RingClearingProtocol};
