@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rr_bench::rigid_start;
 use rr_corda::protocol::GreedyGapWalker;
 use rr_corda::scheduler::RoundRobinScheduler;
-use rr_corda::{Engine, EngineOptions, MultiplicityCapability, Snapshot, StepPath, ViewOrder};
+use rr_corda::{Engine, EngineOptions, MultiplicityCapability, Snapshot, ViewOrder};
 use rr_ring::Direction;
 use std::hint::black_box;
 
@@ -24,7 +24,6 @@ fn workload_options() -> EngineOptions {
         capability: MultiplicityCapability::None,
         enforce_exclusivity: false,
         view_order: ViewOrder::CwFirst,
-        step_path: StepPath::StepBaseline,
     }
 }
 

@@ -3,7 +3,8 @@
 //! Where E3–E6 verify *what* the protocols do and E10/E11 prove it, this
 //! experiment measures *how fast* the engine does it: scheduler steps per
 //! second of `Engine::run` across ring sizes, team sizes and scheduler
-//! families, on the O(k) Look pipeline (views read off the configuration's
+//! families (the three of `SchedulerKind::ALL`, then fully synchronous),
+//! on the O(k) Look pipeline (views read off the configuration's
 //! maintained occupancy cycle into engine-owned scratch buffers).  A cell is
 //! `ok` when its run uses the whole step budget without an engine error.
 //!
@@ -18,27 +19,15 @@
 //! disabled: every robot keeps moving forever, so the engine is saturated
 //! with fresh Look + Move work on every cell.
 //!
-//! **E13 — round leaping** rides in the same binary: a quiescent-heavy
-//! gathering endgame (a multiplicity of `k-1` robots plus one walker half a
-//! ring away) runs to completion in `StepPath::Leap` and
-//! `StepPath::StepBaseline` mode under round-robin, semi-synchronous and
-//! fully synchronous schedulers.  Both modes must agree on every counter and
-//! on the final positions; the speedup column is the point of the
-//! experiment — under the fully synchronous scheduler the whole approach
-//! collapses into O(k) leaps, so the steps-equivalent/s ratio is the
-//! headline number (target: ≥ 20x at n ≥ 1024).  E13 records are written to
-//! the `--leap-json <path>` report.
-//!
 //! ```text
-//! exp_throughput [--quick] [--json <path>] [--leap-json <path>] [--seed <u64>]
-//!                [--sequential] [--steps <u64>]
+//! exp_throughput [--quick] [--json <path>] [--seed <u64>] [--steps <u64>]
 //! ```
 //!
-//! Cells always run sequentially (parallel timing would distort the
-//! per-second figures); `--sequential` is accepted for CLI uniformity.
-//! Records go to the JSON report in `rr-sweep/v1` schema
-//! (`ThroughputRecord`); the `*_per_sec` fields are machine-dependent and
-//! exist to accumulate the perf trajectory in the CI artifacts.
+//! Cells always run sequentially: parallel timing would distort the
+//! per-second figures.  Records go to the JSON report in `rr-sweep/v1`
+//! schema (`ThroughputRecord`); the `*_per_sec` fields are
+//! machine-dependent and exist to accumulate the perf trajectory in the CI
+//! artifacts.
 
 // The counting allocator is the one purposeful use of `unsafe` in the
 // workspace: it forwards to `System` verbatim and only bumps a counter.
@@ -49,14 +38,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use rr_bench::rigid_start;
-use rr_bench::sweep::{exit_if_failed, write_json_records, ExpArgs, ThroughputRecord};
+use rr_bench::sweep::{exit_if_failed, ExpArgs, ThroughputRecord};
 use rr_corda::protocol::GreedyGapWalker;
 use rr_corda::{
     Engine, EngineOptions, MultiplicityCapability, RunOutcome, SchedulerKind, SchedulerStep,
-    StepPath, StepReport, ViewOrder,
+    StepReport, ViewOrder,
 };
-use rr_core::gathering::GatheringProtocol;
-use rr_ring::{Configuration, NodeId, Ring};
 
 /// Global allocator that counts allocation calls (alloc, alloc_zeroed,
 /// realloc) and otherwise forwards to [`System`].  `allocs_per_kstep` and
@@ -121,9 +108,18 @@ fn workload_options() -> EngineOptions {
         capability: MultiplicityCapability::None,
         enforce_exclusivity: false,
         view_order: ViewOrder::CwFirst,
-        step_path: StepPath::StepBaseline,
     }
 }
+
+/// The scheduler families, in `cell_seed` index order: the adversarial
+/// ones of `SchedulerKind::ALL`, then the fully synchronous one (index 3),
+/// so the first three keep their seeds and records.
+const SCHEDULERS: [SchedulerKind; 4] = [
+    SchedulerKind::RoundRobin,
+    SchedulerKind::SemiSynchronous,
+    SchedulerKind::Asynchronous,
+    SchedulerKind::FullySynchronous,
+];
 
 /// Deterministic per-cell seed, derived from the root seed and the cell
 /// coordinates exactly like `Sweep::jobs` derives job seeds.
@@ -140,7 +136,6 @@ struct PipelineRun {
     moves: u64,
     nanos: u128,
     allocs: u64,
-    positions: Vec<NodeId>,
 }
 
 fn run_pipeline(n: usize, k: usize, kind: SchedulerKind, seed: u64, budget: u64) -> PipelineRun {
@@ -161,7 +156,6 @@ fn run_pipeline(n: usize, k: usize, kind: SchedulerKind, seed: u64, budget: u64)
         moves: engine.move_count(),
         nanos,
         allocs,
-        positions: engine.positions(),
     }
 }
 
@@ -212,150 +206,8 @@ fn per_sec(count: u64, nanos: u128) -> u64 {
     u64::try_from(u128::from(count) * 1_000_000_000 / nanos.max(1)).unwrap_or(u64::MAX)
 }
 
-// ---------------------------------------------------------------------------
-// E13 — round leaping on the quiescent gathering endgame.
-// ---------------------------------------------------------------------------
-
-/// The E13 `(n, k)` grid.
-fn leap_grid(quick: bool) -> Vec<(usize, usize)> {
-    let ns: &[usize] = if quick {
-        &[256, 1024]
-    } else {
-        &[256, 1024, 4096]
-    };
-    let mut cells = Vec::new();
-    for &n in ns {
-        for &k in &[8usize, 16] {
-            cells.push((n, k));
-        }
-    }
-    cells
-}
-
-/// The E13 scheduler families: the adversarial ones the sweeps use plus the
-/// fully synchronous family `Engine::leap` batches.
-const LEAP_SCHEDULERS: [SchedulerKind; 3] = [
-    SchedulerKind::RoundRobin,
-    SchedulerKind::SemiSynchronous,
-    SchedulerKind::FullySynchronous,
-];
-
-/// The quiescent-heavy workload: `k-1` robots already merged at node 0 and a
-/// single walker half a ring away — the gathering endgame, where every round
-/// is one walker move and `k-1` idle confirmations.
-fn gathering_endgame(n: usize, k: usize) -> Configuration {
-    let mut counts = vec![0u32; n];
-    counts[0] = u32::try_from(k - 1).expect("k fits u32");
-    counts[n / 2] = 1;
-    Configuration::from_counts(Ring::new(n), counts).expect("valid endgame")
-}
-
-/// Engine options of the E13 workload for one step path.
-fn leap_options(path: StepPath) -> EngineOptions {
-    EngineOptions {
-        capability: MultiplicityCapability::Local,
-        enforce_exclusivity: false,
-        view_order: ViewOrder::CwFirst,
-        step_path: path,
-    }
-}
-
-/// One timed gathering-endgame run (after one warm-up run on a recycled
-/// engine, so the measured run allocates only what the hot path allocates).
-fn run_leap_cell(
-    n: usize,
-    k: usize,
-    kind: SchedulerKind,
-    seed: u64,
-    path: StepPath,
-) -> PipelineRun {
-    let start = gathering_endgame(n, k);
-    // Budget with slack: the walker needs about n/2 moves, each taking one
-    // round; round-robin spends k scheduler steps per round and the random
-    // semi-synchronous scheduler activates the walker only in some rounds.
-    let budget = (n as u64) * (k as u64) * 4;
-    let options = leap_options(path);
-    let mut engine = Engine::new(GatheringProtocol, start.clone(), options).expect("valid endgame");
-    let gathered = |e: &Engine<GatheringProtocol>| e.configuration().is_gathered();
-    kind.with(seed, |s| engine.run_until(s, budget, gathered));
-    engine
-        .reset(GatheringProtocol, &start, options)
-        .expect("reset endgame");
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let started = Instant::now();
-    let report = kind.with(seed, |s| engine.run_until(s, budget, gathered));
-    let nanos = started.elapsed().as_nanos();
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-    assert!(
-        engine.configuration().is_gathered(),
-        "E13 run did not gather (n={n}, k={k}, {kind:?}, {path:?})"
-    );
-    PipelineRun {
-        outcome: report.outcome,
-        steps: report.steps,
-        looks: engine.look_count(),
-        moves: engine.move_count(),
-        nanos,
-        allocs,
-        positions: engine.positions(),
-    }
-}
-
-/// Runs the E13 grid and returns the records (experiment "E13"; the
-/// `baseline_*` columns are the `StepPath::StepBaseline` run of the same
-/// cell, `steps` count scheduler steps — for the fully synchronous family a
-/// leap of `L` rounds counts as `L` steps, which is what makes the
-/// steps-equivalent/s columns comparable).
-fn run_leap_experiment(quick: bool, root_seed: u64) -> Vec<ThroughputRecord> {
-    let mut records = Vec::new();
-    for (n, k) in leap_grid(quick) {
-        for (si, &kind) in LEAP_SCHEDULERS.iter().enumerate() {
-            let seed = cell_seed(root_seed ^ 0xE13, n, k, si);
-            let cell_started = Instant::now();
-            let leap = run_leap_cell(n, k, kind, seed, StepPath::Leap);
-            let step = run_leap_cell(n, k, kind, seed, StepPath::StepBaseline);
-            let agree = leap.steps == step.steps
-                && leap.looks == step.looks
-                && leap.moves == step.moves
-                && leap.positions == step.positions;
-            let steps_per_sec = per_sec(leap.steps, leap.nanos);
-            let baseline_steps_per_sec = per_sec(step.steps, step.nanos);
-            records.push(ThroughputRecord {
-                experiment: "E13".to_string(),
-                task: "leap-gathering".to_string(),
-                n,
-                k,
-                scheduler: kind.name().to_string(),
-                seed,
-                steps: leap.steps,
-                looks: leap.looks,
-                moves: leap.moves,
-                steps_per_sec,
-                baseline_steps_per_sec,
-                speedup_x100: steps_per_sec * 100 / baseline_steps_per_sec.max(1),
-                looks_per_sec: per_sec(leap.looks, leap.nanos),
-                allocs_per_kstep: leap.allocs * 1000 / leap.steps.max(1),
-                look_allocs_per_kstep: 0,
-                ok: agree,
-                detail: if agree {
-                    String::new()
-                } else {
-                    format!(
-                        "step paths diverged: leap (steps {}, looks {}, moves {}) \
-                         vs baseline (steps {}, looks {}, moves {})",
-                        leap.steps, leap.looks, leap.moves, step.steps, step.looks, step.moves
-                    )
-                },
-                wall_nanos: cell_started.elapsed().as_nanos(),
-            });
-        }
-    }
-    records
-}
-
 const USAGE: &str = "\
-usage: exp_throughput [--quick] [--json <path>] [--leap-json <path>] [--seed <u64>]
-                      [--sequential] [--steps <u64>]";
+usage: exp_throughput [--quick] [--json <path>] [--seed <u64>] [--steps <u64>]";
 
 fn main() {
     let args = ExpArgs::parse(0xE12, USAGE);
@@ -365,7 +217,7 @@ fn main() {
 
     let mut records = Vec::new();
     for (n, k) in grid(args.quick) {
-        for (si, &kind) in SchedulerKind::ALL.iter().enumerate() {
+        for (si, &kind) in SCHEDULERS.iter().enumerate() {
             let seed = cell_seed(args.root_seed, n, k, si);
             let cell_started = Instant::now();
             let run = run_pipeline(n, k, kind, seed, budget);
@@ -429,55 +281,5 @@ fn main() {
 
     args.write_json("E12", &records);
     let failures = records.iter().filter(|r| !r.ok).count();
-
-    // E13 — round leaping on the quiescent gathering endgame.
-    let leap_records = run_leap_experiment(args.quick, args.root_seed);
-    println!();
-    println!(
-        "# E13 — round leaping: StepPath::Leap vs StepPath::StepBaseline on the gathering endgame"
-    );
-    println!("# speedup = leap / baseline in scheduler-steps-equivalent per second");
-    println!(
-        "{:>5} {:>3} {:>12} {:>14} {:>14} {:>9} {:>9}",
-        "n", "k", "scheduler", "leap steq/s", "base steq/s", "speedup", "allocs/k"
-    );
-    for r in &leap_records {
-        println!(
-            "{:>5} {:>3} {:>12} {:>14} {:>14} {:>8}x {:>9}",
-            r.n,
-            r.k,
-            r.scheduler,
-            r.steps_per_sec,
-            r.baseline_steps_per_sec,
-            format!("{}.{:02}", r.speedup_x100 / 100, r.speedup_x100 % 100),
-            r.allocs_per_kstep,
-        );
-    }
-    let min_fsync_large = leap_records
-        .iter()
-        .filter(|r| r.n >= 1024 && r.scheduler == "fsync")
-        .map(|r| r.speedup_x100)
-        .min();
-    if let Some(min) = min_fsync_large {
-        println!();
-        println!(
-            "# minimum fsync speedup on n >= 1024 cells: {}.{:02}x (acceptance target: >= 20x)",
-            min / 100,
-            min % 100
-        );
-    }
-    if let Some(path) = args.value("--leap-json") {
-        write_json_records(
-            std::path::Path::new(path),
-            "E13",
-            args.root_seed,
-            &leap_records,
-        );
-    }
-    let leap_failures = leap_records.iter().filter(|r| !r.ok).count();
-    exit_if_failed(
-        "E12+E13",
-        failures + leap_failures,
-        records.len() + leap_records.len(),
-    );
+    exit_if_failed("E12", failures, records.len());
 }

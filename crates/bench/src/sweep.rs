@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use rayon::prelude::*;
-use rr_corda::{SchedulerKind, StepPath};
+use rr_corda::SchedulerKind;
 use rr_core::driver::{BatchJob, BatchRunner, TaskTargets};
 use rr_core::unified::Task;
 use serde::Serialize;
@@ -59,8 +59,7 @@ pub enum ExecMode {
 /// [`Ledger::append`](crate::ledger::Ledger::append) does.
 pub type ProgressSink<'a> = &'a (dyn Fn(usize, &RunRecord) + Sync);
 
-/// Options for one [`Sweep::run_with`] call — the single run entry point
-/// that replaced the old `run(mode)` / `run_forced(mode, path)` pair.
+/// Options for one [`Sweep::run_with`] call, the single run entry point.
 ///
 /// ```
 /// # use rr_bench::sweep::{ExecMode, RunOptions};
@@ -70,13 +69,12 @@ pub type ProgressSink<'a> = &'a (dyn Fn(usize, &RunRecord) + Sync);
 #[derive(Default)]
 pub struct RunOptions<'a> {
     mode: Option<ExecMode>,
-    step_path: Option<StepPath>,
     progress: Option<ProgressSink<'a>>,
     skip_cells: usize,
 }
 
 impl<'a> RunOptions<'a> {
-    /// Sequential execution, per-task step paths, no progress sink.
+    /// Sequential execution, no progress sink.
     #[must_use]
     pub fn new() -> Self {
         RunOptions::default()
@@ -93,16 +91,6 @@ impl<'a> RunOptions<'a> {
     #[must_use]
     pub fn sharded(self) -> Self {
         self.mode(ExecMode::Sharded)
-    }
-
-    /// Forces every job onto `path`, overriding the driver's per-task
-    /// step-path default.  This is the knob the round-leaping lockstep
-    /// harness turns: the same sweep run with leaping forced on and forced
-    /// off must produce byte-identical JSON records.
-    #[must_use]
-    pub fn step_path(mut self, path: StepPath) -> Self {
-        self.step_path = Some(path);
-        self
     }
 
     /// Streams each completed record to `sink` as `(cell_index, record)`.
@@ -183,7 +171,7 @@ pub struct RunRecord {
     pub n: usize,
     /// Number of robots.
     pub k: usize,
-    /// Scheduler name ("round-robin", "ssync", "async").
+    /// Scheduler name ("round-robin", "ssync", "async", "fsync").
     pub scheduler: String,
     /// The derived per-job seed the scheduler was built from.
     pub seed: u64,
@@ -353,17 +341,18 @@ pub struct FaultRecord {
     pub wall_nanos: u128,
 }
 
-/// One engine-throughput cell (schema `rr-sweep/v1`, experiments `E12` and
-/// `E13`).
+/// One engine-throughput cell (schema `rr-sweep/v1`, experiment `E12`).
 ///
 /// Written by `exp_throughput`.  An E12 cell drives a fixed scheduler-step
 /// budget through `Engine::run` once, plus a Look/Execute micro-loop that
-/// isolates the Look phase.  An E13 cell runs a gathering endgame twice, on
-/// `StepPath::Leap` and on `StepPath::StepBaseline`, and the two runs must
-/// agree on every deterministic counter and on the final positions.  Like
-/// `states_per_sec` in [`ModelCheckRecord`], the `*_per_sec` and allocation
-/// fields are machine-dependent: they accumulate the perf trajectory in the
-/// CI artifacts and are excluded from cross-run byte comparisons.
+/// isolates the Look phase.  Like `states_per_sec` in [`ModelCheckRecord`],
+/// the `*_per_sec` and allocation fields are machine-dependent: they
+/// accumulate the perf trajectory in the CI artifacts and are excluded from
+/// cross-run byte comparisons.
+///
+/// `baseline_steps_per_sec` and `speedup_x100` belonged to the retired
+/// round-leaping experiment (E13: leap against step baseline).  They stay
+/// so the schema and its golden bytes stay fixed; E12 writes 0 into both.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ThroughputRecord {
     /// Experiment identifier (e.g. "E12").
@@ -378,19 +367,18 @@ pub struct ThroughputRecord {
     pub scheduler: String,
     /// The derived per-cell seed the scheduler was built from.
     pub seed: u64,
-    /// Scheduler steps applied by the run (E12: the cell's budget).
+    /// Scheduler steps applied by the run (the cell's budget).
     pub steps: u64,
     /// Fresh Look + Compute phases performed during the scheduler run.
     pub looks: u64,
     /// Robot moves executed during the scheduler run.
     pub moves: u64,
-    /// Scheduler steps per second (E13: of the leap run).
+    /// Scheduler steps per second.
     pub steps_per_sec: u64,
-    /// E13 only: scheduler steps per second of the `StepBaseline` run of
-    /// the same cell.  0 on E12 records.
+    /// 0 on E12 records: the retired E13's step-baseline steps per second.
     pub baseline_steps_per_sec: u64,
-    /// E13 only: leap / step-baseline steps-per-second ratio, in hundredths
-    /// (`350` = 3.5×).  0 on E12 records.
+    /// 0 on E12 records: the retired E13's leap / step-baseline ratio, in
+    /// hundredths.
     pub speedup_x100: u64,
     /// Looks per second in the Look/Execute micro-loop (Look phase isolated
     /// from scheduler overhead).
@@ -402,12 +390,9 @@ pub struct ThroughputRecord {
     /// Heap allocations per 1000 steps of the Look/Execute micro-loop — the
     /// zero-allocation Look pipeline claim, measured.
     pub look_allocs_per_kstep: u64,
-    /// E12: whether the run used its whole step budget without an engine
-    /// error.  E13: whether the leap and step-baseline runs agreed on every
-    /// deterministic counter and the final positions.
+    /// Whether the run used its whole step budget without an engine error.
     pub ok: bool,
-    /// Failure detail (empty on success): the engine error, or the two E13
-    /// runs' counters.
+    /// Failure detail (empty on success): the engine error.
     pub detail: String,
     /// Wall-clock nanoseconds for the cell (not serialized; machine
     /// dependent).
@@ -616,10 +601,6 @@ impl Sweep {
     /// the cheap ones fill in around them.
     #[must_use]
     pub fn run_with(&self, options: &RunOptions<'_>) -> Vec<RunRecord> {
-        let make_runner = || match options.step_path {
-            Some(path) => BatchRunner::with_step_path(path),
-            None => BatchRunner::new(),
-        };
         let jobs = self.jobs();
         let run_cell = |runner: &mut BatchRunner, cell: usize| {
             let record = self.run_job(runner, &jobs[cell]);
@@ -630,7 +611,7 @@ impl Sweep {
         };
         match options.exec_mode() {
             ExecMode::Sequential => {
-                let mut runner = make_runner();
+                let mut runner = BatchRunner::new();
                 (options.skip_cells.min(jobs.len())..jobs.len())
                     .map(|cell| run_cell(&mut runner, cell))
                     .collect()
@@ -638,7 +619,9 @@ impl Sweep {
             ExecMode::Sharded => {
                 let mut records: Vec<(usize, RunRecord)> = claim_order(&jobs, options.skip_cells)
                     .into_par_iter()
-                    .map_init(make_runner, |runner, cell| (cell, run_cell(runner, cell)))
+                    .map_init(BatchRunner::new, |runner, cell| {
+                        (cell, run_cell(runner, cell))
+                    })
                     .collect();
                 records.sort_unstable_by_key(|&(cell, _)| cell);
                 records.into_iter().map(|(_, record)| record).collect()

@@ -1,6 +1,6 @@
 //! Re-running an identical grid against the result cache performs **zero**
-//! engine work (no `Engine::step_into` / `Engine::leap` calls, counted by
-//! the engine's debug step probe) and serves byte-identical ledger bytes.
+//! engine work (no `Engine::step_into` calls, counted by the engine's debug
+//! step probe) and serves byte-identical ledger bytes.
 //!
 //! The probe counts steps across the whole process, so this is the only
 //! test in its binary: a concurrently running test stepping its own
@@ -72,7 +72,7 @@ fn cache_hit_runs_zero_engine_steps() {
         assert_eq!(
             probe_after - probe_before,
             0,
-            "a cache hit must not call Engine::step_into or Engine::leap"
+            "a cache hit must not call Engine::step_into"
         );
     }
     assert_eq!(

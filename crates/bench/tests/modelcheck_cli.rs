@@ -3,6 +3,8 @@
 //! backend `--store` names instead of silently keeping its default.  A flag
 //! the usage does not declare is an error too, not a silently ignored
 //! argument.  Every `exp_*` binary answers `--help` with its usage alone.
+//! `exp_throughput`, which always runs its cells on one thread, declares no
+//! `--sequential` and rejects it.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -128,6 +130,26 @@ fn a_failing_cell_folds_its_classes_in_class_order() {
         "12 expansions completed\"}]}",
     );
     assert!(record.trim_end().ends_with(expected), "{report}");
+}
+
+#[test]
+fn exp_throughput_rejects_sequential_and_writes_nothing() {
+    let json = std::env::temp_dir().join(format!("exp_throughput_cli_{}.json", std::process::id()));
+    let json_arg = json.to_str().expect("utf-8 temp path");
+    let out = Command::new(env!("CARGO_BIN_EXE_exp_throughput"))
+        .args(["--quick", "--sequential", "--json", json_arg])
+        .output()
+        .expect("spawn exp_throughput");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with(
+            "exp_throughput: unknown argument \"--sequential\"\nusage: exp_throughput "
+        ),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "ran: {stderr}");
+    assert!(!json.exists(), "wrote a report");
 }
 
 /// `--help` and `-h` print the binary's usage and exit 0 before anything

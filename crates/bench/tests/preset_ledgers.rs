@@ -8,6 +8,12 @@
 //! sweep service does, and pins an FNV-1a digest of each grid's
 //! `rr-sweep/v1` ledger bytes (header, records and completion footer).
 //!
+//! One more input runs E6's instances, targets, budget and default seed
+//! under the fully synchronous scheduler alone, the one scheduler no preset
+//! runs.  `GridSpec::parse` admits only `SchedulerKind::ALL`, so that input
+//! is a [`Sweep`](rr_bench::sweep::Sweep) run directly, and its pin covers
+//! its `rr-sweep/v1` report bytes.
+//!
 //! A digest may change only together with a deliberate change of what a
 //! grid computes (a protocol fix, a new record field); such a change also
 //! bumps `rr_corda::ENGINE_VERSION`, which the ledger header carries.
@@ -15,7 +21,8 @@
 use std::path::PathBuf;
 
 use rr_bench::grid::{execute_grid, preset, ExecOptions};
-use rr_bench::sweep::ExecMode;
+use rr_bench::sweep::{json_report, ExecMode, RunOptions};
+use rr_corda::SchedulerKind;
 
 /// FNV-1a, 64-bit.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -46,6 +53,21 @@ fn ledger_bytes(name: &str, quick: bool) -> Vec<u8> {
     bytes
 }
 
+/// The `rr-sweep/v1` report bytes of E6's grid under the fully synchronous
+/// scheduler alone.
+fn fsync_e6_report_bytes() -> Vec<u8> {
+    let mut sweep = preset("e6", false, None).expect("known preset").to_sweep();
+    sweep.schedulers = vec![SchedulerKind::FullySynchronous];
+    let records = sweep.run_with(&RunOptions::new());
+    assert!(
+        records.iter().all(|r| r.ok),
+        "e6 under fsync: a cell failed"
+    );
+    json_report(&sweep.experiment, sweep.root_seed, &records)
+        .unwrap()
+        .into_bytes()
+}
+
 #[test]
 fn preset_grids_write_the_pinned_ledger_bytes() {
     let pinned: [(&str, bool, u64); 4] = [
@@ -60,6 +82,10 @@ fn preset_grids_write_the_pinned_ledger_bytes() {
         if actual != digest {
             mismatches.push(format!("{name} (quick: {quick}): {actual:#018x}"));
         }
+    }
+    let actual = fnv1a(&fsync_e6_report_bytes());
+    if actual != 0x2414_3ce8_e3bf_2c1b {
+        mismatches.push(format!("e6 under fsync alone: {actual:#018x}"));
     }
     assert!(
         mismatches.is_empty(),

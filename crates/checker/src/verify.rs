@@ -8,6 +8,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rr_corda::scheduler::RoundRobinScheduler;
+use rr_corda::SchedulerKind;
 use rr_core::align::run_to_c_star;
 use rr_core::clearing::SearchingRunStats;
 use rr_core::driver::{run_dispatched, TaskError, TaskTargets};
@@ -16,10 +17,6 @@ use rr_core::unified::{protocol_for, Task};
 use rr_ring::enumerate::{enumerate_rigid_configurations, random_rigid_configuration};
 use rr_ring::{supermin_view, Configuration};
 use serde::{Deserialize, Serialize};
-
-// `SchedulerKind` moved down to `rr-corda` so the driver and the sweep runner
-// can share it; re-exported here for continuity.
-pub use rr_corda::SchedulerKind;
 
 /// Outcome of one verification.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::SimError;
 use crate::fault::{CorruptionKind, FaultEvent, FaultModel};
-use crate::leap::{LeapPlan, LeapRecord};
 use crate::monitor::Monitor;
 use crate::packed::{self, PackedRobot, PackedState};
 use crate::protocol::{Decision, Protocol, ViewIndex};
@@ -27,9 +26,10 @@ use crate::snapshot::{MultiplicityCapability, Snapshot};
 #[cfg(debug_assertions)]
 static STEP_PROBE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// A process-wide count of every [`Engine::step`] and [`Engine::leap`]
-/// invocation across **all** engines, maintained only in debug builds
-/// (always 0 in release, where the hot path stays untouched).
+/// A process-wide count of every [`Engine::step_into`] call (which
+/// [`Engine::step`] and [`Engine::run`] go through) across **all** engines,
+/// maintained only in debug builds (always 0 in release, where the hot path
+/// stays untouched).
 ///
 /// This exists for one kind of test: proving that a code path performed
 /// *zero* engine work — e.g. that a sweep served from the content-addressed
@@ -69,24 +69,6 @@ pub enum ViewOrder {
     Alternating,
 }
 
-/// Which stepping strategy the engine uses: whether whole rounds may be
-/// served from a protocol leap certificate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum StepPath {
-    /// Every scheduler step runs the full Look–Compute–Move pipeline.  The
-    /// default, and the reference semantics.
-    #[default]
-    StepBaseline,
-    /// Round leaping: while a [`Protocol::leap_plan`] certificate is valid,
-    /// `SsyncRound` steps replay the certified decisions without the
-    /// Look/Compute work (identical observable behaviour, every scheduler),
-    /// and [`Engine::run`] under a round-uniform scheduler batches whole
-    /// rounds via [`Engine::leap`].  Steps the certificate does not cover —
-    /// including every asynchronous Look/Execute step, where pending
-    /// decisions can branch — fall back to baseline stepping.
-    Leap,
-}
-
 /// Options controlling an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineOptions {
@@ -97,8 +79,6 @@ pub struct EngineOptions {
     pub enforce_exclusivity: bool,
     /// Snapshot view ordering policy.
     pub view_order: ViewOrder,
-    /// Stepping strategy (baseline round-by-round by default).
-    pub step_path: StepPath,
 }
 
 impl Default for EngineOptions {
@@ -107,7 +87,6 @@ impl Default for EngineOptions {
             capability: MultiplicityCapability::None,
             enforce_exclusivity: true,
             view_order: ViewOrder::CwFirst,
-            step_path: StepPath::StepBaseline,
         }
     }
 }
@@ -128,13 +107,6 @@ impl EngineOptions {
     #[must_use]
     pub fn with_view_order(mut self, order: ViewOrder) -> Self {
         self.view_order = order;
-        self
-    }
-
-    /// Sets the stepping strategy.
-    #[must_use]
-    pub fn with_step_path(mut self, path: StepPath) -> Self {
-        self.step_path = path;
         self
     }
 }
@@ -349,56 +321,6 @@ fn decode_decision(byte: u8) -> Decision {
     }
 }
 
-/// Engine-side state of the round-leaping mode ([`StepPath::Leap`]): the
-/// current certificate, its per-robot projection, and the refresh
-/// book-keeping.  All buffers are reused, so steady-state leaping (refresh
-/// included) allocates nothing after warm-up.
-#[derive(Debug, Clone)]
-struct LeapState {
-    /// The protocol's certificate buffer (per-node velocities + horizon).
-    plan: LeapPlan,
-    /// Per-robot velocity (indexed by robot id): robots carry their node's
-    /// planned velocity for the whole horizon, even as they relocate.
-    dirs: Vec<i8>,
-    /// Per-node scratch used to translate the plan's node velocities into
-    /// robot velocities at refresh time (zeroed again afterwards).
-    node_dirs: Vec<i8>,
-    /// Rounds of validity left.  Counted in executed mover moves for
-    /// single-mover (interleaving-robust) plans, in full rounds otherwise;
-    /// `u64::MAX` means forever.
-    left: u64,
-    /// Number of *robots* that move each round under the plan.  Plans with
-    /// more than one mover are only valid for full-activation rounds.
-    movers: u32,
-    /// Whether `plan`/`dirs`/`left` currently describe the configuration.
-    valid: bool,
-    /// Whether the configuration changed since the last refresh attempt (a
-    /// failed attempt clears this too: same configuration, same outcome).
-    dirty: bool,
-}
-
-impl Default for LeapState {
-    fn default() -> Self {
-        LeapState {
-            plan: LeapPlan::default(),
-            dirs: Vec::new(),
-            node_dirs: Vec::new(),
-            left: 0,
-            movers: 0,
-            valid: false,
-            dirty: true,
-        }
-    }
-}
-
-impl LeapState {
-    /// Drops the current certificate and schedules a refresh attempt.
-    fn invalidate(&mut self) {
-        self.valid = false;
-        self.dirty = true;
-    }
-}
-
 /// The Look–Compute–Move execution engine.
 ///
 /// One `Engine` owns one run: the protocol, the evolving configuration and
@@ -418,8 +340,6 @@ pub struct Engine<P> {
     /// performs zero heap allocations (the protocol's Compute may still
     /// allocate).
     scratch: Snapshot,
-    /// Round-leaping state (only consulted in [`StepPath::Leap`] mode).
-    leap: LeapState,
     /// The armed fault schedule ([`FaultModel::None`] unless armed).
     fault: FaultModel,
     /// The step report [`Engine::run`] refills on every step, kept across
@@ -451,7 +371,6 @@ impl<P: Protocol> Engine<P> {
             options,
             memo: LookMemo::default(),
             scratch: Snapshot::empty(),
-            leap: LeapState::default(),
             fault: FaultModel::None,
             report: StepReport::default(),
             step: 0,
@@ -466,15 +385,8 @@ impl<P: Protocol> Engine<P> {
     /// The model is *configuration*, not execution state: it survives
     /// [`Engine::save_state`]/[`Engine::restore_state`] excursions (like the
     /// protocol and the options) and is cleared by [`Engine::reset`].
-    /// Arming any fault also invalidates the round-leap certificate, and
-    /// [`Engine::leap`]/the `SsyncRound` fast path refuse to serve while a
-    /// fault is armed — a corrupted Look mid-horizon would falsify the
-    /// memoized velocities, so faulted runs always take the baseline
-    /// Look–Compute–Move pipeline (the `leap × fault` regression test pins
-    /// the fallback).
     pub fn arm_fault(&mut self, model: FaultModel) {
         self.fault = model;
-        self.leap.invalidate();
     }
 
     /// The currently armed fault schedule ([`FaultModel::None`] by default).
@@ -570,7 +482,6 @@ impl<P: Protocol> Engine<P> {
         // engine behaviourally indistinguishable from a fresh one, which the
         // `reset_equivalence` suite checks.
         self.memo = LookMemo::default();
-        self.leap.invalidate();
         // Fault schedules are per-run adversaries: a recycled engine starts
         // fault-free, like a fresh one (callers re-arm per run).
         self.fault = FaultModel::None;
@@ -619,7 +530,6 @@ impl<P: Protocol> Engine<P> {
         );
         self.config.clone_from(&state.config);
         self.robots.clone_from(&state.robots);
-        self.leap.invalidate();
         self.step = state.step;
         self.moves = state.moves;
         self.looks = state.looks;
@@ -755,7 +665,6 @@ impl<P: Protocol> Engine<P> {
         // per unit of multiplicity, an Engine invariant since construction).
         self.config
             .assign_positions(self.robots.iter().map(|r| r.node));
-        self.leap.invalidate();
     }
 
     /// Creates an engine with the options implied by the protocol declaration
@@ -1022,236 +931,6 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
-    /// Attempts to (re)build the leap certificate for the current
-    /// configuration.  Called lazily from the leap entry points only, so
-    /// runs that never reach a leapable state (e.g. ASYNC stepping) pay a
-    /// single failed refresh per configuration change at most.
-    fn refresh_leap_plan(&mut self) {
-        self.leap.dirty = false;
-        self.leap.valid = false;
-        // Alternating view order flips the snapshot orientation every global
-        // Look, so per-node decisions are not round-stable: no certificate.
-        if self.options.view_order == ViewOrder::Alternating {
-            return;
-        }
-        // A pending robot acted on an older configuration; the plan below
-        // only describes fresh Look decisions.
-        if self.robots.iter().any(RobotState::has_pending) {
-            return;
-        }
-        let first_dir = self.first_direction();
-        self.leap.plan.clear();
-        if !self.protocol.leap_plan(
-            &self.config,
-            first_dir,
-            self.options.capability,
-            &mut self.leap.plan,
-        ) {
-            return;
-        }
-        if self.leap.plan.horizon == 0 {
-            return;
-        }
-        // Project per-node velocities onto robots via the node scratch,
-        // zeroing the touched entries again afterwards (O(k), no allocation
-        // after the first refresh on a given ring size).
-        let n = self.ring.len();
-        if self.leap.node_dirs.len() != n {
-            self.leap.node_dirs.clear();
-            self.leap.node_dirs.resize(n, 0);
-        }
-        for &(node, vel) in &self.leap.plan.velocities {
-            self.leap.node_dirs[node] = vel;
-        }
-        self.leap.dirs.clear();
-        self.leap.dirs.resize(self.robots.len(), 0);
-        self.leap.movers = 0;
-        for (r, robot) in self.robots.iter().enumerate() {
-            let d = self.leap.node_dirs[robot.node];
-            self.leap.dirs[r] = d;
-            self.leap.movers += u32::from(d != 0);
-        }
-        for &(node, _) in &self.leap.plan.velocities {
-            self.leap.node_dirs[node] = 0;
-        }
-        self.leap.left = self.leap.plan.horizon;
-        self.leap.valid = true;
-    }
-
-    /// Fast path for an SSYNC round under [`StepPath::Leap`]: re-derives each
-    /// activated robot's decision from the cached certificate instead of
-    /// materializing a snapshot, then runs the ordinary execute pipeline.
-    ///
-    /// Observably identical to the baseline round — same counters, monitor
-    /// calls, reports and errors — because only the Look+Compute
-    /// *derivation* is memoized; everything downstream is the shared code.
-    /// Returns `Ok(false)` when the certificate does not cover this round
-    /// and the caller must take the baseline path.
-    fn try_leap_fast_round<M: Monitor + ?Sized>(
-        &mut self,
-        robots: RobotSet,
-        monitor: &mut M,
-        report: &mut StepReport,
-    ) -> Result<bool, SimError> {
-        // Leap certificates are not fault-aware: a corrupted Look mid-horizon
-        // would falsify the memoized per-node velocities.  While any fault
-        // is armed the fast path declines and the caller single steps
-        // (identical outcomes, pinned by the leap × fault test).
-        if self.fault.is_armed() {
-            return Ok(false);
-        }
-        if self.leap.dirty {
-            self.refresh_leap_plan();
-        }
-        if !self.leap.valid || self.leap.left == 0 {
-            return Ok(false);
-        }
-        // Multi-mover plans are only certified for full simultaneous rounds;
-        // single-mover plans survive arbitrary activation subsets (any
-        // subset either moves the walker one step or changes nothing).
-        if self.leap.movers > 1 && robots.len() != self.robots.len() {
-            return Ok(false);
-        }
-        if robots
-            .iter()
-            .any(|r| r >= self.robots.len() || self.robots[r].has_pending())
-        {
-            return Ok(false);
-        }
-        let first_dir = self.first_direction();
-        for r in robots.iter() {
-            let node = self.robots[r].node;
-            let d = self.leap.dirs[r];
-            let (decision, global_dir) = if d == 0 {
-                (Decision::Idle, None)
-            } else {
-                let global = if d > 0 { Direction::Cw } else { Direction::Ccw };
-                let idx = if global == first_dir {
-                    ViewIndex::First
-                } else {
-                    ViewIndex::Second
-                };
-                (Decision::Move(idx), Some(global))
-            };
-            #[cfg(debug_assertions)]
-            {
-                let fresh = self.compute_decision(node, first_dir);
-                assert_eq!(
-                    decision, fresh,
-                    "leap certificate disagrees with a fresh Look (robot {r}, node {node})"
-                );
-            }
-            self.looks += 1;
-            self.step += 1;
-            match global_dir {
-                None => self.robots[r].phase = Phase::IdlePending,
-                Some(dir) => {
-                    let target = self.ring.neighbor(node, dir);
-                    self.robots[r].phase = Phase::MovePending { target };
-                }
-            }
-            monitor.on_look(r, decision, &self.config);
-            report.looks += 1;
-        }
-        for r in robots.iter() {
-            self.execute_move(r, report)?;
-        }
-        // Burn horizon: single-mover plans count executed walker moves (the
-        // certificate is phrased in walker progress), multi-mover plans count
-        // full rounds.
-        let executed = report.moves.len() as u64;
-        if self.leap.movers <= 1 {
-            self.leap.left = self.leap.left.saturating_sub(executed);
-        } else {
-            self.leap.left = self.leap.left.saturating_sub(1);
-        }
-        if self.leap.left == 0 {
-            self.leap.invalidate();
-        }
-        Ok(true)
-    }
-
-    /// Applies as many full synchronous rounds as the leap certificate
-    /// covers (capped at `max_rounds`) in one closed-form batch: counters,
-    /// robot states and the occupancy index are advanced arithmetically, and
-    /// the monitor receives one aggregate [`Monitor::on_leap`] callback in
-    /// place of the per-robot hooks.
-    ///
-    /// Counter parity with fully-synchronous stepping is exact (`k` looks
-    /// and `k` executes per round, i.e. `2k` global steps), so a leaping run
-    /// and a stepping run report identical totals.  Returns the number of
-    /// rounds applied, or [`None`] when no certificate covers the current
-    /// state (pending robots, uncertifiable configuration, exclusivity
-    /// enforced against a protocol that does not promise it, or a zero cap).
-    pub fn leap<M: Monitor + ?Sized>(&mut self, max_rounds: u64, monitor: &mut M) -> Option<u64> {
-        bump_step_probe();
-        if max_rounds == 0 {
-            return None;
-        }
-        // Certificates are computed against a fault-free future: refuse to
-        // serve while any fault is armed (the run loop falls back to
-        // single-stepping, which applies the fault semantics per step).
-        if self.fault.is_armed() {
-            return None;
-        }
-        if self.leap.dirty {
-            self.refresh_leap_plan();
-        }
-        if !self.leap.valid || self.leap.left == 0 {
-            return None;
-        }
-        if self.robots.iter().any(RobotState::has_pending) {
-            return None;
-        }
-        // Batched application skips the per-move exclusivity check, so it is
-        // only sound when the protocol guarantees exclusivity by itself or
-        // the caller does not ask for enforcement.
-        if self.options.enforce_exclusivity && !self.protocol.requires_exclusivity() {
-            return None;
-        }
-        let rounds = self.leap.left.min(max_rounds);
-        let k = self.robots.len() as u64;
-        let n = self.ring.len();
-        let shift = usize::try_from(rounds % n as u64).expect("shift < n");
-        let mut moves = 0u64;
-        for (r, robot) in self.robots.iter_mut().enumerate() {
-            robot.cycles += rounds;
-            let d = self.leap.dirs[r];
-            if d != 0 {
-                moves += rounds;
-                robot.moves += rounds;
-                robot.node = if d > 0 {
-                    (robot.node + shift) % n
-                } else {
-                    (robot.node + n - shift) % n
-                };
-            }
-        }
-        self.looks += k * rounds;
-        self.moves += moves;
-        self.step += 2 * k * rounds;
-        self.config
-            .assign_positions(self.robots.iter().map(|r| r.node));
-        debug_assert!(
-            !self.options.enforce_exclusivity || self.config.is_exclusive(),
-            "leap certificate produced a non-exclusive configuration"
-        );
-        monitor.on_leap(
-            &LeapRecord {
-                rounds,
-                moves,
-                looks: k * rounds,
-                step: self.step,
-            },
-            &self.config,
-        );
-        self.leap.left = self.leap.left.saturating_sub(rounds);
-        if self.leap.left == 0 {
-            self.leap.invalidate();
-        }
-        Some(rounds)
-    }
-
     /// **The** stepping pipeline: applies one scheduler step and notifies
     /// `monitor` of everything that happened.
     ///
@@ -1297,20 +976,13 @@ impl<P: Protocol> Engine<P> {
         report.idles = 0;
         match step {
             SchedulerStep::SsyncRound(robots) => {
-                let fast = self.options.step_path == StepPath::Leap
-                    && self.try_leap_fast_round(*robots, monitor, report)?;
-                if !fast {
-                    for r in robots.iter() {
-                        if self.look_compute(r, monitor)? {
-                            report.looks += 1;
-                        }
+                for r in robots.iter() {
+                    if self.look_compute(r, monitor)? {
+                        report.looks += 1;
                     }
-                    for r in robots.iter() {
-                        self.execute_move(r, report)?;
-                    }
-                    if report.moved() {
-                        self.leap.invalidate();
-                    }
+                }
+                for r in robots.iter() {
+                    self.execute_move(r, report)?;
                 }
             }
             SchedulerStep::Look(robot) => {
@@ -1320,9 +992,6 @@ impl<P: Protocol> Engine<P> {
             }
             SchedulerStep::Execute(robot) => {
                 self.execute_move(*robot, report)?;
-                if report.moved() {
-                    self.leap.invalidate();
-                }
             }
         }
         for record in &report.moves {
@@ -1333,7 +1002,8 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Drives the engine with `scheduler` until `stop` returns true or
-    /// `max_scheduler_steps` scheduler steps have been applied.
+    /// `max_scheduler_steps` scheduler steps have been applied.  `stop` is
+    /// checked before every step.
     ///
     /// `monitor` observes every step (pass `&mut ()` for none); `stop` sees
     /// both the engine and the monitor, so stop conditions can be phrased
@@ -1365,17 +1035,6 @@ impl<P: Protocol> Engine<P> {
             }
             if steps >= max_scheduler_steps {
                 break RunOutcome::StepBudgetExhausted;
-            }
-            // Round-uniform schedulers issue full SSYNC rounds regardless of
-            // the view, so certified rounds can be applied as one batch.  A
-            // leap counts as that many scheduler steps; `stop` is checked at
-            // leap boundaries only (the certificate guarantees no
-            // decision-relevant change strictly inside the leap).
-            if self.options.step_path == StepPath::Leap && scheduler.is_round_uniform() {
-                if let Some(rounds) = self.leap(max_scheduler_steps - steps, monitor) {
-                    steps += rounds;
-                    continue;
-                }
             }
             let step = scheduler.next(&self.scheduler_view());
             if let Err(e) = self.step_into(&step, monitor, &mut report) {
@@ -1945,114 +1604,6 @@ mod tests {
         assert_eq!(a.positions(), b.positions());
         assert_eq!(a.look_count(), b.look_count());
         assert_eq!(log_a, log_b);
-    }
-
-    #[test]
-    fn leap_fast_round_is_observably_identical() {
-        // Full-activation SSYNC rounds issued through `step` exercise the
-        // certified fast path directly (the `run` loop would route a
-        // round-uniform scheduler to the batched leap instead).  Every
-        // observable — reports, configurations, counters, monitor hooks —
-        // must be identical to the baseline pipeline.
-        for gaps in [
-            &[0usize, 1, 2, 5][..],
-            &[1, 1, 4],
-            &[3, 0, 2, 0, 6],
-            &[2, 2, 2],
-        ] {
-            let c = cfg(gaps);
-            let base_opts = EngineOptions::for_protocol(&GreedyGapWalker);
-            let leap_opts = base_opts.with_step_path(StepPath::Leap);
-            let mut base = Engine::new(GreedyGapWalker, c.clone(), base_opts).unwrap();
-            let mut leap = Engine::new(GreedyGapWalker, c, leap_opts).unwrap();
-            let (mut base_log, mut leap_log) = (EventLog::default(), EventLog::default());
-            let round = SchedulerStep::SsyncRound(RobotSet::first(base.num_robots()));
-            for _ in 0..60 {
-                let rb = base.step(&round, &mut base_log).unwrap();
-                let rl = leap.step(&round, &mut leap_log).unwrap();
-                assert_eq!(rb, rl);
-                assert_eq!(base.configuration(), leap.configuration());
-                assert_eq!(base.positions(), leap.positions());
-            }
-            assert_eq!(base.look_count(), leap.look_count());
-            assert_eq!(base.step_count(), leap.step_count());
-            assert_eq!(base_log, leap_log);
-        }
-    }
-
-    #[test]
-    fn leap_step_path_is_observably_identical_under_round_robin() {
-        // Partial activations: single-mover certificates survive them, all
-        // others decline to the baseline path — either way nothing may
-        // change observably.
-        let c = cfg(&[0, 1, 2, 5]);
-        let base = EngineOptions::for_protocol(&GreedyGapWalker);
-        let leap = base.with_step_path(StepPath::Leap);
-        assert_lockstep_equal(
-            Engine::new(GreedyGapWalker, c.clone(), base).unwrap(),
-            Engine::new(GreedyGapWalker, c, leap).unwrap(),
-            200,
-        );
-    }
-
-    #[test]
-    fn batched_leap_matches_fully_synchronous_stepping() {
-        // Under a round-uniform scheduler the run loop applies certified
-        // rounds in closed form.  Counter parity with stepping is exact, so
-        // run reports, counters and final configurations must all agree.
-        use crate::scheduler::FullySynchronousScheduler;
-        for gaps in [
-            &[0usize, 1, 2, 5][..],
-            &[1, 1, 4],
-            &[3, 0, 2, 0, 6],
-            &[2, 2, 2],
-        ] {
-            let c = cfg(gaps);
-            let opts = EngineOptions::for_protocol(&GreedyGapWalker);
-            let mut base = Engine::new(GreedyGapWalker, c.clone(), opts).unwrap();
-            let mut leap =
-                Engine::new(GreedyGapWalker, c, opts.with_step_path(StepPath::Leap)).unwrap();
-            let rb = base.run_until(&mut FullySynchronousScheduler, 64, |_| false);
-            let rl = leap.run_until(&mut FullySynchronousScheduler, 64, |_| false);
-            assert_eq!(rb, rl);
-            assert_eq!(base.configuration(), leap.configuration());
-            assert_eq!(base.positions(), leap.positions());
-            assert_eq!(base.step_count(), leap.step_count());
-            assert_eq!(base.look_count(), leap.look_count());
-        }
-    }
-
-    #[test]
-    fn batched_leap_emits_one_summary_event_and_aggregate_callback() {
-        use crate::scheduler::FullySynchronousScheduler;
-
-        let c = cfg(&[0, 1, 2, 5]);
-        let opts = EngineOptions::for_protocol(&GreedyGapWalker).with_step_path(StepPath::Leap);
-        let mut engine = Engine::new(GreedyGapWalker, c, opts).unwrap();
-        let mut log = EventLog::default();
-        engine.run(&mut FullySynchronousScheduler, &mut log, 64, |_, _| false);
-        let k = engine.positions().len() as u64;
-        let (mut leaps, mut looks) = (0, 0);
-        for hook in &log.hooks {
-            match hook {
-                Hook::Leap {
-                    rounds,
-                    looks: leaped,
-                    ..
-                } => {
-                    assert!(*rounds >= 1);
-                    assert_eq!(*leaped, k * rounds);
-                    leaps += 1;
-                    looks += leaped;
-                }
-                Hook::Look { .. } => looks += 1,
-                _ => {}
-            }
-        }
-        assert!(leaps > 0, "no leap was taken");
-        // Each leap's one aggregate callback stands in for the per-robot
-        // Look hooks of its rounds.
-        assert_eq!(looks, engine.look_count());
     }
 
     #[test]

@@ -91,13 +91,6 @@ impl FaultModel {
         matches!(self, FaultModel::None)
     }
 
-    /// Whether any fault is armed (the engine's leap certificates refuse to
-    /// serve while this holds — see `Engine::leap`).
-    #[must_use]
-    pub fn is_armed(self) -> bool {
-        !self.is_none()
-    }
-
     /// The corruption to apply to the fresh Look with global ordinal
     /// `look_ordinal`, if any.
     #[must_use]
@@ -132,7 +125,6 @@ mod tests {
     fn none_is_the_default_and_unarmed() {
         assert_eq!(FaultModel::default(), FaultModel::None);
         assert!(FaultModel::None.is_none());
-        assert!(!FaultModel::None.is_armed());
         assert_eq!(FaultModel::None.corruption_at(0), None);
     }
 
@@ -142,7 +134,7 @@ mod tests {
             look: 7,
             kind: CorruptionKind::PhantomMultiplicity,
         };
-        assert!(f.is_armed());
+        assert!(!f.is_none());
         assert_eq!(f.corruption_at(6), None);
         assert_eq!(
             f.corruption_at(7),

@@ -12,9 +12,8 @@
 //!   may have changed — the pending move is executed regardless, exactly as in
 //!   the CORDA model;
 //! * the adversary is modelled by [`scheduler::Scheduler`] implementations:
-//!   fully-synchronous, semi-synchronous, sequential round-robin, randomized
-//!   asynchronous with pending moves, and scripted adversaries used by the
-//!   impossibility arguments.
+//!   fully-synchronous, semi-synchronous, sequential round-robin and
+//!   randomized asynchronous with pending moves.
 //!
 //! The [`Engine`] owns the global configuration and robot bookkeeping (ids,
 //! pending moves); protocols never see any of it.  Every way of advancing a
@@ -27,7 +26,6 @@
 pub mod engine;
 pub mod error;
 pub mod fault;
-pub mod leap;
 pub mod monitor;
 pub mod packed;
 pub mod protocol;
@@ -37,11 +35,10 @@ pub mod snapshot;
 
 pub use engine::{
     debug_step_probe, Engine, EngineOptions, EngineState, MoveRecord, RunOutcome, RunReport,
-    StepPath, StepReport, ViewOrder,
+    StepReport, ViewOrder,
 };
 pub use error::SimError;
 pub use fault::{CorruptionKind, FaultEvent, FaultModel};
-pub use leap::{LeapPlan, LeapRecord};
 pub use monitor::Monitor;
 pub use packed::{CanonicalTransform, PackedState, StateSig, MAX_CANONICAL_N, SIG_WORDS};
 pub use protocol::{Decision, Protocol, ViewIndex};
@@ -60,8 +57,8 @@ pub use snapshot::{MultiplicityCapability, Snapshot};
 /// and only if a change can alter the **observable record stream** of a
 /// seeded run — protocol decision tables, scheduler randomness derivation,
 /// per-cell seed derivation, or the record serialization itself.  Pure
-/// performance work (new step paths, packed codecs, allocation reuse) keeps
-/// the version, because the lockstep harnesses prove those paths
+/// performance work (packed codecs, allocation reuse) keeps the version,
+/// because the lockstep harnesses and the pinned preset ledgers prove it
 /// byte-identical.  Bumping it invalidates every cached sweep ledger, which
 /// is exactly the intended effect.
 pub const ENGINE_VERSION: &str = "1.0.0";

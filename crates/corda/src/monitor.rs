@@ -17,7 +17,6 @@ use rr_ring::Configuration;
 
 use crate::engine::{MoveRecord, StepReport};
 use crate::fault::FaultEvent;
-use crate::leap::LeapRecord;
 use crate::protocol::Decision;
 use crate::robot::RobotId;
 
@@ -46,16 +45,6 @@ pub trait Monitor {
         let _ = (report, config);
     }
 
-    /// Called once per batched leap (`Engine::leap` in `StepPath::Leap`
-    /// mode) with the aggregate record of the leaped rounds and the
-    /// configuration *after* them, replacing the per-look/move/step hooks
-    /// for those rounds.  Monitors that need individual move records (e.g.
-    /// contamination tracking) must not be combined with batched leaping;
-    /// aggregate monitors implement this to stay consistent.
-    fn on_leap(&mut self, record: &LeapRecord, after: &Configuration) {
-        let _ = (record, after);
-    }
-
     /// Called when an armed [`FaultModel`](crate::fault::FaultModel) takes
     /// observable effect: once per corrupted Look, immediately before the
     /// corrupted decision's `on_look`.  `config` is the configuration at the
@@ -82,10 +71,6 @@ impl<M: Monitor + ?Sized> Monitor for &mut M {
         (**self).on_step(report, config);
     }
 
-    fn on_leap(&mut self, record: &LeapRecord, after: &Configuration) {
-        (**self).on_leap(record, after);
-    }
-
     fn on_fault(&mut self, event: &FaultEvent, config: &Configuration) {
         (**self).on_fault(event, config);
     }
@@ -104,10 +89,6 @@ macro_rules! tuple_monitors {
 
             fn on_step(&mut self, report: &StepReport, config: &Configuration) {
                 $(self.$idx.on_step(report, config);)+
-            }
-
-            fn on_leap(&mut self, record: &LeapRecord, after: &Configuration) {
-                $(self.$idx.on_leap(record, after);)+
             }
 
             fn on_fault(&mut self, event: &FaultEvent, config: &Configuration) {

@@ -1,10 +1,8 @@
 //! The protocol abstraction: what an anonymous, oblivious, uniform robot may
 //! compute from its snapshot.
 
-use rr_ring::{leap::rounds_at_least, leap::rounds_exactly, Configuration, Direction};
 use serde::{Deserialize, Serialize};
 
-use crate::leap::LeapPlan;
 use crate::snapshot::{MultiplicityCapability, Snapshot};
 
 /// Index into [`Snapshot::views`]: identifies one of the robot's two reading
@@ -87,30 +85,6 @@ pub trait Protocol {
 
     /// The Compute phase: map the snapshot taken during Look to a decision.
     fn compute(&self, snapshot: &Snapshot) -> Decision;
-
-    /// Attempts to certify the next rounds of this protocol on `config` as a
-    /// [`LeapPlan`]: constant per-node velocities valid for `plan.horizon`
-    /// full rounds (see the contract in [`crate::leap`]).
-    ///
-    /// `first_dir` is the engine's current first reading direction (so tie
-    /// decisions resolve exactly as [`Protocol::compute`] would) and
-    /// `capability` is the multiplicity capability the engine actually
-    /// grants snapshots — a certificate whose decisions depend on
-    /// multiplicity detection must decline when it is missing.
-    ///
-    /// The default declines (`false`), which degrades
-    /// [`StepPath::Leap`](crate::engine::StepPath) to ordinary stepping;
-    /// implementations must leave `plan` cleared or fully written.
-    fn leap_plan(
-        &self,
-        config: &Configuration,
-        first_dir: Direction,
-        capability: MultiplicityCapability,
-        plan: &mut LeapPlan,
-    ) -> bool {
-        let _ = (config, first_dir, capability, plan);
-        false
-    }
 }
 
 /// A protocol that never moves; useful as a baseline and in scheduler tests.
@@ -124,19 +98,6 @@ impl Protocol for IdleProtocol {
 
     fn compute(&self, _snapshot: &Snapshot) -> Decision {
         Decision::Idle
-    }
-
-    fn leap_plan(
-        &self,
-        _config: &Configuration,
-        _first_dir: Direction,
-        _capability: MultiplicityCapability,
-        plan: &mut LeapPlan,
-    ) -> bool {
-        // Nobody ever moves, so the (empty) velocity map holds forever.
-        plan.clear();
-        plan.horizon = u64::MAX;
-        true
     }
 }
 
@@ -164,94 +125,6 @@ impl Protocol for GreedyGapWalker {
             Decision::Move(ViewIndex::Second)
         }
     }
-
-    fn leap_plan(
-        &self,
-        config: &Configuration,
-        first_dir: Direction,
-        _capability: MultiplicityCapability,
-        plan: &mut LeapPlan,
-    ) -> bool {
-        plan.clear();
-        let k = config.num_occupied();
-        let anchor = config.occupied_anchor();
-        // Pass 1: per-node velocity from the two adjacent gaps (the walker's
-        // whole decision input).  Velocities are pushed in clockwise cycle
-        // order so pass 2 can read neighbouring velocities by index.
-        for v in config.occupied_cycle(anchor, Direction::Cw) {
-            let gap = |dir| {
-                let next = config.occupied_after(v, dir);
-                if next == v {
-                    // k = 1: the self-loop cycle leaves the whole ring free.
-                    config.n() - 1
-                } else {
-                    match dir {
-                        Direction::Cw => (next + config.n() - v - 1) % config.n(),
-                        Direction::Ccw => (v + config.n() - next - 1) % config.n(),
-                    }
-                }
-            };
-            let (g_cw, g_ccw) = (gap(Direction::Cw), gap(Direction::Ccw));
-            let vel: i8 = if g_cw == 0 && g_ccw == 0 {
-                0
-            } else if g_cw > g_ccw || (g_cw == g_ccw && first_dir == Direction::Cw) {
-                1
-            } else if g_ccw > g_cw || first_dir == Direction::Ccw {
-                -1
-            } else {
-                0
-            };
-            plan.velocities.push((v, vel));
-        }
-        // Pass 2: horizon = how long every decision input keeps its sign and
-        // every gap stays physical (no two robots entering the same node).
-        let mut horizon = u64::MAX;
-        for i in 0..k {
-            let (node, vel) = plan.velocities[i];
-            let vel_cw_next = plan.velocities[(i + 1) % k].1;
-            let vel_ccw_prev = plan.velocities[(i + k - 1) % k].1;
-            let next = config.occupied_after(node, Direction::Cw);
-            let g = if next == node {
-                config.n() - 1
-            } else {
-                (next + config.n() - node - 1) % config.n()
-            } as i64;
-            // Gap i (clockwise, between cycle nodes i and i+1) changes by
-            // the velocity difference each round; it must stay >= 0 after
-            // every executed round or two robots have crossed into the same
-            // node.
-            let r = i64::from(vel_cw_next) - i64::from(vel);
-            horizon = horizon.min(rounds_at_least(g + r, r, 0));
-            // Decision stability for the robot(s) on `node`, in terms of its
-            // clockwise gap a = g and counter-clockwise gap b.
-            let prev = config.occupied_after(node, Direction::Ccw);
-            let b = if prev == node {
-                config.n() - 1
-            } else {
-                (node + config.n() - prev - 1) % config.n()
-            } as i64;
-            let ra = r;
-            let rb = i64::from(vel) - i64::from(vel_ccw_prev);
-            let (first, second, rf, rs) = if first_dir == Direction::Cw {
-                (g, b, ra, rb)
-            } else {
-                (b, g, rb, ra)
-            };
-            let stable = if vel == 0 {
-                // Idle requires both gaps to stay exactly zero.
-                rounds_exactly(g, ra, 0).min(rounds_exactly(b, rb, 0))
-            } else if first >= second {
-                // Move(First): needs first >= second and first >= 1.
-                rounds_at_least(first - second, rf - rs, 0).min(rounds_at_least(first, rf, 1))
-            } else {
-                // Move(Second): needs second > first (which implies >= 1).
-                rounds_at_least(second - first, rs - rf, 1)
-            };
-            horizon = horizon.min(stable);
-        }
-        plan.horizon = horizon;
-        horizon > 0
-    }
 }
 
 impl<P: Protocol + ?Sized> Protocol for &P {
@@ -270,16 +143,6 @@ impl<P: Protocol + ?Sized> Protocol for &P {
     fn compute(&self, snapshot: &Snapshot) -> Decision {
         (**self).compute(snapshot)
     }
-
-    fn leap_plan(
-        &self,
-        config: &Configuration,
-        first_dir: Direction,
-        capability: MultiplicityCapability,
-        plan: &mut LeapPlan,
-    ) -> bool {
-        (**self).leap_plan(config, first_dir, capability, plan)
-    }
 }
 
 impl<P: Protocol + ?Sized> Protocol for Box<P> {
@@ -297,16 +160,6 @@ impl<P: Protocol + ?Sized> Protocol for Box<P> {
 
     fn compute(&self, snapshot: &Snapshot) -> Decision {
         (**self).compute(snapshot)
-    }
-
-    fn leap_plan(
-        &self,
-        config: &Configuration,
-        first_dir: Direction,
-        capability: MultiplicityCapability,
-        plan: &mut LeapPlan,
-    ) -> bool {
-        (**self).leap_plan(config, first_dir, capability, plan)
     }
 }
 
@@ -363,75 +216,6 @@ mod tests {
                     }
                 }
                 other => panic!("inconsistent decisions {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn idle_certificate_holds_forever() {
-        let c = Configuration::from_gaps_at_origin(&[0, 1, 2, 5]);
-        let mut plan = LeapPlan::default();
-        assert!(IdleProtocol.leap_plan(&c, Direction::Cw, MultiplicityCapability::None, &mut plan));
-        assert_eq!(plan.horizon, u64::MAX);
-        assert!(plan.velocities.is_empty());
-    }
-
-    #[test]
-    fn greedy_walker_certificate_matches_fresh_decisions() {
-        use rr_ring::Ring;
-        for gaps in [
-            &[0usize, 1, 2, 5][..],
-            &[1, 1, 4],
-            &[3, 0, 2, 0, 6],
-            &[2, 2, 2],
-            &[11],
-        ] {
-            for first_dir in [Direction::Cw, Direction::Ccw] {
-                let c = Configuration::from_gaps_at_origin(gaps);
-                let n = c.n();
-                let mut plan = LeapPlan::default();
-                assert!(
-                    GreedyGapWalker.leap_plan(
-                        &c,
-                        first_dir,
-                        MultiplicityCapability::None,
-                        &mut plan
-                    ),
-                    "walker plans always certify at least one round ({gaps:?})"
-                );
-                assert!(plan.horizon >= 1);
-                // Track each node group along its planned velocity and check
-                // that a fresh Compute agrees at the start of every round of
-                // the horizon.
-                let mut groups: Vec<(usize, i8, u32)> = plan
-                    .velocities
-                    .iter()
-                    .map(|&(v, vel)| (v, vel, c.count_at(v)))
-                    .collect();
-                let mut c = c;
-                for round in 0..plan.horizon.min(24) {
-                    for &(v, vel, _) in &groups {
-                        let s = Snapshot::capture(&c, v, MultiplicityCapability::None, first_dir);
-                        let expected = match (vel, first_dir) {
-                            (0, _) => Decision::Idle,
-                            (1, Direction::Cw) | (-1, Direction::Ccw) => {
-                                Decision::Move(ViewIndex::First)
-                            }
-                            _ => Decision::Move(ViewIndex::Second),
-                        };
-                        assert_eq!(
-                            GreedyGapWalker.compute(&s),
-                            expected,
-                            "{gaps:?} {first_dir:?} round {round} node {v}"
-                        );
-                    }
-                    let mut counts = vec![0u32; n];
-                    for (v, vel, count) in &mut groups {
-                        *v = (*v + n).wrapping_add_signed(isize::from(*vel)) % n;
-                        counts[*v] += *count;
-                    }
-                    c = Configuration::from_counts(Ring::new(n), counts).unwrap();
-                }
             }
         }
     }

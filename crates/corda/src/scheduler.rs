@@ -14,9 +14,7 @@
 //!   one robot at a time in cyclic order;
 //! * [`AsynchronousScheduler`] — interleaves Look and Move operations of
 //!   different robots at random, creating *pending moves* computed on outdated
-//!   snapshots (ASYNC, the model of the paper);
-//! * [`ScriptedScheduler`] — replays an explicit schedule, used to reproduce
-//!   the adversarial executions of the impossibility proofs (Theorems 2–5).
+//!   snapshots (ASYNC, the model of the paper).
 //!
 //! All randomized schedulers are fair with probability one; for bounded runs
 //! the fairness window can be bounded explicitly with
@@ -81,15 +79,6 @@ pub trait Scheduler {
     fn name(&self) -> &str {
         "scheduler"
     }
-
-    /// Whether this scheduler is *round-uniform*: every [`Scheduler::next`]
-    /// returns a full-activation [`SchedulerStep::SsyncRound`] regardless of
-    /// the view, and skipping calls is unobservable (the scheduler is
-    /// stateless).  Round-uniform schedulers are the ones `Engine::leap` may
-    /// batch whole rounds for without consulting the scheduler per round.
-    fn is_round_uniform(&self) -> bool {
-        false
-    }
 }
 
 /// FSYNC: every robot performs a complete cycle in every round.
@@ -103,10 +92,6 @@ impl Scheduler for FullySynchronousScheduler {
 
     fn name(&self) -> &str {
         "fsync"
-    }
-
-    fn is_round_uniform(&self) -> bool {
-        true
     }
 }
 
@@ -413,79 +398,13 @@ impl std::fmt::Display for InterleavingMode {
     }
 }
 
-/// Replays an explicit schedule, then repeats it forever (or falls back to
-/// round-robin if constructed with `then_round_robin`).
-///
-/// This is the tool used to reproduce the adversarial executions of the
-/// impossibility proofs: the proof's schedule is written down once and the
-/// checker verifies that the targeted protocol indeed fails against it.
-#[derive(Debug, Clone)]
-pub struct ScriptedScheduler {
-    script: Vec<SchedulerStep>,
-    position: usize,
-    repeat: bool,
-    fallback_round_robin: RoundRobinScheduler,
-}
-
-impl ScriptedScheduler {
-    /// A scheduler that replays `script` in a loop forever.
-    #[must_use]
-    pub fn looping(script: Vec<SchedulerStep>) -> Self {
-        assert!(!script.is_empty(), "a scripted schedule cannot be empty");
-        ScriptedScheduler {
-            script,
-            position: 0,
-            repeat: true,
-            fallback_round_robin: RoundRobinScheduler::new(),
-        }
-    }
-
-    /// A scheduler that replays `script` once, then behaves as a round-robin
-    /// scheduler.
-    #[must_use]
-    pub fn then_round_robin(script: Vec<SchedulerStep>) -> Self {
-        ScriptedScheduler {
-            script,
-            position: 0,
-            repeat: false,
-            fallback_round_robin: RoundRobinScheduler::new(),
-        }
-    }
-
-    /// Whether the scripted portion has been fully replayed at least once.
-    #[must_use]
-    pub fn script_exhausted(&self) -> bool {
-        self.position >= self.script.len()
-    }
-}
-
-impl Scheduler for ScriptedScheduler {
-    fn next(&mut self, view: &SchedulerView) -> SchedulerStep {
-        if self.position >= self.script.len() {
-            if self.repeat {
-                self.position = 0;
-            } else {
-                return self.fallback_round_robin.next(view);
-            }
-        }
-        let step = self.script[self.position];
-        self.position += 1;
-        step
-    }
-
-    fn name(&self) -> &str {
-        "scripted"
-    }
-}
-
 /// The scheduler families used by verification and sweep runs, as data.
 ///
 /// This is the declarative counterpart of the concrete scheduler types above:
 /// batch runners and experiment grids carry a `SchedulerKind` (+ seed) in
 /// their job descriptions and construct the scheduler at run time with
 /// [`SchedulerKind::with`].  Lives here (not in `rr-checker`) so that every
-/// layer — driver, checker, bench — can share the one vocabulary;
-/// `rr_checker::verify` re-exports it for continuity.
+/// layer — driver, checker, bench — can share the one vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SchedulerKind {
     /// Sequential round-robin (one robot per step).
@@ -496,8 +415,8 @@ pub enum SchedulerKind {
     Asynchronous,
     /// Deterministic fully synchronous (every robot, every round).  Not part
     /// of [`SchedulerKind::ALL`]: the verification grids adversarially
-    /// subsume it, but throughput experiments carry it explicitly because it
-    /// is the round-uniform family `Engine::leap` can batch.
+    /// subsume it.  E12's throughput column and the E9b ablation run it
+    /// explicitly.
     FullySynchronous,
 }
 
@@ -670,36 +589,5 @@ mod tests {
     fn interleaving_mode_names() {
         assert_eq!(InterleavingMode::SsyncSubsets.name(), "ssync");
         assert_eq!(InterleavingMode::AsyncPhases.to_string(), "async");
-    }
-
-    #[test]
-    fn scripted_scheduler_replays_and_loops() {
-        let script = vec![
-            SchedulerStep::Look(0),
-            SchedulerStep::Execute(0),
-            SchedulerStep::SsyncRound(RobotSet::single(1)),
-        ];
-        let mut s = ScriptedScheduler::looping(script.clone());
-        let v = view(2, &[]);
-        for i in 0..9 {
-            assert_eq!(s.next(&v), script[i % 3]);
-        }
-    }
-
-    #[test]
-    fn scripted_scheduler_falls_back_to_round_robin() {
-        let script = vec![SchedulerStep::Look(1)];
-        let mut s = ScriptedScheduler::then_round_robin(script);
-        let v = view(2, &[]);
-        assert_eq!(s.next(&v), SchedulerStep::Look(1));
-        assert!(s.script_exhausted());
-        assert_eq!(s.next(&v), SchedulerStep::SsyncRound(RobotSet::single(0)));
-        assert_eq!(s.next(&v), SchedulerStep::SsyncRound(RobotSet::single(1)));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be empty")]
-    fn empty_looping_script_is_rejected() {
-        let _ = ScriptedScheduler::looping(vec![]);
     }
 }

@@ -1,7 +1,7 @@
 // A recording monitor, shared by the engine's unit tests and the
 // integration suites through `include!`.  The including scope provides
-// `Configuration`, `Decision`, `FaultEvent`, `LeapRecord`, `Monitor`,
-// `MoveRecord`, `RobotId` and `StepReport`.
+// `Configuration`, `Decision`, `FaultEvent`, `Monitor`, `MoveRecord`,
+// `RobotId` and `StepReport`.
 
 /// One monitor hook call with its arguments (the configuration aside).
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
@@ -9,7 +9,6 @@ enum Hook {
     Look { robot: RobotId, decision: Decision },
     Move(MoveRecord),
     Step(StepReport),
-    Leap { rounds: u64, moves: u64, looks: u64, step: u64 },
     Fault(FaultEvent),
 }
 
@@ -30,21 +29,6 @@ impl Monitor for EventLog {
 
     fn on_step(&mut self, report: &StepReport, _config: &Configuration) {
         self.hooks.push(Hook::Step(report.clone()));
-    }
-
-    fn on_leap(&mut self, record: &LeapRecord, _after: &Configuration) {
-        let LeapRecord {
-            rounds,
-            moves,
-            looks,
-            step,
-        } = *record;
-        self.hooks.push(Hook::Leap {
-            rounds,
-            moves,
-            looks,
-            step,
-        });
     }
 
     fn on_fault(&mut self, event: &FaultEvent, _config: &Configuration) {

@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 use rr_corda::scheduler::AsynchronousScheduler;
 use rr_corda::{
-    Decision, Engine, FaultEvent, LeapRecord, Monitor, MoveRecord, Protocol, RobotId, RobotSet,
-    Scheduler, SchedulerStep, Snapshot, StepReport, ViewIndex,
+    Decision, Engine, FaultEvent, Monitor, MoveRecord, Protocol, RobotId, RobotSet, Scheduler,
+    SchedulerStep, Snapshot, StepReport, ViewIndex,
 };
 use rr_ring::{Configuration, Direction, Ring};
 

@@ -4,25 +4,24 @@
 //! paths: an engine with [`FaultModel::None`] armed is **byte-identical** to
 //! an engine that never heard of faults — same `StepReport` streams, same
 //! errors, same counters, same monitor hooks, same `rr-sweep/v1` JSON bytes.
-//! These tests mirror the `leap_lockstep` harness (arbitrary configurations
-//! × arbitrary activation scripts) and add the deterministic fault pins:
-//! corrupted Looks fire exactly once, and `Engine::leap` refuses to serve
-//! while a fault is armed, falling back to single-stepping with identical
-//! outcomes.
+//! These tests drive arbitrary configurations through arbitrary activation
+//! scripts and add the deterministic fault pins: a corrupted Look fires
+//! exactly once, the run loop agrees with stepping by hand across it, and the
+//! armed fault survives a state excursion and is cleared by a reset.
 
 use proptest::prelude::*;
 use rr_corda::protocol::GreedyGapWalker;
 use rr_corda::scheduler::FullySynchronousScheduler;
 use rr_corda::{
-    CorruptionKind, Decision, Engine, EngineOptions, FaultEvent, FaultModel, LeapRecord, Monitor,
-    MoveRecord, RobotId, RobotSet, SchedulerStep, SimError, StepPath, StepReport, ViewOrder,
+    CorruptionKind, Decision, Engine, EngineOptions, FaultEvent, FaultModel, Monitor, MoveRecord,
+    RobotId, RobotSet, SchedulerStep, SimError, StepReport, ViewOrder,
 };
 use rr_ring::Configuration;
 
 include!("common/event_log.rs");
 
 /// A random gap word for `k` robots with a positive total gap, so the ring
-/// is never full (same strategy as `leap_lockstep`).
+/// is never full.
 fn gap_word() -> impl Strategy<Value = Vec<usize>> {
     (2usize..6, 1usize..10).prop_flat_map(|(k, extra)| {
         proptest::collection::vec(0usize..4, k).prop_map(move |mut gaps| {
@@ -148,11 +147,13 @@ proptest! {
     }
 }
 
-/// `Engine::leap` refuses to serve while a fault is armed, and the
-/// scheduler-driven run loop falls back to single-stepping with outcomes
-/// identical to a baseline engine under the same scheduled corruption.
+/// The scheduler-driven run loop over a scheduled corruption agrees with
+/// stepping the same rounds by hand, the fault's one `on_fault` hook
+/// included.  The fault is configuration, not execution state: it stays
+/// armed after it fired, survives a save/restore excursion and is cleared by
+/// a reset.
 #[test]
-fn leap_declines_while_a_fault_is_armed_and_falls_back_to_stepping() {
+fn an_armed_fault_fires_once_in_a_run_and_stays_armed_until_reset() {
     let config = Configuration::from_gaps_at_origin(&[1, 2, 5]);
     let options = EngineOptions::for_protocol(&GreedyGapWalker);
     let fault = FaultModel::CorruptLook {
@@ -160,70 +161,47 @@ fn leap_declines_while_a_fault_is_armed_and_falls_back_to_stepping() {
         kind: CorruptionKind::PhantomMultiplicity,
     };
 
-    let mut leap = Engine::new(
-        GreedyGapWalker,
-        config.clone(),
-        options.with_step_path(StepPath::Leap),
-    )
-    .unwrap();
-    // Sanity: without a fault the certificate does serve.
-    assert!(
-        leap.leap(1, &mut ()).is_some(),
-        "fault-free leap must serve"
-    );
-
-    let mut leap = Engine::new(
-        GreedyGapWalker,
-        config.clone(),
-        options.with_step_path(StepPath::Leap),
-    )
-    .unwrap();
-    leap.arm_fault(fault);
-    assert_eq!(
-        leap.leap(5, &mut ()),
-        None,
-        "leap must refuse while a fault is armed"
-    );
-
-    // Force the leaping run loop across the scheduled corruption: it must
-    // fall back to single-stepping and agree with the baseline path
-    // exactly, the fault's one `on_fault` hook included.
-    let mut base = Engine::new(
-        GreedyGapWalker,
-        config.clone(),
-        options.with_step_path(StepPath::StepBaseline),
-    )
-    .unwrap();
-    base.arm_fault(fault);
-    let (mut leap_log, mut base_log) = (EventLog::default(), EventLog::default());
-    let leap_report = leap.run(&mut FullySynchronousScheduler, &mut leap_log, 12, |_, _| {
+    let mut run = Engine::new(GreedyGapWalker, config.clone(), options).unwrap();
+    run.arm_fault(fault);
+    let mut run_log = EventLog::default();
+    let report = run.run(&mut FullySynchronousScheduler, &mut run_log, 12, |_, _| {
         false
     });
-    let base_report = base.run(&mut FullySynchronousScheduler, &mut base_log, 12, |_, _| {
-        false
-    });
-    assert_eq!(leap_report, base_report);
-    assert_engines_equal(&leap, &base);
-    assert_eq!(leap_log, base_log);
-    let faults = leap_log
+    assert_eq!(report.steps, 12);
+
+    let mut stepped = Engine::new(GreedyGapWalker, config.clone(), options).unwrap();
+    stepped.arm_fault(fault);
+    let mut stepped_log = EventLog::default();
+    let full = RobotSet::first(config.num_robots());
+    let mut moves = 0;
+    for _ in 0..12 {
+        moves += stepped
+            .step(&SchedulerStep::SsyncRound(full), &mut stepped_log)
+            .unwrap()
+            .moves
+            .len() as u64;
+    }
+    assert_eq!(report.moves, moves);
+    assert_engines_equal(&run, &stepped);
+    assert_eq!(run_log, stepped_log);
+    let faults = run_log
         .hooks
         .iter()
         .filter(|hook| matches!(hook, Hook::Fault(_)))
         .count();
     assert_eq!(faults, 1, "the scheduled corruption fired once");
+
     assert_eq!(
-        leap.leap(1, &mut ()),
-        None,
+        run.fault_model(),
+        fault,
         "the fault stays armed after the run"
     );
-    // The fault model survives a state excursion (like the protocol and the
-    // options do) and is cleared by reset: a recycled engine starts
-    // fault-free.
-    let saved = leap.save_state();
-    leap.restore_state(&saved);
-    assert_eq!(leap.fault_model(), fault);
-    leap.reset(GreedyGapWalker, &config, options).unwrap();
-    assert_eq!(leap.fault_model(), FaultModel::None);
+    let saved = run.save_state();
+    run.step(&SchedulerStep::SsyncRound(full), &mut ()).unwrap();
+    run.restore_state(&saved);
+    assert_eq!(run.fault_model(), fault, "an excursion keeps the fault");
+    run.reset(GreedyGapWalker, &config, options).unwrap();
+    assert_eq!(run.fault_model(), FaultModel::None, "reset disarms");
 }
 
 /// Corruption behavioral pin: the corrupted Look is identified by its global

@@ -11,9 +11,7 @@
 
 use proptest::prelude::*;
 use rr_corda::protocol::GreedyGapWalker;
-use rr_corda::{
-    Engine, EngineOptions, MultiplicityCapability, SchedulerKind, Snapshot, StepPath, ViewOrder,
-};
+use rr_corda::{Engine, EngineOptions, MultiplicityCapability, SchedulerKind, Snapshot, ViewOrder};
 use rr_ring::{Configuration, Direction, NodeId, Ring, View};
 
 include!("common/scan_snapshot.rs");
@@ -66,7 +64,6 @@ proptest! {
             capability: MultiplicityCapability::None,
             enforce_exclusivity: false,
             view_order: ViewOrder::CwFirst,
-            step_path: StepPath::StepBaseline,
         };
         let mut scratch = Snapshot::empty();
         assert_snapshots_match(&initial, &mut scratch);

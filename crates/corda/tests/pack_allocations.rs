@@ -18,7 +18,7 @@ use rr_corda::packed::INLINE_WORDS;
 use rr_corda::protocol::GreedyGapWalker;
 use rr_corda::{
     Engine, EngineOptions, MultiplicityCapability, RobotSet, SchedulerKind, SchedulerStep,
-    StepPath, ViewOrder,
+    ViewOrder,
 };
 use rr_ring::Configuration;
 
@@ -119,7 +119,6 @@ fn every_scheduler_allocates_the_same_for_any_number_of_steps() {
         capability: MultiplicityCapability::None,
         enforce_exclusivity: false,
         view_order: ViewOrder::CwFirst,
-        step_path: StepPath::StepBaseline,
     };
     let initial = Configuration::from_gaps_at_origin(&[0, 1, 3, 2, 0, 4, 1, 5]);
     for kind in [

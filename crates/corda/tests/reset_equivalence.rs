@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use rr_corda::protocol::GreedyGapWalker;
 use rr_corda::{
-    Decision, Engine, EngineOptions, FaultEvent, LeapRecord, Monitor, MoveRecord, RobotId,
-    RobotSet, SchedulerStep, SimError, StepPath, StepReport, ViewOrder,
+    Decision, Engine, EngineOptions, FaultEvent, Monitor, MoveRecord, RobotId, RobotSet,
+    SchedulerStep, SimError, StepReport,
 };
 use rr_ring::Configuration;
 
@@ -122,48 +122,5 @@ proptest! {
         let second = drive(&mut engine, &mut second_log, k, &main);
         prop_assert_eq!(first, second);
         prop_assert_eq!(first_log, second_log);
-    }
-
-    /// `reset` must discard the round-leaping decision memo.  The memo's key
-    /// is the configuration, but its *value* also depends on the options
-    /// (view order, capability) the decisions were computed under;
-    /// a memo that survived a reset onto different options would replay
-    /// decisions from the wrong policy.  Here the warmup runs in Leap mode
-    /// under one view order, the engine is reset onto the *mirrored* view
-    /// order (still Leap mode), and the recycled engine must match a fresh
-    /// engine step for step — monitor hooks included.
-    #[test]
-    fn reset_discards_the_leap_memo(
-        first in gap_word(),
-        second in gap_word(),
-        warmup in script(),
-        main in script(),
-    ) {
-        let first = Configuration::from_gaps_at_origin(&first);
-        let second = Configuration::from_gaps_at_origin(&second);
-        let warm_options = EngineOptions::for_protocol(&GreedyGapWalker)
-            .with_view_order(ViewOrder::CwFirst)
-            .with_step_path(StepPath::Leap);
-        let main_options = warm_options.with_view_order(ViewOrder::CcwFirst);
-
-        let mut recycled = Engine::new(GreedyGapWalker, first.clone(), warm_options).unwrap();
-        let _ = drive(&mut recycled, &mut EventLog::default(), first.num_robots(), &warmup);
-        recycled.reset(GreedyGapWalker, &second, main_options).unwrap();
-
-        let mut fresh = Engine::new(GreedyGapWalker, second.clone(), main_options).unwrap();
-
-        let k = second.num_robots();
-        let (mut recycled_log, mut fresh_log) = (EventLog::default(), EventLog::default());
-        let (recycled_reports, recycled_err) = drive(&mut recycled, &mut recycled_log, k, &main);
-        let (fresh_reports, fresh_err) = drive(&mut fresh, &mut fresh_log, k, &main);
-
-        prop_assert_eq!(recycled_reports, fresh_reports);
-        prop_assert_eq!(recycled_err, fresh_err);
-        prop_assert_eq!(recycled.configuration(), fresh.configuration());
-        prop_assert_eq!(recycled.positions(), fresh.positions());
-        prop_assert_eq!(recycled.step_count(), fresh.step_count());
-        prop_assert_eq!(recycled.move_count(), fresh.move_count());
-        prop_assert_eq!(recycled.look_count(), fresh.look_count());
-        prop_assert_eq!(recycled_log, fresh_log);
     }
 }

@@ -7,8 +7,8 @@ use rr_corda::scheduler::{
     AsynchronousScheduler, FullySynchronousScheduler, RoundRobinScheduler, SemiSynchronousScheduler,
 };
 use rr_corda::{
-    Decision, Engine, EngineOptions, FaultEvent, LeapRecord, Monitor, MoveRecord, Protocol,
-    RobotId, RobotSet, Scheduler, SchedulerStep, Snapshot, StepReport, ViewIndex,
+    Decision, Engine, EngineOptions, FaultEvent, Monitor, MoveRecord, Protocol, RobotId, RobotSet,
+    Scheduler, SchedulerStep, Snapshot, StepReport, ViewIndex,
 };
 use rr_ring::{Configuration, Ring};
 

@@ -18,7 +18,7 @@
 
 use rr_corda::{
     Engine, EngineOptions, Monitor, Protocol, RunOutcome, RunReport, Scheduler, SchedulerKind,
-    SimError, StepPath,
+    SimError,
 };
 use rr_ring::Configuration;
 use rr_search::{GatheringMonitor, SearchMonitors};
@@ -56,24 +56,6 @@ where
         return Err(e);
     }
     Ok((engine, report))
-}
-
-/// Engine options the driver uses for `task`: the protocol's own declaration
-/// plus the round-leaping step path where the task admits it.
-///
-/// Gathering authors leap certificates (its endgame is a single walker
-/// approaching a quiescent multiplicity), so its runs take [`StepPath::Leap`].
-/// The leap fast path is observably identical to baseline stepping and simply
-/// declines on uncertified configurations, so this changes no reported
-/// statistic — it only removes redundant Look work (and, under round-uniform
-/// schedulers, batches whole certified stretches).
-#[must_use]
-pub fn task_options<P: Protocol>(task: Task, protocol: &P) -> EngineOptions {
-    let options = EngineOptions::for_protocol(protocol);
-    match task {
-        Task::Gathering => options.with_step_path(StepPath::Leap),
-        Task::Exploration | Task::GraphSearching => options,
-    }
 }
 
 /// Success thresholds for a [`run_task`] call.
@@ -170,7 +152,7 @@ where
     P: Protocol,
     S: Scheduler + ?Sized,
 {
-    let options = task_options(task, &protocol);
+    let options = EngineOptions::for_protocol(&protocol);
     let mut engine = Engine::new(protocol, initial.clone(), options)?;
     run_task_on_engine(task, &mut engine, scheduler, targets, max_scheduler_steps)
 }
@@ -340,10 +322,6 @@ pub struct BatchOutcome {
 #[derive(Debug, Default)]
 pub struct BatchRunner {
     engine: Option<Engine<UnifiedProtocol>>,
-    /// When set, forces this step path for every job regardless of the
-    /// per-task default — the knob the lockstep verification harness uses to
-    /// run identical sweeps with leaping forced on and off.
-    step_path: Option<StepPath>,
 }
 
 impl BatchRunner {
@@ -351,16 +329,6 @@ impl BatchRunner {
     #[must_use]
     pub fn new() -> Self {
         BatchRunner::default()
-    }
-
-    /// A runner that forces `path` for every job, overriding the per-task
-    /// default of [`task_options`].
-    #[must_use]
-    pub fn with_step_path(path: StepPath) -> Self {
-        BatchRunner {
-            engine: None,
-            step_path: Some(path),
-        }
     }
 
     /// Runs one job, reusing the engine left behind by the previous job.
@@ -371,10 +339,7 @@ impl BatchRunner {
             n,
             k,
         })?;
-        let mut options = task_options(job.task, &protocol);
-        if let Some(path) = self.step_path {
-            options = options.with_step_path(path);
-        }
+        let options = EngineOptions::for_protocol(&protocol);
         let engine = match &mut self.engine {
             Some(engine) => {
                 engine.reset(protocol, &job.start, options)?;
@@ -394,14 +359,6 @@ impl BatchRunner {
         let cycles = engine.robots().iter().map(|r| r.cycles).sum();
         Ok(BatchOutcome { report, cycles })
     }
-}
-
-/// Runs a whole batch sequentially on one recycled engine, one result per
-/// job, in order.  This is the batch entry point sweeps build on: shard the
-/// job list, call `run_batch` per shard, concatenate.
-pub fn run_batch(jobs: &[BatchJob]) -> Vec<Result<BatchOutcome, TaskError>> {
-    let mut runner = BatchRunner::new();
-    jobs.iter().map(|job| runner.run(job)).collect()
 }
 
 #[cfg(test)]
@@ -504,10 +461,9 @@ mod tests {
                 });
             }
         }
-        let batched = run_batch(&jobs);
-        assert_eq!(batched.len(), jobs.len());
-        for (job, result) in jobs.iter().zip(batched) {
-            let outcome = result.expect("batch job runs");
+        let mut runner = BatchRunner::new();
+        for job in &jobs {
+            let outcome = runner.run(job).expect("batch job runs");
             let individual = job
                 .scheduler
                 .with(job.seed, |s| {
@@ -523,58 +479,6 @@ mod tests {
             assert_eq!(outcome.report.report, individual.report);
             assert_eq!(outcome.report.stats, individual.stats);
             assert!(outcome.cycles > 0);
-        }
-    }
-
-    #[test]
-    fn forced_step_paths_produce_identical_batch_results() {
-        // The same mixed batch run three ways: per-task defaults (leap for
-        // gathering), leaping forced everywhere, and leaping forced off.
-        // Reports and statistics must be identical — leaping is a pure
-        // execution strategy, never a semantics change.
-        use rr_corda::SchedulerKind;
-        let mut jobs = Vec::new();
-        for (task, gaps, targets) in [
-            (
-                Task::GraphSearching,
-                vec![0usize, 2, 1, 0, 4],
-                TaskTargets::demonstrate(1, 0),
-            ),
-            (
-                Task::Gathering,
-                vec![0, 0, 0, 1, 6],
-                TaskTargets::open_ended(),
-            ),
-            (
-                Task::Gathering,
-                vec![0, 2, 1, 0, 4],
-                TaskTargets::open_ended(),
-            ),
-        ] {
-            for scheduler in SchedulerKind::ALL {
-                jobs.push(BatchJob {
-                    task,
-                    start: cfg(&gaps),
-                    scheduler,
-                    seed: 23,
-                    targets,
-                    max_scheduler_steps: 200_000,
-                });
-            }
-        }
-        let mut default_runner = BatchRunner::new();
-        let mut leaping = BatchRunner::with_step_path(StepPath::Leap);
-        let mut stepping = BatchRunner::with_step_path(StepPath::StepBaseline);
-        for job in &jobs {
-            let d = default_runner.run(job).expect("default run");
-            let l = leaping.run(job).expect("leap run");
-            let s = stepping.run(job).expect("step run");
-            assert_eq!(d.report.report, s.report.report, "{job:?}");
-            assert_eq!(d.report.stats, s.report.stats, "{job:?}");
-            assert_eq!(l.report.report, s.report.report, "{job:?}");
-            assert_eq!(l.report.stats, s.report.stats, "{job:?}");
-            assert_eq!(d.cycles, s.cycles, "{job:?}");
-            assert_eq!(l.cycles, s.cycles, "{job:?}");
         }
     }
 

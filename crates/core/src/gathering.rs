@@ -26,9 +26,9 @@
 //! See DESIGN.md §2.
 
 use rr_corda::{
-    Decision, LeapPlan, MultiplicityCapability, Protocol, Scheduler, SimError, Snapshot, ViewIndex,
+    Decision, MultiplicityCapability, Protocol, Scheduler, SimError, Snapshot, ViewIndex,
 };
-use rr_ring::{pattern, Configuration, Direction, View};
+use rr_ring::{pattern, Configuration, View};
 use serde::{Deserialize, Serialize};
 
 use crate::align::AlignProtocol;
@@ -109,61 +109,6 @@ impl Protocol for GatheringProtocol {
     fn compute(&self, snapshot: &Snapshot) -> Decision {
         let on_multiplicity = snapshot.on_multiplicity.unwrap_or(false);
         GatheringProtocol::decide(&snapshot.views, on_multiplicity)
-    }
-
-    fn leap_plan(
-        &self,
-        config: &Configuration,
-        first_dir: Direction,
-        capability: MultiplicityCapability,
-        plan: &mut LeapPlan,
-    ) -> bool {
-        plan.clear();
-        let occupied = config.num_occupied();
-        if occupied == 1 {
-            // Gathered: every robot idles forever.
-            plan.horizon = u64::MAX;
-            return true;
-        }
-        if occupied != 2 {
-            // Align and Contraction decisions depend on the full gap
-            // pattern (supermin views), which shifts every round: no cheap
-            // round-stability certificate there.
-            return false;
-        }
-        // Endgame: the single robot walks to the multiplicity.  Its decision
-        // relies on *perceiving* the multiplicity locally, so without the
-        // capability the certificate below does not describe what robots do.
-        if capability == MultiplicityCapability::None {
-            return false;
-        }
-        let a = config.occupied_anchor();
-        let b = config.occupied_after(a, Direction::Cw);
-        let walker = match (config.count_at(a) == 1, config.count_at(b) == 1) {
-            (true, false) => a,
-            (false, true) => b,
-            // Two single robots chase (and possibly orbit) each other — the
-            // shorter-arc decision is not stable; two multiplicities cannot
-            // arise from a rigid start.  Decline both.
-            _ => return false,
-        };
-        let mult = if walker == a { b } else { a };
-        let n = config.n();
-        let gap_cw = (mult + n - walker - 1) % n;
-        let gap_ccw = (walker + n - mult - 1) % n;
-        // Mirrors `decide`: first-view gap wins ties, and views[0] reads in
-        // `first_dir`.  The chosen arc only shrinks as the walker advances,
-        // so the decision is stable for the whole approach; the multiplicity
-        // idles throughout.  The final round merges the walker in (the one
-        // permitted occupancy-structure change, at the end of the horizon).
-        let (vel, gap) = if gap_cw < gap_ccw || (gap_cw == gap_ccw && first_dir == Direction::Cw) {
-            (1i8, gap_cw)
-        } else {
-            (-1i8, gap_ccw)
-        };
-        plan.velocities.push((walker, vel));
-        plan.horizon = gap as u64 + 1;
-        true
     }
 }
 
@@ -366,95 +311,6 @@ mod tests {
                 other => panic!("inconsistent {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn leap_certificate_matches_fresh_decisions_in_endgame() {
-        // Walker at node 6, multiplicity of 4 at node 0 on a 10-ring: the
-        // shorter arc is clockwise (gap 3, via 7-8-9).  The certificate must
-        // reproduce the fresh decision of every robot for its whole horizon,
-        // and the horizon must end exactly at the merge.
-        let ring = Ring::new(10);
-        let mut c = Configuration::from_counts(ring, vec![4, 0, 0, 0, 0, 0, 1, 0, 0, 0]).unwrap();
-        let mut plan = LeapPlan::default();
-        assert!(GatheringProtocol.leap_plan(
-            &c,
-            Direction::Cw,
-            MultiplicityCapability::Local,
-            &mut plan
-        ));
-        assert_eq!(plan.velocities, vec![(6, 1)]);
-        assert_eq!(plan.horizon, 4); // gap 3 + the merge round
-        let mut walker = 6usize;
-        for _ in 0..plan.horizon {
-            // Fresh decisions agree with the plan at every leaped round.
-            let s = Snapshot::capture(&c, walker, MultiplicityCapability::Local, Direction::Cw);
-            assert_eq!(
-                GatheringProtocol.compute(&s),
-                Decision::Move(ViewIndex::First)
-            );
-            let m = Snapshot::capture(&c, 0, MultiplicityCapability::Local, Direction::Cw);
-            assert_eq!(GatheringProtocol.compute(&m), Decision::Idle);
-            let next = (walker + 1) % 10;
-            c.move_robot(walker, next).unwrap();
-            walker = next;
-        }
-        assert!(c.is_gathered());
-    }
-
-    #[test]
-    fn leap_certificate_scope_and_tie_breaking() {
-        let ring = Ring::new(8);
-        let mut plan = LeapPlan::default();
-        // Gathered: idle forever.
-        let done = Configuration::from_counts(ring, vec![0, 5, 0, 0, 0, 0, 0, 0]).unwrap();
-        assert!(GatheringProtocol.leap_plan(
-            &done,
-            Direction::Cw,
-            MultiplicityCapability::Local,
-            &mut plan
-        ));
-        assert!(plan.velocities.is_empty());
-        assert_eq!(plan.horizon, u64::MAX);
-        // Equidistant arcs: the first-view direction wins, as in `decide`.
-        let tie = Configuration::from_counts(ring, vec![3, 0, 0, 0, 1, 0, 0, 0]).unwrap();
-        assert!(GatheringProtocol.leap_plan(
-            &tie,
-            Direction::Cw,
-            MultiplicityCapability::Local,
-            &mut plan
-        ));
-        assert_eq!(plan.velocities, vec![(4, 1)]);
-        assert!(GatheringProtocol.leap_plan(
-            &tie,
-            Direction::Ccw,
-            MultiplicityCapability::Local,
-            &mut plan
-        ));
-        assert_eq!(plan.velocities, vec![(4, -1)]);
-        // No multiplicity detection: the endgame reasoning does not apply.
-        assert!(!GatheringProtocol.leap_plan(
-            &tie,
-            Direction::Cw,
-            MultiplicityCapability::None,
-            &mut plan
-        ));
-        // Two single robots (mutual chase) and three occupied nodes
-        // (contraction) are both declined.
-        let chase = Configuration::from_counts(ring, vec![1, 0, 0, 1, 0, 0, 0, 0]).unwrap();
-        assert!(!GatheringProtocol.leap_plan(
-            &chase,
-            Direction::Cw,
-            MultiplicityCapability::Local,
-            &mut plan
-        ));
-        let three = Configuration::from_counts(ring, vec![1, 1, 0, 3, 0, 0, 0, 0]).unwrap();
-        assert!(!GatheringProtocol.leap_plan(
-            &three,
-            Direction::Cw,
-            MultiplicityCapability::Local,
-            &mut plan
-        ));
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! parameters to the protocol that solves it — the "unified approach" of the
 //! paper's title.
 
-use rr_corda::{Decision, LeapPlan, MultiplicityCapability, Protocol, Snapshot};
-use rr_ring::{Configuration, Direction};
+use rr_corda::{Decision, MultiplicityCapability, Protocol, Snapshot};
 use serde::{Deserialize, Serialize};
 
 use crate::clearing::RingClearingProtocol;
@@ -95,20 +94,6 @@ impl Protocol for UnifiedProtocol {
             UnifiedProtocol::RingClearing(p) => p.compute(snapshot),
             UnifiedProtocol::NminusThree(p) => p.compute(snapshot),
             UnifiedProtocol::Gathering(p) => p.compute(snapshot),
-        }
-    }
-
-    fn leap_plan(
-        &self,
-        config: &Configuration,
-        first_dir: Direction,
-        capability: MultiplicityCapability,
-        plan: &mut LeapPlan,
-    ) -> bool {
-        match self {
-            UnifiedProtocol::RingClearing(p) => p.leap_plan(config, first_dir, capability, plan),
-            UnifiedProtocol::NminusThree(p) => p.leap_plan(config, first_dir, capability, plan),
-            UnifiedProtocol::Gathering(p) => p.leap_plan(config, first_dir, capability, plan),
         }
     }
 }

@@ -27,7 +27,6 @@
 
 pub mod config;
 pub mod enumerate;
-pub mod leap;
 pub mod node;
 pub mod pattern;
 pub mod ring;

@@ -17,11 +17,11 @@ use rr_ring::{Configuration, Direction, NodeId, Ring, View};
 
 include!("common/view_scan.rs");
 
-/// Degenerate-occupancy contracts the leap certificates lean on:
-/// a single occupied node is its own cw/ccw successor, its occupancy cycle
-/// is the one-element cycle, and its gap sequence is the whole ring minus
-/// the node itself.  These hold whether the node carries one robot or a
-/// tower, and regardless of where the node sits.
+/// Degenerate-occupancy contracts: a single occupied node is its own cw/ccw
+/// successor, its occupancy cycle is the one-element cycle, and its gap
+/// sequence is the whole ring minus the node itself.  These hold whether the
+/// node carries one robot or a tower, and regardless of where the node
+/// sits.
 #[test]
 fn single_occupied_node_contracts() {
     for n in [3usize, 5, 9] {

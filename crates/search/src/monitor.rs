@@ -6,7 +6,7 @@
 //! and the gathering status are updated, and the number of times each
 //! perpetual property has been achieved is counted.
 
-use rr_corda::{LeapRecord, Monitor, MoveRecord};
+use rr_corda::{Monitor, MoveRecord};
 use rr_ring::{Configuration, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -186,24 +186,6 @@ impl Monitor for GatheringMonitor {
     fn on_move(&mut self, record: &MoveRecord, after: &Configuration) {
         self.observe(record, after);
     }
-
-    fn on_leap(&mut self, record: &LeapRecord, after: &Configuration) {
-        // A batched leap replaces `record.moves` individual move callbacks.
-        // Gathering is an aggregate property, so observing only the post-leap
-        // configuration is sound: the leap certificate guarantees the
-        // occupancy structure changes at most at the final leaped round, so
-        // no gathering event can be reached *and* destroyed strictly inside
-        // one leap.
-        self.moves_observed += record.moves;
-        if after.is_gathered() {
-            if self.gathered_since.is_none() {
-                self.gathered_since = Some(self.moves_observed);
-            }
-        } else if self.gathered_since.is_some() {
-            self.broke_gathering = true;
-            self.gathered_since = None;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -264,28 +246,5 @@ mod tests {
         g.observe(&record(0, 2, 3), &c);
         assert!(!g.is_gathered());
         assert!(g.broke_gathering());
-    }
-
-    #[test]
-    fn gathering_monitor_aggregates_leaps_like_moves() {
-        let ring = Ring::new(8);
-        // Walker started at node 0 with a multiplicity of two at node 3; a
-        // 3-round leap walked it onto the multiplicity, and the monitor only
-        // sees the post-leap configuration.
-        let c = Configuration::from_counts(ring, vec![0, 0, 0, 3, 0, 0, 0, 0]).unwrap();
-        let mut g = GatheringMonitor::new();
-        g.on_leap(
-            &LeapRecord {
-                rounds: 3,
-                moves: 3,
-                looks: 9,
-                step: 18,
-            },
-            &c,
-        );
-        assert!(g.is_gathered());
-        assert_eq!(g.gathered_at(), Some(3));
-        assert_eq!(g.moves_observed(), 3);
-        assert!(!g.broke_gathering());
     }
 }

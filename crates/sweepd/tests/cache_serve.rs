@@ -1,6 +1,6 @@
 //! A resubmitted identical grid is served from the service's result cache:
 //! the original ledger bytes, with zero engine work (no `Engine::step_into`
-//! / `Engine::leap` calls, counted by the engine's debug step probe).
+//! calls, counted by the engine's debug step probe).
 //!
 //! The probe counts steps across the whole process, so this is the only
 //! test in its binary: a concurrently running test stepping its own
