@@ -2,9 +2,10 @@
 //!
 //! Two groups:
 //!
-//! * `engine_throughput` — scheduler-driven `Engine::step` loops on the
-//!   O(k) Look pipeline across ring/team sizes (the criterion counterpart
-//!   of the `exp_throughput` binary);
+//! * `engine_throughput` — scheduler-driven `Engine::step` loops across
+//!   ring/team sizes, memoized Looks at `n = 16` and the memo's bypass on
+//!   larger rings (the criterion counterpart of the `exp_throughput`
+//!   binary);
 //! * `look_pipeline` — the snapshot capture alone: `capture_into` on a
 //!   reused scratch snapshot (zero-allocation path) vs the allocating
 //!   `capture` wrapper.

@@ -3,10 +3,13 @@
 //! Where E3–E6 verify *what* the protocols do and E10/E11 prove it, this
 //! experiment measures *how fast* the engine does it: scheduler steps per
 //! second of `Engine::run` across ring sizes, team sizes and scheduler
-//! families (the three of `SchedulerKind::ALL`, then fully synchronous),
-//! on the O(k) Look pipeline (views read off the configuration's
-//! maintained occupancy cycle into engine-owned scratch buffers).  A cell is
-//! `ok` when its run uses the whole step budget without an engine error.
+//! families (the three of `SchedulerKind::ALL`, then fully synchronous).
+//! A Look reads its view's key off the configuration's maintained
+//! occupancy cycle and probes the engine's Look memo; only a miss captures
+//! the snapshot into engine-owned scratch buffers and computes.  Rings of
+//! up to 62 nodes (the `n = 16` cells) are memoized, larger ones (`n ≥ 64`)
+//! bypass the memo, so both paths are measured.  A cell is `ok` when its
+//! run uses the whole step budget without an engine error.
 //!
 //! A second measurement per cell — a Look/Execute micro-loop over prebuilt
 //! scheduler steps and a reused `StepReport` — isolates the Look phase from

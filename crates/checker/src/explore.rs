@@ -1210,11 +1210,7 @@ fn explore<P: Protocol + Clone>(
         "alternating view order makes behaviour depend on the look counter; \
          the state graph would not be well-defined"
     );
-    let mut root_engine = Engine::new(protocol.clone(), initial.clone(), engine_options)?;
-    // Oblivious protocols are pure functions of the snapshot: memoize the
-    // Look decisions per (configuration, node) — behaviour is identical, and
-    // the myriad re-Looks at shared configurations become hash probes.
-    root_engine.enable_look_memo();
+    let root_engine = Engine::new(protocol.clone(), initial.clone(), engine_options)?;
     let k = root_engine.num_robots();
     assert!(k <= 20, "exhaustive checking is for small instances");
     assert!(

@@ -226,84 +226,94 @@ impl EngineState {
     }
 }
 
-/// A memo of Look decisions, keyed by the packed per-node occupancy counts
-/// and the observing node.
+/// Largest ring the Look memo serves: its key spends one bit per node,
+/// below the two flag bits.
+const MEMO_MAX_N: usize = 62;
+
+/// log₂ of the Look memo's slot count: 4,096 slots, 32 KiB of keys and
+/// 4 KiB of decisions.
+const MEMO_SLOT_BITS: u32 = 12;
+
+/// The Look memo: the decision of each view, computed once.
 ///
-/// Soundness: an oblivious protocol's decision is a pure function of the
-/// robot's [`Snapshot`], and for a *fixed* view-order policy and capability
-/// the snapshot is a pure function of `(configuration, node)` — so caching
-/// the decision changes nothing observable (counters, reports and monitor
-/// hooks all fire identically).  The exhaustive model checker, which
-/// revisits the same configurations along vast numbers of interleavings, is
-/// the intended customer.  The memo stays valid across
-/// `save_state`/`restore_state` excursions and is dropped on
-/// [`Engine::reset`] (a reset may change the protocol or the options).
+/// An oblivious protocol's decision is a pure function of the robot's
+/// [`Snapshot`], and [`view_key`] is exact (equal keys, equal snapshots),
+/// so a memoized decision changes nothing observable: counters, reports
+/// and monitor hooks fire identically.  The table is direct-mapped: a
+/// multiplicative hash of the key picks the slot, and a miss computes the
+/// decision and overwrites the slot.  `Engine::new` and `Engine::reset`
+/// allocate it when the memo applies; a reset clears it but keeps the
+/// allocation (the reset may change the protocol or the ring).  The memo
+/// stays valid across `save_state`/`restore_state` excursions.
 #[derive(Debug, Clone, Default)]
 struct LookMemo {
-    enabled: bool,
-    /// Dense table for exclusive configurations on rings with
-    /// `n ≤ DENSE_MEMO_N` nodes, indexed `occupancy_bitmask * n + node`:
-    /// 0 = not yet computed, otherwise the encoded decision + 1.  Allocated
-    /// lazily on first use (≤ `2^12 · 12` bytes).
-    dense: Vec<u8>,
-    map: std::collections::HashMap<(u64, u32), Decision, crate::packed::SigHashBuilder>,
+    /// Slot keys, 0 for an empty slot (no key is 0).
+    keys: Vec<u64>,
+    /// The encoded decision of each filled slot.
+    decisions: Vec<u8>,
 }
 
-/// Largest ring size served by the dense memo table.
+impl LookMemo {
+    /// Readies the table for a run: every slot empty, and allocated if the
+    /// memo applies to a ring of `n` nodes under `capability`.
+    fn prepare(&mut self, n: usize, capability: MultiplicityCapability) {
+        if self.keys.is_empty() && memo_applies(n, capability) {
+            self.keys = vec![0; 1 << MEMO_SLOT_BITS];
+            self.decisions = vec![0; 1 << MEMO_SLOT_BITS];
+        } else {
+            self.keys.fill(0);
+        }
+    }
+
+    /// The slot of `key`.
+    fn slot(key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_SLOT_BITS)) as usize
+    }
+}
+
+/// Whether the Look memo serves a ring of `n` nodes under `capability`.
+/// It does not serve the `Global` capability, whose snapshot carries the
+/// multiplicity flag of every occupied node.
+fn memo_applies(n: usize, capability: MultiplicityCapability) -> bool {
+    n <= MEMO_MAX_N && capability != MultiplicityCapability::Global
+}
+
+/// The Look memo's key for a robot at `node`, or `None` where the memo does
+/// not apply: the occupancy word rotated to the observer (bit `i` is set iff
+/// node `node + i` is occupied, so bit 0 always is and no key is 0), bit 62
+/// iff `node` is a multiplicity under the `Local` capability, and bit 63
+/// iff the first view is counter-clockwise.
 ///
-/// The table is `2^n · n` bytes — the cap is what keeps `enable_look_memo`
-/// from being a memory bomb on larger rings (`n = 12` tops out at 48 KiB;
-/// `n = 26` would already be 1.7 GiB).  Exclusive configurations above the
-/// cap fall back to the sparse hash map like everything else; above
-/// [`SPARSE_MEMO_N`] the memo is bypassed entirely (the per-node counts no
-/// longer pack into the 64-bit key).
-const DENSE_MEMO_N: usize = 12;
-
-/// Largest ring size served by the sparse memo map (counts packed 4 bits per
-/// node into a `u64`).
-const SPARSE_MEMO_N: usize = 16;
-
-/// How a configuration is presented to the memo.
-enum MemoKey {
-    /// Exclusive occupancy on a small ring: a direct index into the dense
-    /// table.
-    Dense(usize),
-    /// General per-node counts packed 4 bits each: a hash-map key.
-    Sparse(u64),
-    /// Instance too large for either encoding; memo bypassed.
-    None,
-}
-
-/// Classifies the configuration for the memo (see [`MemoKey`]).  O(k): both
-/// encodings are read off the configuration's incremental occupancy cycle
-/// (and its O(1) exclusivity counter) instead of re-scanning all `n` nodes;
-/// the produced key values are identical to the historical full-occupancy
-/// re-hash.
-fn memo_key(config: &Configuration, node: NodeId) -> MemoKey {
+/// The key is exact: the clockwise view is the run lengths of zeros between
+/// the set bits from bit 0 on, the counter-clockwise view the same runs in
+/// reverse order, and `on_multiplicity` is bit 62.  So on one ring size
+/// equal keys mean equal snapshots, and with one first direction too,
+/// equal snapshots mean equal keys.  O(k): the word is read off the
+/// occupancy cycle.
+fn view_key(
+    config: &Configuration,
+    node: NodeId,
+    capability: MultiplicityCapability,
+    first_dir: Direction,
+) -> Option<u64> {
     let n = config.n();
-    let anchor = config.occupied_anchor();
-    if n <= DENSE_MEMO_N && config.is_exclusive() {
-        let mut mask = 0usize;
-        for v in config.occupied_cycle(anchor, Direction::Cw) {
-            mask |= 1 << v;
-        }
-        return MemoKey::Dense(mask * n + node);
+    if !memo_applies(n, capability) {
+        return None;
     }
-    if n > SPARSE_MEMO_N {
-        return MemoKey::None;
+    let mut key = 0u64;
+    for v in config.occupied_cycle(node, Direction::Cw) {
+        key |= 1 << if v >= node { v - node } else { v + n - node };
     }
-    let mut packed = 0u64;
-    for v in config.occupied_cycle(anchor, Direction::Cw) {
-        let c = config.count_at(v);
-        if c > 15 {
-            return MemoKey::None;
-        }
-        packed |= u64::from(c) << (4 * v);
+    if capability == MultiplicityCapability::Local && config.is_multiplicity(node) {
+        key |= 1 << 62;
     }
-    MemoKey::Sparse(packed)
+    if first_dir == Direction::Ccw {
+        key |= 1 << 63;
+    }
+    Some(key)
 }
 
-/// Encodes a decision into the dense table's non-zero byte range.
+/// Encodes a decision as the memo's decision byte.
 fn encode_decision(decision: Decision) -> u8 {
     match decision {
         Decision::Idle => 1,
@@ -317,7 +327,7 @@ fn decode_decision(byte: u8) -> Decision {
         1 => Decision::Idle,
         2 => Decision::Move(ViewIndex::First),
         3 => Decision::Move(ViewIndex::Second),
-        _ => unreachable!("dense memo byte"),
+        _ => unreachable!("look memo byte"),
     }
 }
 
@@ -363,13 +373,15 @@ impl<P: Protocol> Engine<P> {
     ) -> Result<Self, SimError> {
         let mut robots = Vec::with_capacity(initial.num_robots());
         Self::place_robots(&mut robots, &initial, options)?;
+        let mut memo = LookMemo::default();
+        memo.prepare(initial.n(), options.capability);
         Ok(Engine {
             protocol,
             ring: initial.ring(),
             config: initial,
             robots,
             options,
-            memo: LookMemo::default(),
+            memo,
             scratch: Snapshot::empty(),
             fault: FaultModel::None,
             report: StepReport::default(),
@@ -395,28 +407,6 @@ impl<P: Protocol> Engine<P> {
         self.fault
     }
 
-    /// Enables the Look-decision memo: identical observable behaviour,
-    /// `compute` evaluated once per `(configuration, node)` pair instead of
-    /// once per Look (see the `LookMemo` internals for the soundness
-    /// argument).  Dropped again by [`Engine::reset`].
-    ///
-    /// Storage is bounded: exclusive configurations on rings with
-    /// `n ≤ 12` get a dense `2^n · n`-byte table (≤ 48 KiB), anything else
-    /// up to `n ≤ 16` goes to a sparse hash map, and larger instances bypass
-    /// the memo entirely — enabling it is never a memory hazard.
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`ViewOrder::Alternating`], where the snapshot is *not*
-    /// a pure function of `(configuration, node)`.
-    pub fn enable_look_memo(&mut self) {
-        assert!(
-            self.options.view_order != ViewOrder::Alternating,
-            "look memo is unsound under an alternating view order"
-        );
-        self.memo.enabled = true;
-    }
-
     /// Validates `initial` against `options` and (re)fills `robots` with one
     /// robot per unit of multiplicity.  A run holds at most
     /// [`RobotSet::CAPACITY`] robots, the most a scheduler step can name.
@@ -440,23 +430,30 @@ impl<P: Protocol> Engine<P> {
                     .to_string(),
             });
         }
-        robots.clear();
-        for v in initial.occupied_nodes() {
-            for _ in 0..initial.count_at(v) {
-                robots.push(RobotState::new(v));
-            }
-        }
-        if robots.is_empty() {
+        if initial.num_robots() == 0 {
             return Err(SimError::BadInitialConfiguration {
                 reason: "no robot in the initial configuration".to_string(),
             });
+        }
+        // Ids ascend with the nodes: the clockwise occupancy cycle from the
+        // lowest occupied node, read without allocating.
+        let cycle = |start| initial.occupied_cycle(start, Direction::Cw);
+        let lowest = cycle(initial.occupied_anchor())
+            .min()
+            .expect("a configuration with robots has an occupied node");
+        robots.clear();
+        for v in cycle(lowest) {
+            for _ in 0..initial.count_at(v) {
+                robots.push(RobotState::new(v));
+            }
         }
         Ok(())
     }
 
     /// Rewinds this engine to a fresh run of `protocol` from `initial`,
-    /// reusing the robot vector, run report and configuration storage of
-    /// the previous run.
+    /// reusing the robot vector, run report, configuration storage and Look
+    /// memo table of the previous run (the table is cleared: its decisions
+    /// belong to the previous protocol).
     ///
     /// Semantically identical to replacing the engine with
     /// `Engine::new(protocol, initial.clone(), options)?`, but without the
@@ -474,14 +471,10 @@ impl<P: Protocol> Engine<P> {
         self.config.clone_from(initial);
         self.protocol = protocol;
         self.options = options;
-        // Memoized decisions are *not* carried over: the memo key is the
-        // `(configuration, node)` pair but the memoized value also depends
-        // on the protocol, the capability and the view order, all of which
-        // this reset may have replaced.  Dropping the memo (and
-        // its enabled flag — callers re-opt-in per run) makes a recycled
-        // engine behaviourally indistinguishable from a fresh one, which the
-        // `reset_equivalence` suite checks.
-        self.memo = LookMemo::default();
+        // Memoized decisions are *not* carried over: they belong to the
+        // previous run's protocol and ring size, which this reset may have
+        // replaced.
+        self.memo.prepare(initial.n(), options.capability);
         // Fault schedules are per-run adversaries: a recycled engine starts
         // fault-free, like a fresh one (callers re-arm per run).
         self.fault = FaultModel::None;
@@ -775,28 +768,22 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
-    /// Materializes the snapshot at `node` and runs the protocol on it
-    /// (memo-miss path of the Look phase).  The snapshot is filled into the
+    /// Captures the snapshot at `node` and runs the protocol on it (the
+    /// memo-miss path of the Look phase).  The snapshot is filled into the
     /// engine-owned scratch buffers: O(k) and, after warm-up, zero heap
-    /// allocations.
-    fn compute_decision(&mut self, node: NodeId, first_dir: Direction) -> Decision {
-        self.scratch
-            .capture_into(&self.config, node, self.options.capability, first_dir);
-        self.protocol.compute(&self.scratch)
-    }
-
-    /// [`Engine::compute_decision`] for a corrupted Look: the snapshot is
-    /// captured truthfully, then perturbed by [`Snapshot::corrupt`] *before*
-    /// the protocol sees it.
-    fn compute_decision_corrupt(
+    /// allocations.  A `corruption` perturbs the truthful snapshot
+    /// ([`Snapshot::corrupt`]) *before* the protocol sees it.
+    fn compute_decision(
         &mut self,
         node: NodeId,
         first_dir: Direction,
-        kind: CorruptionKind,
+        corruption: Option<CorruptionKind>,
     ) -> Decision {
         self.scratch
             .capture_into(&self.config, node, self.options.capability, first_dir);
-        self.scratch.corrupt(kind);
+        if let Some(kind) = corruption {
+            self.scratch.corrupt(kind);
+        }
         self.protocol.compute(&self.scratch)
     }
 
@@ -820,43 +807,26 @@ impl<P: Protocol> Engine<P> {
         let first_dir = self.first_direction();
         // An armed sensor corruption hijacks exactly one fresh Look (matched
         // by its global look ordinal).  The memo is bypassed — neither read
-        // nor written — because its key is `(configuration, node)` only,
-        // which is unsound in both directions for a snapshot that lies.
+        // nor written — because the key names the truthful view, not the lie.
         let corruption = self.fault.corruption_at(self.looks);
-        let key = if self.memo.enabled && corruption.is_none() {
-            memo_key(&self.config, node)
+        let key = if corruption.is_none() {
+            view_key(&self.config, node, self.options.capability, first_dir)
         } else {
-            MemoKey::None
+            None
         };
-        let decision = if let Some(kind) = corruption {
-            self.compute_decision_corrupt(node, first_dir, kind)
-        } else {
-            match key {
-                MemoKey::Dense(idx) => {
-                    if self.memo.dense.is_empty() {
-                        self.memo.dense = vec![0; (1 << self.config.n()) * self.config.n()];
-                    }
-                    match self.memo.dense[idx] {
-                        0 => {
-                            let decision = self.compute_decision(node, first_dir);
-                            self.memo.dense[idx] = encode_decision(decision);
-                            decision
-                        }
-                        byte => decode_decision(byte),
-                    }
+        let decision = match key {
+            Some(key) => {
+                let slot = LookMemo::slot(key);
+                if self.memo.keys[slot] == key {
+                    decode_decision(self.memo.decisions[slot])
+                } else {
+                    let decision = self.compute_decision(node, first_dir, None);
+                    self.memo.keys[slot] = key;
+                    self.memo.decisions[slot] = encode_decision(decision);
+                    decision
                 }
-                MemoKey::Sparse(packed) => {
-                    let map_key = (packed, node as u32);
-                    if let Some(&decision) = self.memo.map.get(&map_key) {
-                        decision
-                    } else {
-                        let decision = self.compute_decision(node, first_dir);
-                        self.memo.map.insert(map_key, decision);
-                        decision
-                    }
-                }
-                MemoKey::None => self.compute_decision(node, first_dir),
             }
+            None => self.compute_decision(node, first_dir, corruption),
         };
         self.looks += 1;
         self.step += 1;
@@ -1315,6 +1285,33 @@ mod tests {
     }
 
     #[test]
+    fn reset_forgets_the_previous_protocols_decisions() {
+        // Two protocols of one type that decide differently on every view:
+        // after a reset to the second, a Look at a view the first one
+        // memoized must compute afresh.
+        #[derive(Debug, Clone, Copy)]
+        struct Always(Decision);
+        impl Protocol for Always {
+            fn name(&self) -> &str {
+                "always"
+            }
+            fn compute(&self, _snapshot: &Snapshot) -> Decision {
+                self.0
+            }
+        }
+        let c = cfg(&[3, 4]);
+        let mut engine = Engine::with_default_options(Always(Decision::Idle), c.clone()).unwrap();
+        engine.step(&SchedulerStep::Look(0), &mut ()).unwrap();
+        assert!(!engine.robots()[0].has_pending_move());
+        let walk = Always(Decision::Move(ViewIndex::First));
+        engine
+            .reset(walk, &c, EngineOptions::for_protocol(&walk))
+            .unwrap();
+        engine.step(&SchedulerStep::Look(0), &mut ()).unwrap();
+        assert!(engine.robots()[0].has_pending_move());
+    }
+
+    #[test]
     fn reset_revalidates_exclusivity() {
         let ring = Ring::new(8);
         let multiplicity = Configuration::from_counts(ring, vec![2, 0, 1, 0, 0, 0, 0, 0]).unwrap();
@@ -1583,62 +1580,254 @@ mod tests {
         a.restore_state(&state);
     }
 
-    /// Drives two engines in lockstep through the same schedule and requires
-    /// identical reports, counters, configurations and monitor hooks.
-    fn assert_lockstep_equal<P: Protocol + Clone>(mut a: Engine<P>, mut b: Engine<P>, steps: u64) {
-        let (mut log_a, mut log_b) = (EventLog::default(), EventLog::default());
-        let ra = a.run(
-            &mut RoundRobinScheduler::new(),
-            &mut log_a,
-            steps,
-            |_, _| false,
-        );
-        let rb = b.run(
-            &mut RoundRobinScheduler::new(),
-            &mut log_b,
-            steps,
-            |_, _| false,
-        );
-        assert_eq!(ra, rb);
-        assert_eq!(a.configuration(), b.configuration());
-        assert_eq!(a.positions(), b.positions());
-        assert_eq!(a.look_count(), b.look_count());
-        assert_eq!(log_a, log_b);
+    /// A configuration on 3 to 62 nodes with multiplicities (node counts
+    /// 0, 1 or 2), a rotation, two observer draws and a perturbation draw.
+    fn key_instance() -> impl proptest::Strategy<Value = (Vec<u32>, usize, (usize, usize), usize)> {
+        use proptest::prelude::*;
+        (3usize..=62).prop_flat_map(|n| {
+            (
+                proptest::collection::vec(0u32..4, n),
+                0..n,
+                (0usize..64, 0usize..64),
+                0..2 * n,
+            )
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The memo is sound because its key is exact: for one ring size,
+        /// first direction and capability, two robots' keys are equal
+        /// exactly when their snapshots are.  Configuration `b` is `a`
+        /// rotated by `rotation`, with one node's count changed (0 → 1,
+        /// 1 → 2, 2 → 1: no node empties) when the perturbation draw names
+        /// a node; robot `u` of `a` is compared with its image in `b`
+        /// (equal snapshots unless the perturbation shows) and with a robot
+        /// of `b` drawn at random.
+        #[test]
+        fn view_keys_are_equal_exactly_when_snapshots_are(instance in key_instance()) {
+            let (draws, rotation, (ui, vi), perturb) = instance;
+            let n = draws.len();
+            let mut counts: Vec<u32> = draws.iter().map(|&d| [0, 0, 1, 2][d as usize]).collect();
+            if counts.iter().all(|&c| c == 0) {
+                counts[0] = 1;
+            }
+            let mut rotated = vec![0; n];
+            for (i, &c) in counts.iter().enumerate() {
+                rotated[(i + rotation) % n] = c;
+            }
+            if let Some(c) = rotated.get_mut(perturb) {
+                *c = if *c == 1 { 2 } else { 1 };
+            }
+            let a = Configuration::from_counts(Ring::new(n), counts).unwrap();
+            let b = Configuration::from_counts(Ring::new(n), rotated).unwrap();
+            let (occupied_a, occupied_b) = (a.occupied_nodes(), b.occupied_nodes());
+            let u = occupied_a[ui % occupied_a.len()];
+            for v in [(u + rotation) % n, occupied_b[vi % occupied_b.len()]] {
+                for capability in [MultiplicityCapability::None, MultiplicityCapability::Local] {
+                    for dir in Direction::BOTH {
+                        let key_a = view_key(&a, u, capability, dir).unwrap();
+                        let key_b = view_key(&b, v, capability, dir).unwrap();
+                        proptest::prop_assert_eq!(key_a & 1, 1, "no key is 0");
+                        proptest::prop_assert_eq!(
+                            key_a == key_b,
+                            Snapshot::capture(&a, u, capability, dir)
+                                == Snapshot::capture(&b, v, capability, dir),
+                            "u={} v={} {:?} {:?} a={} b={}", u, v, capability, dir, a, b
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
-    fn look_memo_dense_table_caps_at_threshold() {
-        // n = 16 > DENSE_MEMO_N: an exclusive configuration must use the
-        // sparse map — never the 2^16 · 16-byte dense table.
-        let big = cfg(&[2, 2, 2, 6]); // n = 16, exclusive
-        let mut sparse_engine = Engine::with_default_options(GreedyGapWalker, big.clone()).unwrap();
-        sparse_engine.enable_look_memo();
-        let mut sched = RoundRobinScheduler::new();
-        sparse_engine.run_until(&mut sched, 50, |_| false);
+    fn the_memo_serves_rings_up_to_62_nodes_without_global_detection() {
+        let ring_of = |n: usize| Configuration::new_exclusive(Ring::new(n), &[0, 3]).unwrap();
+        for capability in [MultiplicityCapability::None, MultiplicityCapability::Local] {
+            assert!(view_key(&ring_of(62), 3, capability, Direction::Cw).is_some());
+            assert_eq!(view_key(&ring_of(63), 3, capability, Direction::Cw), None);
+        }
+        let global = MultiplicityCapability::Global;
+        assert_eq!(view_key(&ring_of(8), 0, global, Direction::Cw), None);
+        let engine = Engine::new(IdleProtocol, ring_of(63), EngineOptions::default()).unwrap();
         assert!(
-            sparse_engine.memo.dense.is_empty(),
-            "dense table allocated beyond DENSE_MEMO_N"
+            engine.memo.keys.is_empty(),
+            "a bypassed memo allocates no table"
         );
-        assert!(!sparse_engine.memo.map.is_empty(), "sparse map unused");
+    }
 
-        // n = 12 ≤ DENSE_MEMO_N: the dense table serves exclusive configs.
-        let small = cfg(&[0, 1, 2, 5]); // n = 12, exclusive
-        let mut dense_engine = Engine::with_default_options(GreedyGapWalker, small).unwrap();
-        dense_engine.enable_look_memo();
-        let mut sched = RoundRobinScheduler::new();
-        dense_engine.run_until(&mut sched, 50, |_| false);
-        assert!(!dense_engine.memo.dense.is_empty(), "dense table unused");
-        assert!(dense_engine.memo.map.is_empty());
+    /// A `Local`-capability walker that keeps merging and splitting robots:
+    /// a robot on a multiplicity walks into its larger gap (ties: the first
+    /// view), any other robot into its smaller one.
+    #[derive(Debug, Clone, Copy)]
+    struct MergeSplitWalker;
 
-        // And above the cap the memo is still *correct*: identical run to an
-        // unmemoized engine.
-        let memoized = {
-            let mut e = Engine::with_default_options(GreedyGapWalker, big.clone()).unwrap();
-            e.enable_look_memo();
-            e
-        };
-        let plain = Engine::with_default_options(GreedyGapWalker, big).unwrap();
-        assert_lockstep_equal(memoized, plain, 200);
+    impl Protocol for MergeSplitWalker {
+        fn name(&self) -> &str {
+            "merge-split-walker"
+        }
+
+        fn capability(&self) -> MultiplicityCapability {
+            MultiplicityCapability::Local
+        }
+
+        fn requires_exclusivity(&self) -> bool {
+            false
+        }
+
+        fn compute(&self, snapshot: &Snapshot) -> Decision {
+            let larger = if snapshot.views[0].gap(0) >= snapshot.views[1].gap(0) {
+                ViewIndex::First
+            } else {
+                ViewIndex::Second
+            };
+            match snapshot.on_multiplicity {
+                Some(true) => Decision::Move(larger),
+                _ => Decision::Move(larger.other()),
+            }
+        }
+    }
+
+    /// Steps `engine` `steps` times under `scheduler`, checking that every
+    /// Look decision the event log records equals a fresh compute of the
+    /// snapshot that Look saw (perturbed for the Look an armed
+    /// `CorruptLook` names).  Returns the number of Looks and the distinct
+    /// memo keys of the truthful ones.
+    fn assert_looks_decide_afresh<P: Protocol>(
+        engine: &mut Engine<P>,
+        scheduler: &mut dyn Scheduler,
+        steps: u64,
+    ) -> (u64, std::collections::HashSet<u64>) {
+        let capability = engine.options().capability;
+        let mut keys = std::collections::HashSet::new();
+        let mut log = EventLog::default();
+        for _ in 0..steps {
+            // Every Look of a step sees the configuration before its moves.
+            let config = engine.configuration().clone();
+            let nodes = engine.positions();
+            let mut ordinal = engine.look_count();
+            log.hooks.clear();
+            let step = scheduler.next(&engine.scheduler_view());
+            engine.step(&step, &mut log).unwrap();
+            for hook in &log.hooks {
+                let Hook::Look { robot, decision } = *hook else {
+                    continue;
+                };
+                let dir = match engine.options().view_order {
+                    ViewOrder::CwFirst => Direction::Cw,
+                    ViewOrder::CcwFirst => Direction::Ccw,
+                    ViewOrder::Alternating if ordinal.is_multiple_of(2) => Direction::Cw,
+                    ViewOrder::Alternating => Direction::Ccw,
+                };
+                let mut snapshot = Snapshot::capture(&config, nodes[robot], capability, dir);
+                match engine.fault_model().corruption_at(ordinal) {
+                    Some(kind) => snapshot.corrupt(kind),
+                    None => keys.extend(view_key(&config, nodes[robot], capability, dir)),
+                }
+                assert_eq!(
+                    decision,
+                    engine.protocol().compute(&snapshot),
+                    "look {ordinal} of robot {robot} at node {} of {config}",
+                    nodes[robot]
+                );
+                ordinal += 1;
+            }
+        }
+        (engine.look_count(), keys)
+    }
+
+    #[test]
+    fn memoized_looks_decide_as_fresh_computes_do() {
+        // Long asynchronous runs on 62 nodes (memoized) and 63 (bypassed),
+        // under every view order, for both capabilities the memo serves.
+        // At 62 nodes the runs read far more distinct views than the table
+        // has slots, so slots are overwritten; the `Local` runs also arm a
+        // corrupted Look.
+        let slots = 1 << MEMO_SLOT_BITS;
+        for n in [62, 63] {
+            let mut gaps = vec![4; 10];
+            gaps[0] += n - 50;
+            let start = cfg(&gaps);
+            assert_eq!(start.n(), n);
+            for order in [
+                ViewOrder::CwFirst,
+                ViewOrder::CcwFirst,
+                ViewOrder::Alternating,
+            ] {
+                let walker = EngineOptions::for_protocol(&GreedyGapWalker).with_view_order(order);
+                let mut engine = Engine::new(GreedyGapWalker, start.clone(), walker).unwrap();
+                let mut scheduler = crate::scheduler::AsynchronousScheduler::seeded(n as u64);
+                let (looks, keys) = assert_looks_decide_afresh(&mut engine, &mut scheduler, 40_000);
+                let merging = EngineOptions::for_protocol(&MergeSplitWalker).with_view_order(order);
+                let mut engine = Engine::new(MergeSplitWalker, start.clone(), merging).unwrap();
+                engine.arm_fault(FaultModel::CorruptLook {
+                    look: 777,
+                    kind: CorruptionKind::PhantomMultiplicity,
+                });
+                let mut scheduler = crate::scheduler::AsynchronousScheduler::seeded(n as u64);
+                let (merged_looks, merged_keys) =
+                    assert_looks_decide_afresh(&mut engine, &mut scheduler, 40_000);
+                assert!(merged_looks > 777, "the corrupted Look happened");
+                if n == 62 {
+                    let multiplicity_keys = merged_keys.iter().filter(|&k| k >> 62 & 1 == 1);
+                    assert!(
+                        multiplicity_keys.count() > 0,
+                        "{order:?}: no Look on a multiplicity"
+                    );
+                    for (what, looks, distinct) in [
+                        ("walker", looks, keys.len()),
+                        ("merge-split", merged_looks, merged_keys.len()),
+                    ] {
+                        assert!(distinct > slots, "{what} {order:?}: only {distinct} views");
+                        assert!(
+                            looks > distinct as u64,
+                            "{what} {order:?}: no view recurred"
+                        );
+                    }
+                } else {
+                    assert!(keys.is_empty() && merged_keys.is_empty());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_corrupted_look_neither_reads_nor_writes_the_memo() {
+        // Robots at 0 and 5 of a 10-ring read the same view, so they share a
+        // memo slot.  Truthfully, a lone robot walks into its smaller gap:
+        // on a tie, the second view.  The phantom multiplicity sends it into
+        // its larger one: on a tie, the first view.  Whichever of the two
+        // Looks is corrupted, the other must get the truthful decision.
+        let pair = cfg(&[4, 4]);
+        let options = EngineOptions::for_protocol(&MergeSplitWalker);
+        let local = MultiplicityCapability::Local;
+        assert_eq!(
+            view_key(&pair, 0, local, Direction::Cw),
+            view_key(&pair, 5, local, Direction::Cw)
+        );
+        for corrupted in [0, 1] {
+            let mut engine = Engine::new(MergeSplitWalker, pair.clone(), options).unwrap();
+            engine.arm_fault(FaultModel::CorruptLook {
+                look: corrupted as u64,
+                kind: CorruptionKind::PhantomMultiplicity,
+            });
+            let mut log = EventLog::default();
+            engine.step(&SchedulerStep::Look(0), &mut log).unwrap();
+            engine.step(&SchedulerStep::Look(1), &mut log).unwrap();
+            let decisions: Vec<Decision> = log
+                .hooks
+                .iter()
+                .filter_map(|hook| match *hook {
+                    Hook::Look { decision, .. } => Some(decision),
+                    _ => None,
+                })
+                .collect();
+            let mut expected = [Decision::Move(ViewIndex::Second); 2];
+            expected[corrupted] = Decision::Move(ViewIndex::First);
+            assert_eq!(decisions, expected, "look {corrupted} corrupted");
+        }
     }
 
     #[test]

@@ -84,6 +84,11 @@ pub trait Protocol {
     }
 
     /// The Compute phase: map the snapshot taken during Look to a decision.
+    ///
+    /// The engine calls it at most once per distinct snapshot of a run and
+    /// reuses the decision for every later Look that takes the same
+    /// snapshot (anywhere on the ring), so `compute` must be a pure
+    /// function of the snapshot, as the model's obliviousness requires.
     fn compute(&self, snapshot: &Snapshot) -> Decision;
 }
 

@@ -2,10 +2,12 @@
 //! `Engine::pack_behavior`, which is what the model checker stores for every
 //! discovered state, and `Engine::pack_state` of a shallow state.  Nor does
 //! a step of `Engine::run` under any scheduler: scheduler views and steps
-//! are `Copy`, and the run loop keeps its step report for the whole run.  A
-//! counting global allocator, enabled only around the calls under test and
-//! only on the calling thread, pins both.  This is a test binary of its
-//! own, so that no other test shares the allocator.
+//! are `Copy`, and the run loop keeps its step report for the whole run.
+//! Nor does a recycled engine's run: `Engine::reset` keeps the Look memo's
+//! table that `Engine::new` allocated.  A counting global allocator, enabled
+//! only around the calls under test and only on the calling thread, pins
+//! all three.  This is a test binary of its own, so that no other test
+//! shares the allocator.
 
 // The counting allocator is the one purposeful use of `unsafe` here: it
 // forwards to `System` verbatim and only bumps a counter.
@@ -111,24 +113,28 @@ fn packing_inline_sized_states_allocates_nothing() {
     assert_eq!(full, engine.save_state().pack());
 }
 
+/// The engine-throughput workload (E12): the greedy walker keeps every
+/// robot moving, with exclusivity off.
+const WALKER: EngineOptions = EngineOptions {
+    capability: MultiplicityCapability::None,
+    enforce_exclusivity: false,
+    view_order: ViewOrder::CwFirst,
+};
+
+/// Every scheduler family, fully synchronous included.
+const SCHEDULERS: [SchedulerKind; 4] = [
+    SchedulerKind::RoundRobin,
+    SchedulerKind::SemiSynchronous,
+    SchedulerKind::Asynchronous,
+    SchedulerKind::FullySynchronous,
+];
+
 #[test]
 fn every_scheduler_allocates_the_same_for_any_number_of_steps() {
-    // The engine-throughput workload (E12): the greedy walker keeps every
-    // robot moving, with exclusivity off and no trace.
-    let options = EngineOptions {
-        capability: MultiplicityCapability::None,
-        enforce_exclusivity: false,
-        view_order: ViewOrder::CwFirst,
-    };
     let initial = Configuration::from_gaps_at_origin(&[0, 1, 3, 2, 0, 4, 1, 5]);
-    for kind in [
-        SchedulerKind::RoundRobin,
-        SchedulerKind::SemiSynchronous,
-        SchedulerKind::Asynchronous,
-        SchedulerKind::FullySynchronous,
-    ] {
+    for kind in SCHEDULERS {
         let run_allocations = |steps: u64| {
-            let mut engine = Engine::new(GreedyGapWalker, initial.clone(), options).unwrap();
+            let mut engine = Engine::new(GreedyGapWalker, initial.clone(), WALKER).unwrap();
             let (allocs, report) = allocations_of(|| {
                 kind.with(7, |scheduler| engine.run_until(scheduler, steps, |_| false))
             });
@@ -146,5 +152,27 @@ fn every_scheduler_allocates_the_same_for_any_number_of_steps() {
             "Engine::run under {kind} allocated per step: \
              {short} allocations for 1,000 steps, {long} for 10,000"
         );
+    }
+}
+
+#[test]
+fn a_run_after_reset_allocates_nothing() {
+    // A 24-node ring, which the Look memo serves.  The first run grows the
+    // step report; after it, a reset and a whole run allocate nothing under
+    // any scheduler.  The scheduler is built before the count and kept:
+    // the asynchronous one sizes its per-robot ages on its first step.
+    let initial = Configuration::from_gaps_at_origin(&[0, 1, 3, 2, 0, 4, 1, 5]);
+    for kind in SCHEDULERS {
+        kind.with(7, |scheduler| {
+            let mut engine = Engine::new(GreedyGapWalker, initial.clone(), WALKER).unwrap();
+            engine.run_until(scheduler, 1_000, |_| false);
+            let (allocs, report) = allocations_of(|| {
+                engine.reset(GreedyGapWalker, &initial, WALKER).unwrap();
+                engine.run_until(scheduler, 1_000, |_| false)
+            });
+            assert_eq!(report.steps, 1_000, "{kind}");
+            assert!(report.moves > 250, "{kind}: the walkers stalled");
+            assert_eq!(allocs, 0, "{kind}: a run after reset allocated");
+        });
     }
 }

@@ -314,10 +314,10 @@ pub struct BatchOutcome {
 
 /// Runs [`BatchJob`]s back to back while reusing **one** engine allocation:
 /// the robot vector, configuration storage (including its incremental
-/// occupancy index), Look-scratch snapshot and run-loop step report are
-/// recycled via [`Engine::reset`] between jobs — so across a whole batch the
-/// Look phase stays on the zero-allocation O(k) pipeline (engines own their
-/// scratch; nothing needs threading through here).  Sweep runners hold one
+/// occupancy index), Look-scratch snapshot, Look memo table and run-loop
+/// step report are recycled via [`Engine::reset`] between jobs, so a
+/// worker allocates the memo table once (each job starts with it empty:
+/// its decisions belong to the job's protocol).  Sweep runners hold one
 /// `BatchRunner` per worker.
 #[derive(Debug, Default)]
 pub struct BatchRunner {
